@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 from . import __version__
 from .exactnum import RationalMatrix, UPoly, char_poly, quartic_galois_class, \
@@ -21,17 +20,21 @@ from .exactnum import RationalMatrix, UPoly, char_poly, quartic_galois_class, \
 from .groebner import BUDGET_PROFILES, GREVLEX, Ideal, ResourceExhausted, \
     TermOrder, eliminate, is_trivial, normal_form, saturate_many
 from .heights import height_algebraic, height_point
-from .multipoly import MultiPoly, PolySyntaxError, UnknownVariable, parse, \
+from .multipoly import PolySyntaxError, UnknownVariable, data_text, parse, \
     read_poly_file
 from . import crossratio
 from . import flatnet
 from . import toruscan
+from .crossratio import crossratio_m1, crossratio_m2, crossratio_m3
 
 REPORT_SCHEMA = 1
 
 
-def data_text(name: str) -> str:
-    return resources.files("torion.data").joinpath(name).read_text()
+def _read_polys(path):
+    """Read a polynomial file; a missing path raises FileNotFoundError
+    naming it instead of being parsed as polynomial text."""
+    with open(path) as fh:
+        return read_poly_file(fh.read())
 
 
 def _digest(text: str) -> str:
@@ -61,18 +64,10 @@ class Report:
     def timing(self, key, seconds):
         self.doc["timings"][key] = round(seconds, 3)
 
-    def emit(self, path=None):
-        doc = dict(self.doc)
-        if path:
-            stripped = dict(doc)
-            with open(path, "w") as fh:
-                json.dump(stripped, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            out = dict(doc)
-            out.pop("timings", None)
-            json.dump(out, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+    def emit(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _budget(args):
@@ -105,7 +100,7 @@ def cmd_height(args, report: Report) -> int:
 
 
 def cmd_ideal(args, report: Report) -> int:
-    variables, polys = read_poly_file(args.polys)
+    variables, polys = _read_polys(args.polys)
     n = len(variables)
     I = Ideal(n, polys)
     budget = _budget(args)
@@ -149,8 +144,11 @@ def cmd_ideal(args, report: Report) -> int:
 
 
 def cmd_torus_scan(args, report: Report) -> int:
-    variables, polys = read_poly_file(args.polys)
-    n = len(variables)
+    variables, polys = _read_polys(args.polys)
+    peripheral = _read_polys(args.saturate)[1] if args.saturate else []
+    conditions = _read_polys(args.conditions)[1] if args.conditions else []
+    starts = None if args.subspace == "identity" else \
+        _read_subspaces(args.subspace, len(variables))
     options = toruscan.ScanOptions(
         tier_mode=args.tier_mode,
         budget=_budget(args),
@@ -158,20 +156,9 @@ def cmd_torus_scan(args, report: Report) -> int:
         antipodal=not args.signed_vectors,
     )
     report.set_input("polys", toruscan._digest_polys(polys))
-    if args.saturate:
-        _, peripheral = read_poly_file(args.saturate)
-        conditions = []
-        if args.conditions:
-            _, conditions = read_poly_file(args.conditions)
-        starts = _read_subspaces(args.subspace, n)
-        rep = toruscan.saturated_scan(polys, starts, peripheral, conditions,
-                                      options)
-    else:
-        if args.subspace == "identity":
-            M = toruscan.ExponentSubgroup.full(n)
-        else:
-            M = _read_subspaces(args.subspace, n)[0]
-        rep = toruscan.scan(polys, M, options)
+    rep = toruscan.scan(polys, starts, options, peripheral, conditions)
+    for k, v in rep.timings.items():
+        report.timing(k, v)
     doc = rep.to_json_dict()
     for k, v in doc.items():
         report.set(k, v)
@@ -204,6 +191,8 @@ def _read_subspaces(path, n):
             cur.append([int(tok) for tok in line.split()])
     if cur:
         blocks.append(cur)
+    if not blocks:
+        raise ValueError(f"no subspace rows in {path}")
     return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
 
 
@@ -241,41 +230,7 @@ def cmd_cross_ratio(args, report: Report) -> int:
               + (f" (order {order})" if order else ""))
         return 0 if grade is not None else 1
     if args.check == "zero-order":
-        # cross-check: the partial-fraction numerator built from the
-        # configuration's residues must vanish to the declared order at
-        # every declared finite zero (and show the right degree drop at
-        # infinity)
-        rs = crossratio.residues(cfg)
-        from .exactnum import UPoly
-        if not all(isinstance(r, Fraction) for r in rs):
-            raise ValueError("zero-order check needs rational coordinates")
-        n = len(cfg.poles)
-        acc = [Fraction(0)] * n
-        for i, r in enumerate(rs):
-            prod = UPoly([1])
-            for j, x in enumerate(cfg.poles):
-                if j != i:
-                    prod = prod * UPoly([-x.affine(), 1])
-            for k, c in enumerate(prod.coeffs):
-                acc[k] += r * c
-        numerator = UPoly(acc)
-        ok = True
-        inf_order = 0
-        for z, m in cfg.zeros:
-            if z.is_infinity():
-                inf_order = m
-                continue
-            p = numerator
-            a = z.affine()
-            for _ in range(m):
-                q, rem = divmod(p, UPoly([-a, 1]))
-                if not (rem.is_zero() if hasattr(rem, "is_zero")
-                        else rem == 0):
-                    ok = False
-                    break
-                p = q
-        if numerator.degree > n - 2 - inf_order:
-            ok = False
+        ok = crossratio.zero_order_consistent(cfg)
         report.set("zero_order_consistent", ok, grade="exact")
         print("zero orders consistent" if ok else "zero orders FAIL")
         return 0 if ok else 1
@@ -437,21 +392,6 @@ def _reproduce_m010(report: Report, prune: bool):
     return ok, detail
 
 
-def crossratio_m1():
-    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
-            (0, 0, 1, 0, 0, 1, 0, 0, 0)]
-
-
-def crossratio_m2():
-    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
-            (0, 0, 0, 0, 0, 1, 0, 0, 1)]
-
-
-def crossratio_m3():
-    return [(1, 0, 0, -1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0, 1, 0),
-            (0, 0, 0, 0, 0, 1, 0, 0, -1)]
-
-
 def _reproduce_matrices_m123(report: Report):
     trees = crossratio.standard_degeneration_trees()
     expected = [crossratio_m1(), crossratio_m2(), crossratio_m3()]
@@ -479,8 +419,7 @@ def _reproduce_charpoly_d4(report: Report):
 def _reproduce_moduli_audit(report: Report):
     failures = []
     checked = 0
-    catalog = _small_graph_catalog(max_edges=4)
-    for g in catalog:
+    for g in flatnet.small_graph_catalog(max_edges=4):
         for v1 in g.vertices:
             for v2 in g.vertices:
                 if v1 >= v2:
@@ -500,27 +439,6 @@ def _reproduce_moduli_audit(report: Report):
     return not failures, {"checked": checked, "failures": failures}
 
 
-def _small_graph_catalog(max_edges=5):
-    """Connected bridgeless multigraphs on <= 3 vertices with <= max_edges
-    edges (deterministic list used by the audit reproduction)."""
-    out = []
-    # banana graphs: k parallel edges
-    for k in range(2, max_edges + 1):
-        out.append(flatnet.DualGraph(
-            ["a", "b"], [(f"e{i}", "b", "a") for i in range(1, k + 1)]))
-    # two banana blocks sharing a vertex
-    out.append(flatnet.DualGraph(
-        ["a", "b", "c"],
-        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
-         ("e4", "b", "c")]))
-    # triangle doubled edge
-    out.append(flatnet.DualGraph(
-        ["a", "b", "c"],
-        [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
-         ("e4", "a", "b")]))
-    return out
-
-
 REPRODUCE_TARGETS = {
     "lem-so": lambda args, rep: _reproduce_lem_so(rep),
     "lem-so-odd": lambda args, rep: _reproduce_lem_so_odd(rep, _budget(args)),
@@ -534,9 +452,9 @@ REPRODUCE_TARGETS = {
 
 def cmd_reproduce(args, report: Report) -> int:
     fn = REPRODUCE_TARGETS[args.target]
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, detail = fn(args, report)
-    report.timing(args.target, time.time() - t0)
+    report.timing(args.target, time.perf_counter() - t0)
     report.set("target", args.target)
     report.set("pass", ok, grade="exact")
     if ok:
@@ -586,7 +504,8 @@ def build_parser():
                    help="count E and -E separately in tier 1")
     p.add_argument("--saturate", default=None,
                    help="peripheral polynomial file")
-    p.add_argument("--conditions", default=None)
+    p.add_argument("--conditions", default=None,
+                   help="extra condition polynomial file")
     p.set_defaults(fn=cmd_torus_scan)
 
     p = sub.add_parser("cross-ratio", help="stable-form configuration checks")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, NumberField, RationalMatrix, RootOfUnity, \
-    trace_dual_basis
+    UPoly, trace_dual_basis
 from .multipoly import MultiPoly
 from . import intlat
 
@@ -201,6 +201,37 @@ def residues(cfg: StableFormConfig):
             den = d if den is None else den * d
         out.append(num * _invert(den) if den is not None else num)
     return out
+
+
+def zero_order_consistent(cfg: StableFormConfig) -> bool:
+    """Cross-check of `residues`: the partial-fraction numerator
+    sum_i r_i prod_{j != i} (z - x_j) must vanish to the declared order at
+    every declared finite zero, and its degree must drop by the order of a
+    zero at infinity.  Needs rational coordinates."""
+    rs = residues(cfg)
+    if not all(isinstance(r, Fraction) for r in rs):
+        raise ValueError("zero-order check needs rational coordinates")
+    n = len(cfg.poles)
+    acc = [Fraction(0)] * n
+    for i, r in enumerate(rs):
+        prod = UPoly([1])
+        for j, x in enumerate(cfg.poles):
+            if j != i:
+                prod = prod * UPoly([-x.affine(), 1])
+        for k, c in enumerate(prod.coeffs):
+            acc[k] += r * c
+    numerator = UPoly(acc)
+    inf_order = 0
+    for z, m in cfg.zeros:
+        if z.is_infinity():
+            inf_order = m
+            continue
+        p = numerator
+        for _ in range(m):
+            p, rem = divmod(p, UPoly([-z.affine(), 1]))
+            if not rem.is_zero():
+                return False
+    return numerator.degree <= n - 2 - inf_order
 
 
 def partition_residue_sums(cfg: StableFormConfig):
@@ -893,6 +924,25 @@ def standard_degeneration_trees():
         [(1, 0, 1), (2, 0, 2), (3, 0, 3)],
         {1: 0, 2: 0, 3: 0})
     return [tree_a, tree_b, tree_c]
+
+
+def crossratio_m1():
+    """Unit-twist exponent matrix of the first standard tree (rows as
+    `degeneration_matrix` returns them)."""
+    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
+            (0, 0, 1, 0, 0, 1, 0, 0, 0)]
+
+
+def crossratio_m2():
+    """Unit-twist exponent matrix of the second standard tree."""
+    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
+            (0, 0, 0, 0, 0, 1, 0, 0, 1)]
+
+
+def crossratio_m3():
+    """Unit-twist exponent matrix of the third standard tree."""
+    return [(1, 0, 0, -1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 0, 1, 0, 0, -1)]
 
 
 def degeneration_matrix(tree: DecoratedTree):

@@ -552,6 +552,24 @@ def trace_matrix(block: DualGraph, moduli) -> TraceMatrix:
     return TraceMatrix(ids, Qr)
 
 
+def small_graph_catalog(max_edges=5):
+    """Connected bridgeless multigraphs on <= 3 vertices with <= max_edges
+    edges: banana graphs, two bananas sharing a vertex, and a triangle with
+    a doubled edge (a deterministic list)."""
+    out = [DualGraph(["a", "b"],
+                     [(f"e{i}", "b", "a") for i in range(1, k + 1)])
+           for k in range(2, max_edges + 1)]
+    out.append(DualGraph(
+        ["a", "b", "c"],
+        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
+         ("e4", "b", "c")]))
+    out.append(DualGraph(
+        ["a", "b", "c"],
+        [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+         ("e4", "a", "b")]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # file format: 'vertex', 'edge', 'current', 'source', 'modulus' lines
 # ---------------------------------------------------------------------------

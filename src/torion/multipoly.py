@@ -498,20 +498,6 @@ def parse(text: str, variables, laurent: bool = False) -> MultiPoly:
     return _Parser(text, variables, laurent).parse()
 
 
-def support(p: MultiPoly):
-    return p.support()
-
-
-def arith(a: MultiPoly, b, op: str) -> MultiPoly:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def substitute_torus(p: MultiPoly, E):
     """Group the terms of p by the image of their exponent vectors under the
     integer matrix E (rows index torus coordinates): substituting
@@ -562,6 +548,12 @@ def read_poly_file(path_or_text, laurent=False):
             raise ValueError("missing '# vars:' header")
         polys.append(parse(line, variables, laurent))
     return variables, polys
+
+
+def data_text(name: str) -> str:
+    """Text of a polynomial file shipped in the package's data directory."""
+    from importlib import resources
+    return resources.files("torion.data").joinpath(name).read_text()
 
 
 def write_poly_file(path, variables, polys):

@@ -51,10 +51,6 @@ class ExponentSubgroup:
     def from_vector(cls, v):
         return cls([list(v)], len(v))
 
-    @property
-    def primitive(self):
-        return True  # always saturated by construction
-
     def vector(self):
         if self.rank != 1:
             raise ValueError("not rank one")
@@ -125,11 +121,17 @@ class ScanReport:
         }
 
 
-def _digest_polys(polys):
+def _digest_polys(polys, peripheral=(), conditions=()):
+    """Digest of the scan input; the peripheral and condition sections are
+    marked, so moving a polynomial between sections changes it."""
     h = hashlib.sha256()
-    for p in polys:
-        h.update(p.to_string().encode())
-        h.update(b"\n")
+    for label, group in ((b"", polys), (b"peripheral", peripheral),
+                         (b"conditions", conditions)):
+        if label and group:
+            h.update(b"## " + label + b"\n")
+        for p in group:
+            h.update(p.to_string().encode())
+            h.update(b"\n")
     return h.hexdigest()[:16]
 
 
@@ -230,37 +232,50 @@ def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
 
 def coefficient_variety(polys, N: ExponentSubgroup,
                         budget: Budget = BUDGET_PROFILES["default"],
-                        clear_hyperplanes: bool = True) -> CosetCandidate:
+                        peripheral=(), conditions=()) -> CosetCandidate:
     """Build the coefficient ideal of the candidate subgroup and classify it.
 
     A part consisting of a single term forces a coefficient to vanish, which
     is impossible on the torus: status 'pruned-singleton'.  Otherwise the
-    ideal is tested for triviality after removing components inside the
-    coordinate hyperplanes (successive saturation by each variable)."""
+    ideal goes through one stage, or two when `conditions` are given (the
+    second adds the conditions' parts).  Each stage removes the components
+    inside the coordinate hyperplanes (successive saturation by each used
+    variable), then those inside each peripheral locus: a coset lies in V(f)
+    iff all parts of f vanish, so it saturates by the ideal of f's parts.
+    The first unit ideal makes the candidate 'trivial-ideal'; budget
+    exhaustion makes it 'undetermined', never dropped."""
     parts = induced_parts(polys, N)
     n = polys[0].n
-    cand = CosetCandidate(N, None, "open", parts=parts)
     gens = [q for _, q in parts]
-    cand.coefficient_ideal = Ideal(n, gens)
+    cand = CosetCandidate(N, Ideal(n, gens), "open", parts=parts)
     if any(len(q.terms) == 1 for q in gens):
         cand.status = "pruned-singleton"
         return cand
+    stages = [gens]
+    if conditions:
+        stages.append([q for _, q in induced_parts(conditions, N)])
     try:
-        stripped = Ideal(n, [g.strip_monomial_content() for g in gens])
-        if clear_hyperplanes:
-            used = sorted(set().union(*[g.variables_used() for g in gens])) \
-                if gens else []
-            sat = saturate_many(stripped,
-                                [MultiPoly.variable(n, i) for i in used],
-                                budget)
-        else:
-            sat = stripped
-        cand.saturated_generators = sat.generators
-        if is_trivial(sat, budget):
-            cand.status = "trivial-ideal"
-        else:
-            cand.status = "survivor"
-            cand.cosets = _solve_coset_points(sat, n, budget)
+        peripheral_parts = [[q.strip_monomial_content()
+                             for _, q in induced_parts([p], N)]
+                            for p in peripheral]
+        J = Ideal(n, [])
+        used = set()
+        for added in stages:
+            used.update(*[g.variables_used() for g in added])
+            J = Ideal(n, J.generators +
+                      [g.strip_monomial_content() for g in added])
+            J = saturate_many(J, [MultiPoly.variable(n, i)
+                                  for i in sorted(used)], budget)
+            for part_gens in peripheral_parts:
+                if is_trivial(J, budget):
+                    break
+                J = saturate_by_ideal(J, part_gens, budget)
+            cand.saturated_generators = J.generators
+            if is_trivial(J, budget):
+                cand.status = "trivial-ideal"
+                return cand
+        cand.status = "survivor"
+        cand.cosets = _solve_coset_points(J, n, budget)
     except ResourceExhausted as exc:
         cand.status = "undetermined"
         cand.note = str(exc)
@@ -443,7 +458,7 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
 
 
 # ---------------------------------------------------------------------------
-# scan drivers
+# scan driver
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -455,36 +470,56 @@ class ScanOptions:
     threads: int = 1
 
 
-def _evaluate_candidate(args):
-    polys, subgroup_rows, n, budget = args
-    N = ExponentSubgroup(subgroup_rows, n)
-    return coefficient_variety(polys, N, budget)
+_WORKER_ARGS = None  # set in each worker process by the pool initializer
 
 
-def _parallel_candidates(polys, subgroups, budget, threads):
-    if threads <= 1 or len(subgroups) < 4:
-        return [coefficient_variety(polys, N, budget) for N in subgroups]
-    from concurrent.futures import ProcessPoolExecutor
-    args = [(polys, [list(r) for r in N.basis], N.n, budget)
+def _init_worker(*args):
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
+
+
+def _classify_in_worker(N):
+    polys, budget, peripheral, conditions = _WORKER_ARGS
+    return coefficient_variety(polys, N, budget, peripheral, conditions)
+
+
+def _classify_all(subgroups, args, threads, notes):
+    """coefficient_variety on every subgroup; `args` = (polys, budget,
+    peripheral, conditions) reach each worker process once, through the
+    pool initializer.  A pool that cannot start falls back to serial and
+    says so in `notes`."""
+    if threads > 1 and len(subgroups) >= 4:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=threads,
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_init_worker, initargs=args) as ex:
+                return list(ex.map(_classify_in_worker, subgroups,
+                                   chunksize=8))
+        except OSError as exc:
+            notes.append(f"process pool unavailable ({exc}); "
+                         f"classified serially")
+    polys, budget, peripheral, conditions = args
+    return [coefficient_variety(polys, N, budget, peripheral, conditions)
             for N in subgroups]
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(_evaluate_candidate, args, chunksize=8))
-    except (OSError, PermissionError):
-        return [coefficient_variety(polys, N, budget) for N in subgroups]
 
 
-def scan(polys, M: ExponentSubgroup | None = None,
-         options: ScanOptions | None = None) -> ScanReport:
-    """Full scan: enumerate candidate subgroups, build coefficient ideals,
-    classify, and report deterministically (candidates ordered by canonical
-    subgroup key).  tier_mode replicates the anchored rank-one pipeline for
-    a single 3-variable hypersurface and records the tier counters."""
+def scan(polys, starts=None, options: ScanOptions | None = None,
+         peripheral=(), conditions=()) -> ScanReport:
+    """Full scan: enumerate candidate subgroups (the closure of `starts`, a
+    subgroup or a list of them, by default the whole lattice), classify each
+    with `coefficient_variety`, and report deterministically (candidates
+    ordered by canonical subgroup key).  tier_mode replicates the anchored
+    rank-one pipeline for a single 3-variable hypersurface and records the
+    tier counters."""
     options = options or ScanOptions()
-    t0 = time.time()
+    peripheral, conditions = tuple(peripheral), tuple(conditions)
+    if any(p.is_zero() for p in peripheral):
+        raise ValueError("peripheral polynomials must be nonzero")
+    t0 = time.perf_counter()
     n = polys[0].n
-    if M is None:
-        M = ExponentSubgroup.full(n)
     tiers = None
     if options.tier_mode:
         if len(polys) != 1:
@@ -495,10 +530,17 @@ def scan(polys, M: ExponentSubgroup | None = None,
         subgroups = [ExponentSubgroup.from_vector(E) for E in t2]
         tiers = [len(t1), len(t2)]
     else:
-        subgroups = enumerate_subspaces(polys, M)
-    t_enum = time.time()
-    results = _parallel_candidates(polys, subgroups, options.budget,
-                                   options.threads)
+        if starts is None:
+            starts = ExponentSubgroup.full(n)
+        if isinstance(starts, ExponentSubgroup):
+            starts = [starts]
+        subgroups = enumerate_subspaces_multi(polys, starts)
+    t_enum = time.perf_counter()
+    notes = []
+    results = _classify_all(
+        subgroups, (polys, options.budget, peripheral, conditions),
+        options.threads, notes)
+    t_classify = time.perf_counter()
     by_rank = {}
     for N in subgroups:
         by_rank[N.rank] = by_rank.get(N.rank, 0) + 1
@@ -506,106 +548,19 @@ def scan(polys, M: ExponentSubgroup | None = None,
     candidates = [results[i] for i in order]
     survivors = [c for c in candidates if c.status == "survivor"]
     undetermined = [c for c in candidates if c.status == "undetermined"]
+    pruned = sum(c.status == "pruned-singleton" for c in candidates)
     if tiers is not None:
         tiers.append(len(survivors))
-    report = ScanReport(
-        input_digest=_digest_polys(polys),
+    return ScanReport(
+        input_digest=_digest_polys(polys, peripheral, conditions),
         per_rank_counts=by_rank,
         candidates=candidates,
         survivors=survivors,
         tier_counts=tiers,
         undetermined=undetermined,
         timings={"enumerate_s": round(t_enum - t0, 3),
-                 "classify_s": round(time.time() - t_enum, 3)},
-    )
-    return report
-
-
-def saturated_scan(polys, starts, peripheral, extra_conditions=None,
-                   options: ScanOptions | None = None) -> ScanReport:
-    """Scan with peripheral saturation: for each candidate N the coefficient
-    ideal I_N is saturated by the coefficient ideals of the peripheral
-    polynomials (successively), then the coefficient ideal of the extra
-    conditions is added and the saturation repeated.  A candidate survives
-    iff the result stays nontrivial; budget exhaustion marks it
-    undetermined, never dropped."""
-    options = options or ScanOptions()
-    if any(p.is_zero() for p in peripheral):
-        raise ValueError("peripheral polynomials must be nonzero")
-    t0 = time.time()
-    n = polys[0].n
-    if isinstance(starts, ExponentSubgroup):
-        starts = [starts]
-    subgroups = enumerate_subspaces_multi(polys, starts)
-    by_rank = {}
-    for N in subgroups:
-        by_rank[N.rank] = by_rank.get(N.rank, 0) + 1
-    candidates = []
-    pruned = 0
-    for N in sorted(subgroups, key=lambda s: s.key()):
-        cand = CosetCandidate(N, None, "open")
-        if has_singleton_part(polys, N):
-            cand.status = "pruned-singleton"
-            candidates.append(cand)
-            pruned += 1
-            continue
-        gens = [q.strip_monomial_content() for _, q in induced_parts(polys, N)]
-        I_N = Ideal(n, gens)
-        cand.coefficient_ideal = I_N
-        try:
-            # per peripheral factor f: a coset lies inside V(f) iff ALL
-            # parts of f vanish, so saturate by the ideal of the parts
-            # (successively over the factors: the peripheral locus is the
-            # union of the factor loci)
-            E_rows = [list(r) for r in N.basis]
-            K_N = I_N
-            for p in peripheral:
-                part_gens = [q.strip_monomial_content()
-                             for _, q in substitute_torus(p, E_rows)]
-                K_N = saturate_by_ideal(K_N, part_gens, options.budget)
-                if is_trivial(K_N, options.budget):
-                    break
-            if is_trivial(K_N, options.budget):
-                cand.status = "trivial-ideal"
-                cand.note = "peripheral saturation"
-                candidates.append(cand)
-                continue
-            if extra_conditions:
-                extra = []
-                for p in extra_conditions:
-                    extra.extend(
-                        q.strip_monomial_content()
-                        for _, q in substitute_torus(p, E_rows))
-                K2 = Ideal(n, K_N.generators + extra)
-                for p in peripheral:
-                    part_gens = [q.strip_monomial_content()
-                                 for _, q in substitute_torus(p, E_rows)]
-                    K2 = saturate_by_ideal(K2, part_gens, options.budget)
-                    if is_trivial(K2, options.budget):
-                        break
-                if is_trivial(K2, options.budget):
-                    cand.status = "trivial-ideal"
-                    cand.note = "opposite-residue saturation"
-                    candidates.append(cand)
-                    continue
-                cand.saturated_generators = K2.generators
-            else:
-                cand.saturated_generators = K_N.generators
-            cand.status = "survivor"
-        except ResourceExhausted as exc:
-            cand.status = "undetermined"
-            cand.note = str(exc)
-        candidates.append(cand)
-    survivors = [c for c in candidates if c.status == "survivor"]
-    undetermined = [c for c in candidates if c.status == "undetermined"]
-    return ScanReport(
-        input_digest=_digest_polys(list(polys) + list(peripheral)),
-        per_rank_counts=by_rank,
-        candidates=candidates,
-        survivors=survivors,
-        undetermined=undetermined,
-        timings={"total_s": round(time.time() - t0, 3)},
-        budget_notes=[f"singleton-pruned: {pruned}"],
+                 "classify_s": round(t_classify - t_enum, 3)},
+        budget_notes=[f"singleton-pruned: {pruned}"] + notes,
     )
 
 

@@ -11,14 +11,13 @@ from itertools import combinations, product
 
 import pytest
 
-from torion.cli import (crossratio_m1, crossratio_m2, crossratio_m3,
-                        data_text)
+from torion.crossratio import crossratio_m1, crossratio_m2, crossratio_m3
 from torion.exactnum import RationalMatrix, UPoly, char_poly, number_field, \
     quartic_galois_class
 from torion.groebner import Ideal, normal_form
 from torion.heights import dirichlet_approx, enumerate_bounded, height_point, \
     mult_relation
-from torion.multipoly import MultiPoly, parse, read_poly_file, \
+from torion.multipoly import MultiPoly, data_text, parse, read_poly_file, \
     substitute_torus
 from torion import crossratio, flatnet, toruscan
 

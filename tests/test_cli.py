@@ -4,6 +4,7 @@ import pytest
 
 import torion.cli as cli
 from torion.groebner import Budget
+from torion.multipoly import data_text
 
 
 def run(argv):
@@ -44,7 +45,7 @@ class TestIdealCommand:
 class TestTorusScanCommand:
     def test_cubic_six_lines(self, tmp_path, capsys):
         f = tmp_path / "cubic.poly"
-        f.write_text(cli.data_text("coset_cubic.poly"))
+        f.write_text(data_text("coset_cubic.poly"))
         rep = tmp_path / "report.json"
         assert run(["--report", str(rep), "torus-scan", "--polys",
                     str(f)]) == 0
@@ -64,9 +65,72 @@ class TestTorusScanCommand:
                     str(subs), "--saturate", str(periph)]) == 0
         assert "survivor" in capsys.readouterr().out
 
+    def test_peripheral_does_not_revive_hyperplane_component(
+            self, tmp_path, capsys):
+        polys = tmp_path / "v.poly"
+        polys.write_text("# vars: x y z\nx + y + x*z - y*z\n")
+        periph = tmp_path / "z5.poly"
+        periph.write_text("# vars: x y z\nz - 5\n")
+        subs = tmp_path / "n.txt"
+        subs.write_text("0 0 1\n")
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "torus-scan", "--polys", str(polys),
+                    "--subspace", str(subs), "--saturate", str(periph)]) == 0
+        assert "survivor" not in capsys.readouterr().out
+        assert json.loads(rep.read_text())["results"]["survivor_count"] == 0
+
+    def test_plain_scan_reads_every_subspace_block(self, tmp_path):
+        polys = tmp_path / "v.poly"
+        polys.write_text("# vars: x y\nx*y - 1\n")
+        subs = tmp_path / "m.txt"
+        subs.write_text("1 -1\n\n1 0\n")
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "torus-scan", "--polys", str(polys),
+                    "--subspace", str(subs)]) == 0
+        results = json.loads(rep.read_text())["results"]
+        assert results["per_rank_counts"] == {"1": 2}
+
+    def test_conditions_without_saturate(self, tmp_path, capsys):
+        polys = tmp_path / "v.poly"
+        polys.write_text("# vars: x y\nx*y - 1\n")
+        conds = tmp_path / "c.poly"
+        conds.write_text("# vars: x y\nx*y - 2\n")
+        subs = tmp_path / "m.txt"
+        subs.write_text("1 -1\n")
+        argv = ["torus-scan", "--polys", str(polys), "--subspace", str(subs)]
+        assert run(argv) == 0
+        assert "survivor" in capsys.readouterr().out
+        assert run(argv + ["--conditions", str(conds)]) == 0
+        assert "survivor" not in capsys.readouterr().out
+
+    def test_empty_subspace_file_exit_2(self, tmp_path, capsys):
+        polys = tmp_path / "v.poly"
+        polys.write_text("# vars: x y\nx*y - 1\n")
+        subs = tmp_path / "m.txt"
+        subs.write_text("# no rows\n")
+        assert run(["torus-scan", "--polys", str(polys), "--subspace",
+                    str(subs)]) == 2
+        assert "no subspace rows" in capsys.readouterr().err
+
+    def test_missing_polys_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch.poly"
+        assert run(["torus-scan", "--polys", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "nosuch.poly" in err and "vars" not in err
+
+    def test_report_timings(self, tmp_path):
+        f = tmp_path / "cubic.poly"
+        f.write_text(data_text("coset_cubic.poly"))
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "torus-scan", "--polys",
+                    str(f)]) == 0
+        doc = json.loads(rep.read_text())
+        assert set(doc["timings"]) == {"enumerate_s", "classify_s"}
+        assert doc["results"]["budget_notes"] == ["singleton-pruned: 11"]
+
     def test_report_determinism(self, tmp_path):
         f = tmp_path / "cubic.poly"
-        f.write_text(cli.data_text("coset_cubic.poly"))
+        f.write_text(data_text("coset_cubic.poly"))
         docs = []
         for threads, name in ((1, "r1.json"), (2, "r2.json")):
             rep = tmp_path / name

@@ -7,6 +7,7 @@ from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                DecoratedTree, DomainViolation, InvalidTree,
                                ProjPoint, StableFormConfig, SymbolicStableForm,
                                check_cre, cre_exponents, cross_ratio,
+                               crossratio_m1, crossratio_m2, crossratio_m3,
                                crmin_forward, crmin_inverse, crmin_transform,
                                degeneration_exponent, degeneration_matrix,
                                hyp4_zero_order_conditions, m010_system,
@@ -17,7 +18,8 @@ from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                stable_form_conditions,
                                stability_surface_generators,
                                standard_degeneration_trees,
-                               torsion_config_check, torsion_fiber_equations)
+                               torsion_config_check, torsion_fiber_equations,
+                               zero_order_consistent)
 from torion.exactnum import Cyclotomic, UPoly, number_field
 from torion.multipoly import MultiPoly, parse
 
@@ -84,6 +86,31 @@ class TestResidues:
                                    poles=poles,
                                    pair_partition=[[0, 1], [2, 3]])
             assert sum(residues(cfg)) == 0
+
+    def test_zero_order_consistent(self):
+        cfg = StableFormConfig(zeros=[(0, 4)], poles=[1, 2, 3, -1, -2, -3],
+                               pair_partition=[[0, 3], [1, 4], [2, 5]])
+        assert zero_order_consistent(cfg)
+        at_infinity = StableFormConfig(zeros=[("inf", 2)],
+                                       poles=[1, 2, -1, -2],
+                                       pair_partition=[[0, 2], [1, 3]])
+        assert zero_order_consistent(at_infinity)
+        rng = random.Random(3)
+        for _ in range(20):
+            poles = rng.sample(range(-30, 30), 4)
+            zeros = rng.sample([x for x in range(-60, 60)
+                                if x not in poles], 2)
+            cfg = StableFormConfig(zeros=[(zeros[0], 1), (zeros[1], 1)],
+                                   poles=poles,
+                                   pair_partition=[[0, 1], [2, 3]])
+            assert zero_order_consistent(cfg)
+
+    def test_zero_order_degree_excess(self):
+        # z dz / ((z-1)(z+1)) also has a pole at infinity: the numerator
+        # degree exceeds (number of poles) - 2
+        cfg = StableFormConfig(zeros=[(0, 1)], poles=[1, -1],
+                               pair_partition=[], strict=False)
+        assert not zero_order_consistent(cfg)
 
     def test_coincident_markings(self):
         with pytest.raises(CoincidentMarkings):
@@ -363,7 +390,6 @@ class TestM010System:
 
 class TestDegenerationTrees:
     def test_matrices_exact(self):
-        from torion.cli import crossratio_m1, crossratio_m2, crossratio_m3
         trees = standard_degeneration_trees()
         expected = [crossratio_m1(), crossratio_m2(), crossratio_m3()]
         for tree, M in zip(trees, expected):
@@ -403,8 +429,7 @@ class TestImageOnSurface:
         the degree-14 polynomial under the cross-ratio map (numeric check,
         tolerance 1e-8; evaluated at 60 digits so rounding is negligible)."""
         import mpmath
-        from torion.cli import data_text
-        from torion.multipoly import read_poly_file
+        from torion.multipoly import data_text, read_poly_file
         _, (h,) = read_poly_file(data_text("surface_deg14.poly"))
         rng = random.Random(12)
         done = 0

@@ -12,8 +12,9 @@ stretch = pytest.mark.skipif(os.environ.get("TORION_STRETCH") != "1",
 
 @stretch
 def test_m010_peripheral_saturation_to_17():
-    from torion.cli import crossratio_m1, crossratio_m2, crossratio_m3
-    from torion.crossratio import m010_peripheral_polynomials, m010_system
+    from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                   crossratio_m3,
+                                   m010_peripheral_polynomials, m010_system)
     from torion.groebner import BUDGET_PROFILES
     from torion import toruscan
 
@@ -22,7 +23,7 @@ def test_m010_peripheral_saturation_to_17():
               (crossratio_m1(), crossratio_m2(), crossratio_m3())]
     peripheral = m010_peripheral_polynomials()
     options = toruscan.ScanOptions(budget=BUDGET_PROFILES["extended"])
-    rep = toruscan.saturated_scan(polys, starts, peripheral, None, options)
+    rep = toruscan.scan(polys, starts, options, peripheral=peripheral)
     # all 554 candidates accounted for: pruned + trivial + survivors +
     # undetermined
     assert len(rep.candidates) == 554
@@ -36,8 +37,9 @@ def test_m010_peripheral_saturation_to_17():
 
 @stretch
 def test_m010_opposite_residue_stage():
-    from torion.cli import crossratio_m1, crossratio_m2, crossratio_m3
-    from torion.crossratio import (m010_opposite_residue_conditions,
+    from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                   crossratio_m3,
+                                   m010_opposite_residue_conditions,
                                    m010_peripheral_polynomials, m010_system)
     from torion.groebner import BUDGET_PROFILES
     from torion import toruscan
@@ -48,8 +50,8 @@ def test_m010_opposite_residue_stage():
     peripheral = m010_peripheral_polynomials()
     conditions = m010_opposite_residue_conditions()
     options = toruscan.ScanOptions(budget=BUDGET_PROFILES["stretch"])
-    rep = toruscan.saturated_scan(polys, starts, peripheral, conditions,
-                                  options)
+    rep = toruscan.scan(polys, starts, options, peripheral=peripheral,
+                        conditions=conditions)
     # at most one candidate may remain undetermined-or-surviving
     assert len(rep.survivors) + len(rep.undetermined) <= 1
 

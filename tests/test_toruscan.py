@@ -4,9 +4,8 @@ from itertools import product
 
 import pytest
 
-from torion.cli import data_text
 from torion.groebner import Budget
-from torion.multipoly import MultiPoly, parse, read_poly_file, \
+from torion.multipoly import MultiPoly, data_text, parse, read_poly_file, \
     substitute_torus
 from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
                              coefficient_variety, coset_lines_for_report,
@@ -111,19 +110,23 @@ class TestScan:
         r2 = scan(polys, options=ScanOptions(threads=2))
         assert r1.to_json_dict() == r2.to_json_dict()
 
-    def test_brute_force_oracle_small(self):
-        """Every (direction, small coefficient) coset that lies in the
-        variety is matched by a scan survivor, and vice versa."""
-        rng = random.Random(8)
-        grid = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
+    @staticmethod
+    def random_small_polys(seed):
+        rng = random.Random(seed)
         for _ in range(12):
             terms = {}
             for _ in range(rng.randint(2, 4)):
                 e = (rng.randint(0, 2), rng.randint(0, 2))
                 terms[e] = F(rng.choice([-2, -1, 1, 2]))
             p = MultiPoly(2, terms)
-            if p.is_zero() or p.is_constant():
-                continue
+            if not (p.is_zero() or p.is_constant()):
+                yield p
+
+    def test_brute_force_oracle_small(self):
+        """Every (direction, small coefficient) coset that lies in the
+        variety is matched by a scan survivor, and vice versa."""
+        grid = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
+        for p in self.random_small_polys(8):
             rep = scan([p])
             surviving = {}
             for cand in rep.survivors:
@@ -145,6 +148,32 @@ class TestScan:
                         cand = surviving[v]
                         gens = cand.coefficient_ideal.generators
                         assert all(g.evaluate(list(a)) == 0 for g in gens)
+
+    def test_constant_peripheral_changes_nothing(self):
+        # the constant 2 vanishes nowhere, so saturating by it keeps every
+        # candidate exactly as the plain scan classifies it
+        two = MultiPoly.constant(2, 2)
+        for p in self.random_small_polys(8):
+            plain = scan([p])
+            saturated = scan([p], peripheral=[two])
+            assert [c.status for c in saturated.candidates] == \
+                [c.status for c in plain.candidates]
+            assert [(c.subgroup, c.cosets) for c in saturated.survivors] == \
+                [(c.subgroup, c.cosets) for c in plain.survivors]
+
+    def test_pool_fallback_is_recorded(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores")
+        _, polys = read_poly_file(data_text("coset_cubic.poly"))
+        serial = scan(polys)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        rep = scan(polys, options=ScanOptions(threads=2))
+        assert rep.budget_notes == serial.budget_notes + [
+            "process pool unavailable (no semaphores); classified serially"]
+        assert [c.status for c in rep.candidates] == \
+            [c.status for c in serial.candidates]
 
 
 class TestTierPipeline:
@@ -188,13 +217,12 @@ class TestTierPipeline:
 
 class TestSaturatedScan:
     def test_toy_peripheral(self):
-        from torion.toruscan import saturated_scan
         # variety x1 x2 = 1; peripheral locus z1 = 1: the candidate
         # subgroup span(1, -1) keeps its full ideal after saturation
         polys = [parse("x*y - 1", ["x", "y"])]
         peripheral = [parse("x - 1", ["x", "y"])]
         starts = [ExponentSubgroup([[1, -1]])]
-        rep = saturated_scan(polys, starts, peripheral)
+        rep = scan(polys, starts, peripheral=peripheral)
         assert len(rep.survivors) == 1
         cand = rep.survivors[0]
         assert cand.subgroup.vector() == (1, -1)
@@ -203,21 +231,64 @@ class TestSaturatedScan:
         assert gens == ["a1*a2 - 1"]
 
     def test_peripheral_kills_contained_candidate(self):
-        from torion.toruscan import saturated_scan
         # variety x = 1 (rank-1 coset family a1 = 1 in the x-direction
         # never exists; use x1 x2 = 1 against a peripheral equal to the
         # variety itself: everything is peripheral, nothing survives)
         polys = [parse("x*y - 1", ["x", "y"])]
         peripheral = [parse("x*y - 1", ["x", "y"])]
         starts = [ExponentSubgroup([[1, -1]])]
-        rep = saturated_scan(polys, starts, peripheral)
+        rep = scan(polys, starts, peripheral=peripheral)
         assert rep.survivors == []
+
+    def test_hyperplane_component_is_not_a_survivor(self):
+        # coefficient ideal (a1 + a2, a1 - a2): its only point has
+        # a1 = a2 = 0, off the torus; the irrelevant peripheral z - 5 must
+        # not turn it into a survivor
+        polys = [parse("x + y + x*z - y*z", XYZ)]
+        N = ExponentSubgroup([[0, 0, 1]])
+        for peripheral in ((), [parse("z - 5", XYZ)]):
+            rep = scan(polys, N, peripheral=peripheral)
+            assert [c.status for c in rep.candidates] == ["trivial-ideal"]
+            assert rep.survivors == []
+
+    def test_conditions_stage(self):
+        polys = [parse("x*y - 1", ["x", "y"])]
+        starts = [ExponentSubgroup([[1, -1]])]
+        kept = scan(polys, starts,
+                    conditions=[parse("2*x*y - 2", ["x", "y"])])
+        assert [c.subgroup.vector() for c in kept.survivors] == [(1, -1)]
+        killed = scan(polys, starts, conditions=[parse("x*y - 2", ["x", "y"])])
+        assert killed.survivors == []
+        assert [c.status for c in killed.candidates] == ["trivial-ideal"]
+
+    def test_determinism_across_threads(self):
+        polys = [parse("x*y*z + x + y + z", XYZ)]
+        peripheral = [parse("x - 1", XYZ)]
+        conditions = [parse("y + z", XYZ)]
+        docs = [scan(polys, peripheral=peripheral, conditions=conditions,
+                     options=ScanOptions(threads=k)).to_json_dict()
+                for k in (1, 2)]
+        assert docs[0] == docs[1]
+        assert docs[0]["survivors"]
+
+    def test_digest_covers_every_section(self):
+        polys = [parse("x*y - 1", ["x", "y"])]
+        f = parse("x - 1", ["x", "y"])
+        starts = [ExponentSubgroup([[1, -1]])]
+        digests = {scan(polys, starts, **kw).input_digest for kw in
+                   ({}, {"peripheral": [f]}, {"conditions": [f]})}
+        assert len(digests) == 3
+
+    def test_rejects_zero_peripheral(self):
+        with pytest.raises(ValueError):
+            scan([parse("x*y - 1", ["x", "y"])],
+                 peripheral=[MultiPoly.constant(2, 0)])
 
 
 class TestMultiStart:
     def test_m010_profile(self):
-        from torion.crossratio import m010_system
-        from torion.cli import crossratio_m1, crossratio_m2, crossratio_m3
+        from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                       crossratio_m3, m010_system)
         polys = m010_system()
         starts = [ExponentSubgroup(m, 9) for m in
                   (crossratio_m1(), crossratio_m2(), crossratio_m3())]
