@@ -8,17 +8,14 @@ special case: all cross-ratios are ratios of 2x2 determinants.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, NumberField, RationalMatrix, RootOfUnity, \
-    UPoly, trace_dual_basis
+from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
+    RootOfUnity, UPoly, cyclotomic_order, min_poly_of, trace_dual_basis
 from .multipoly import MultiPoly
 from . import intlat
-
-NUMERIC_CIRCLE_TOL = 1e-10
 
 
 class DegenerateQuadruple(ValueError):
@@ -521,9 +518,8 @@ def cre_exponents(fld: NumberField, triple):
 def check_cre(pairs, exponents):
     """Evaluate R_1^a1 R_2^a2 R_3^a3 with R_k the cross-ratio of the two
     complementary pole pairs: R_k = [x_i, y_i, x_j, y_j] for {i,j,k} =
-    {1,2,3}.  Returns (value, verdict) where the verdict states root-of-
-    unity membership: exact for +-1 or cyclotomic values, otherwise a
-    numeric unit-circle test at 1e-10."""
+    {1,2,3}.  Returns (value, verdict) where the exact verdict states
+    root-of-unity membership and the order: ('exact', m) or (None, None)."""
     if len(pairs) != 3 or len(exponents) != 3:
         raise ValueError("three pairs and three exponents expected")
     if all(e == 0 for e in exponents):
@@ -544,20 +540,17 @@ def check_cre(pairs, exponents):
 
 
 def _root_of_unity_verdict(value):
-    """('exact', order) / ('numeric', None) / (None, None)."""
-    if isinstance(value, Fraction):
-        if value == 1:
-            return ("exact", 1)
-        if value == -1:
-            return ("exact", 2)
-        return (None, None)
+    """('exact', order) when the value is a root of unity, else (None, None).
+    Cyclotomic values take an exact power test; rationals and number-field
+    elements take Kronecker's: the value is a root of unity of order m
+    exactly when its minimal polynomial is Phi_m."""
     if isinstance(value, Cyclotomic):
-        ok, order = value.is_root_of_unity()
-        return ("exact", order) if ok else (None, None)
-    z = complex(value)
-    if abs(abs(z) - 1) <= NUMERIC_CIRCLE_TOL:
-        return ("numeric", None)
-    return (None, None)
+        order = value.is_root_of_unity()[1]
+    elif isinstance(value, FieldElement):
+        order = cyclotomic_order(min_poly_of(value))
+    else:
+        order = cyclotomic_order(UPoly([-Fraction(value), 1]))
+    return ("exact", order) if order else (None, None)
 
 
 def torsion_config_check(cfg: StableFormConfig, fld, N: int):
@@ -566,8 +559,7 @@ def torsion_config_check(cfg: StableFormConfig, fld, N: int):
     ii) residue ratios span a Q-space of dimension n - (number of parts)
         and are real (conjugation-invariant) where that is decidable;
     iii) every cross-ratio [z_a, z_b, x_i1, x_i2] with i1, i2 in one part is
-        a root of unity of order dividing N (exact for cyclotomic values,
-        numeric on the unit circle otherwise).
+        a root of unity of order dividing N (decided exactly).
     Returns ('satisfies', details) or ('violates', condition_id)."""
     rs = residues(cfg)
     n = len(cfg.poles)
@@ -591,10 +583,8 @@ def torsion_config_check(cfg: StableFormConfig, fld, N: int):
                         val = cross_ratio(cfg.zeros[a][0], cfg.zeros[b][0],
                                           cfg.poles[part[t1]],
                                           cfg.poles[part[t2]])
-                        grade, order = _root_of_unity_verdict(val)
-                        if grade is None:
-                            return ("violates", "iii")
-                        if grade == "exact" and N % order != 0:
+                        order = _root_of_unity_verdict(val)[1]
+                        if order is None or N % order != 0:
                             return ("violates", "iii")
     return ("satisfies", None)
 

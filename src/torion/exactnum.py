@@ -38,10 +38,14 @@ class NotQuartic(ValueError):
 
 
 def rational(text) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction."""
+    """Parse 'p/q' or 'p' into a Fraction; malformed text and a zero
+    denominator both raise ValueError."""
     if isinstance(text, Fraction):
         return text
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +434,19 @@ def is_irreducible(p: UPoly) -> bool:
 # number fields of degree 2..6
 # ---------------------------------------------------------------------------
 
+def _power(base, k: int, one):
+    """base**k by repeated squaring; a negative k inverts first."""
+    if k < 0:
+        base, k = base.inverse(), -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 class NumberField:
     """Q[x]/(min_poly) with isolated real roots; min_poly monic irreducible."""
 
@@ -532,6 +549,9 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * self._same(other).inverse()
+
+    def __pow__(self, k: int):
+        return _power(self, k, self.field.one())
 
     def __eq__(self, other):
         try:
@@ -722,6 +742,21 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def cyclotomic_order(p: UPoly) -> int | None:
+    """The m with p a rational multiple of Phi_m, else None.  By Kronecker,
+    an algebraic number is a root of unity of order m exactly when its
+    minimal polynomial is Phi_m.  Since phi(m) >= sqrt(m/2), only
+    m <= 2 deg(p)^2 can match."""
+    d = p.degree
+    if d < 1:
+        return None
+    q = p.monic()
+    for m in range(1, 2 * d * d + 1):
+        if euler_phi(m) == d and cyclotomic_polynomial(m) == q:
+            return m
+    return None
+
+
 class Cyclotomic:
     """Element of Q(zeta_N) in the power basis modulo Phi_N; N <= 24."""
 
@@ -820,16 +855,7 @@ class Cyclotomic:
         return self.inverse() * other
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyclotomic.from_rational(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Cyclotomic.from_rational(1, self.order))
 
     def __eq__(self, other):
         a, b = self._pair(other)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import intlat
 from .exactnum import RationalMatrix, identity_matrix
 
 
@@ -344,17 +345,17 @@ class ModuliOutcome:
 
 
 def _circuit_rows(g: DualGraph, constraints):
-    """One row per (fundamental circuit, current assignment): the relation
-    sum_e sigma_e w_e m_e = 0 on the edge-modulus unknowns."""
+    """One integer row per (fundamental circuit, current assignment): the
+    relation sum_e sigma_e w_e m_e = 0 on the edge-modulus unknowns."""
     ids = g.edge_ids()
     pos = {eid: i for i, eid in enumerate(ids)}
     rows = []
     tags = []
     for chord, circ in g.fundamental_circuits():
         for ci, ca in enumerate(constraints):
-            row = [Fraction(0)] * len(ids)
+            row = [0] * len(ids)
             for eid, s in circ.items():
-                row[pos[eid]] = Fraction(s * ca.currents.get(eid, 0))
+                row[pos[eid]] = s * ca.currents.get(eid, 0)
             rows.append(row)
             tags.append((chord, ci, circ))
     return ids, rows, tags
@@ -393,52 +394,37 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
     """Solve the homogeneous circuit relations for positive moduli, block by
     block.  Outcomes: unique-per-block (one positive ray per block),
     underdetermined (extra degrees of freedom), infeasible (positivity
-    impossible, with a witness circuit)."""
+    impossible, with a witness circuit).  Every fundamental circuit lies in
+    one block, so the nullity of the whole system is the sum of the block
+    kernel dimensions."""
     for ca in constraints:
         if not kirchhoff_check(g, ca):
             raise ValueError("constraint fails the current law")
     ids, rows, tags = _circuit_rows(g, constraints)
     pos = {eid: i for i, eid in enumerate(ids)}
-    blocks = block_decomposition(g).blocks
-    m = RationalMatrix(rows) if rows else None
-    nullity = len(ids) - (m.rank() if m else 0)
-
     values = {}
     canonical = []
     dof = 0
-    for blk in blocks:
+    nullity = 0
+    for blk in block_decomposition(g).blocks:
         cols = [pos[e] for e in blk]
-        brows = []
-        for row in rows:
-            sub = [row[c] for c in cols]
-            if any(sub):
-                brows.append(sub)
-        if brows:
-            bm = RationalMatrix(brows)
-            kern = bm.kernel()
-        else:
-            kern = identity_matrix(len(cols)).entries
+        brows = [sub for sub in ([row[c] for c in cols] for row in rows)
+                 if any(sub)]
+        kern = intlat.echelon_kernel(brows, len(cols))
         if len(kern) == 0 or \
                 not _positive_combination_exists(kern, len(cols)):
-            witness = _find_witness(g, constraints, blk)
+            witness = _find_witness(rows, tags, cols)
             return ModuliOutcome("infeasible", witness_circuit=witness)
+        nullity += len(kern)
         if len(kern) > 1:
             dof += len(kern) - 1
             continue
         vec = kern[0]
         if vec[0] < 0:
-            vec = [-x for x in vec]
-        l = 1
-        for x in vec:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        ints = [int(x * l) for x in vec]
-        gg = 0
-        for x in ints:
-            gg = math.gcd(gg, x)
-        ints = [x // gg for x in ints]
-        for e, v in zip(blk, ints):
+            vec = tuple(-x for x in vec)
+        for e, v in zip(blk, vec):
             values[e] = Fraction(v)
-        canonical.append((list(blk), tuple(ints)))
+        canonical.append((list(blk), vec))
     if dof > 0:
         return ModuliOutcome("underdetermined", degrees_of_freedom=dof,
                              nullity=nullity)
@@ -447,12 +433,10 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
                          nullity=nullity)
 
 
-def _find_witness(g, constraints, blk):
-    """A circuit relation participating in the contradiction: prefer one
-    whose nonzero coefficients share a sign (it pins some modulus to zero)."""
-    _, rows, tags = _circuit_rows(g, constraints)
-    pos = {eid: i for i, eid in enumerate(g.edge_ids())}
-    cols = [pos[e] for e in blk]
+def _find_witness(rows, tags, cols):
+    """A circuit relation participating in the contradiction on the block
+    with columns `cols`: prefer one whose nonzero coefficients share a sign
+    (it pins some modulus to zero)."""
     fallback = None
     for row, (chord, ci, circ) in zip(rows, tags):
         sub = [row[c] for c in cols]

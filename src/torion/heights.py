@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat
-from .exactnum import AlgebraicReal, UPoly, is_irreducible, Reducible
+from .exactnum import AlgebraicReal, UPoly, cyclotomic_order, \
+    is_irreducible, Reducible
 
 NUMERIC_ERROR_BOUND = 1e-12
 
@@ -102,35 +103,6 @@ def height_poly(poly) -> HeightValue:
     return height_point(coeffs, mode="projective")
 
 
-_CYCLOTOMIC_ORDERS_BY_DEGREE = {}
-for _m in range(1, 127):
-    _d = 1
-    _n = _m
-    _p = 2
-    _phi = _m
-    while _p * _p <= _n:
-        if _n % _p == 0:
-            _phi -= _phi // _p
-            while _n % _p == 0:
-                _n //= _p
-        _p += 1
-    if _n > 1:
-        _phi -= _phi // _n
-    _CYCLOTOMIC_ORDERS_BY_DEGREE.setdefault(_phi, []).append(_m)
-
-
-def _is_cyclotomic_minpoly(p: UPoly) -> bool:
-    d = p.degree
-    ints = p.primitive_int_coeffs()
-    if ints[-1] != 1:
-        return False
-    for m in _CYCLOTOMIC_ORDERS_BY_DEGREE.get(d, []):
-        xm = UPoly([-1] + [0] * (m - 1) + [1])
-        if (xm % p).is_zero():
-            return True
-    return False
-
-
 def height_algebraic(min_poly: UPoly) -> HeightValue:
     """Height of an algebraic number via its minimal polynomial:
     h = (1/deg) log M(f) with M the Mahler measure.  Rational and
@@ -146,7 +118,7 @@ def height_algebraic(min_poly: UPoly) -> HeightValue:
         # root p/q: Mahler measure of qx - p is max(|p|, q)
         a0, a1 = min_poly.primitive_int_coeffs()
         return HeightValue.exact_log(max(abs(a0), abs(a1)))
-    if _is_cyclotomic_minpoly(min_poly):
+    if cyclotomic_order(min_poly) is not None:
         return HeightValue.exact_log(1)
     import mpmath
     ints = min_poly.primitive_int_coeffs()

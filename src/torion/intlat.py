@@ -1,6 +1,7 @@
-"""Exact integer lattice utilities: Hermite normal form, integer kernels,
-and saturation of row lattices.  Everything is small and dense; inputs are
-lists/tuples of ints.
+"""Exact integer linear algebra: Hermite normal form, integer kernels,
+saturation of row lattices, and the fraction-free echelon form that keys
+Q-row spaces and gives Q-kernels in integers.  Everything is small and
+dense; inputs are lists/tuples of ints.
 """
 
 from __future__ import annotations
@@ -125,24 +126,63 @@ def clear_denominators(row):
     return tuple(ints)
 
 
-def rational_row_space_basis(rows):
-    """Reduced row echelon form over Q as a canonical key for the row space."""
-    M = [[Fraction(x) for x in row] for row in rows]
+def echelon(rows):
+    """Reduced row echelon form over Q of an integer matrix, computed without
+    fractions.  Gauss-Jordan elimination replaces a row by the integer
+    combination a*row - b*pivot_row that clears the pivot column (the
+    fraction-free step of Bareiss 1968) and then divides the row by its
+    content, where Bareiss divides by the previous pivot; so rows the pivot
+    column does not touch need no update.  Each row of the result is scaled
+    to coprime integers with a positive pivot, so equal Q-row spaces give
+    equal forms: a canonical key.  Zero rows are dropped.  Returns
+    (rows, pivot columns) as tuples."""
+    M = [list(r) for r in rows if any(r)]
     m = len(M)
     n = len(M[0]) if m else 0
+    pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
+        prow = M[r]
+        a = prow[c]
         for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            b = M[i][c]
+            if b and i != r:
+                g = math.gcd(a, b)
+                ai, bi = a // g, b // g
+                new = [ai * x - bi * y for x, y in zip(M[i], prow)]
+                g = math.gcd(*new)
+                M[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return tuple(tuple(row) for row in M[:r])
+    form = []
+    for row, c in zip(M, pivots):
+        g = math.gcd(*row)
+        if row[c] < 0:
+            g = -g
+        form.append(tuple(x // g for x in row))
+    return tuple(form), tuple(pivots)
+
+
+def echelon_kernel(rows, n):
+    """Basis of the Q-kernel {x : M x = 0} of an integer matrix with n
+    columns, read off its echelon form: one primitive integer vector per
+    free column f, positive at f and zero at the other free columns."""
+    form, pivots = echelon(rows)
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        den = math.lcm(*(row[pc] // math.gcd(row[pc], row[f])
+                         for row, pc in zip(form, pivots)))
+        v = [0] * n
+        v[f] = den
+        for row, pc in zip(form, pivots):
+            v[pc] = -den * row[f] // row[pc]
+        out.append(tuple(v))
+    return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,24 +153,19 @@ def _support_difference_hyperplanes(polys):
     return sorted(out)
 
 
-def _intersect_hyperplane(rref_rows, w):
-    """RREF basis of (row space) intersected with w-perp, or None if the
-    space already lies inside the hyperplane."""
-    n = len(w)
-    r = len(rref_rows)
-    g = [sum(row[k] * w[k] for k in range(n)) for row in rref_rows]
-    if all(x == 0 for x in g):
+def _intersect_hyperplane(rows, w):
+    """Canonical echelon rows of (row space) intersected with w-perp, or
+    None if the space already lies inside the hyperplane.  With g_i the
+    pairing of row i with w and g_p != 0, the rows g_p*row_i - g_i*row_p
+    (i != p) span the intersection and stay integral."""
+    g = [sum(map(operator.mul, row, w)) for row in rows]
+    p = next((i for i, x in enumerate(g) if x), None)
+    if p is None:
         return None
-    p = next(i for i in range(r) if g[i] != 0)
-    rows = []
-    for i in range(r):
-        if i == p:
-            continue
-        rows.append(tuple(rref_rows[i][k] - g[i] / g[p] * rref_rows[p][k]
-                          for k in range(n)))
-    if not rows:
-        return tuple()
-    return intlat.rational_row_space_basis(rows)
+    gp, rp = g[p], rows[p]
+    out = [[gp * x - gi * y for x, y in zip(row, rp)] if gi else row
+           for i, (row, gi) in enumerate(zip(rows, g)) if i != p]
+    return intlat.echelon(out)[0]
 
 
 def enumerate_subspaces(polys, M: ExponentSubgroup):
@@ -179,35 +175,30 @@ def enumerate_subspaces(polys, M: ExponentSubgroup):
     <x, proj_S(v-w)> equals <x, v-w>, so the complement is S intersected
     with the difference hyperplane.)  Deduplicated as Q-subspaces; rank >= 1.
     """
+    return enumerate_subspaces_multi(polys, [M])
+
+
+def enumerate_subspaces_multi(polys, starts):
+    """Union of the closures of the start subgroups, explored once: the rule
+    acts on each subspace alone, so one shared set of seen subspaces (keyed
+    by their canonical integer echelon rows) gives the union."""
     hyperplanes = _support_difference_hyperplanes(polys)
-    start = intlat.rational_row_space_basis(M.basis)
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        S = queue[qi]
-        qi += 1
+    seen = set()
+    queue = []
+    for M in starts:
+        S = intlat.echelon(M.basis)[0]
+        if S not in seen:
+            seen.add(S)
+            queue.append(S)
+    for S in queue:
         if len(S) <= 1:
             continue
         for w in hyperplanes:
             N = _intersect_hyperplane(S, w)
-            if N is None or len(N) == 0:
-                continue
-            if N not in seen:
+            if N and N not in seen:
                 seen.add(N)
                 queue.append(N)
-    out = [ExponentSubgroup([intlat.clear_denominators(row) for row in S], M.n)
-           for S in seen]
-    out.sort(key=lambda s: (-s.rank, s.basis))
-    return out
-
-
-def enumerate_subspaces_multi(polys, starts):
-    seen = {}
-    for M in starts:
-        for S in enumerate_subspaces(polys, M):
-            seen[S.key()] = S
-    out = list(seen.values())
+    out = [ExponentSubgroup(S, starts[0].n) for S in seen]
     out.sort(key=lambda s: (-s.rank, s.basis))
     return out
 

@@ -42,6 +42,25 @@ class TestIdealCommand:
         assert run(["ideal", "--op", "gb", "--polys", str(f)]) == 2
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["ideal", "--op", "member"], "needs --poly"),
+        (["ideal", "--op", "saturate"], "needs --poly"),
+        (["ideal", "--op", "eliminate"], "needs --keep"),
+        (["height"], "needs --affine"),
+        (["height", "--affine", "1/0"], "zero denominator"),
+    ])
+    def test_exit_2(self, argv, message, tmp_path, capsys):
+        if argv[0] == "ideal":
+            f = tmp_path / "i.poly"
+            f.write_text("# vars: x y\nx^2 - 1\n")
+            argv = argv + ["--polys", str(f)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestTorusScanCommand:
     def test_cubic_six_lines(self, tmp_path, capsys):
         f = tmp_path / "cubic.poly"

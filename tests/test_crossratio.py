@@ -20,6 +20,7 @@ from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                standard_degeneration_trees,
                                torsion_config_check, torsion_fiber_equations,
                                zero_order_consistent)
+from torion.crossratio import _root_of_unity_verdict
 from torion.exactnum import Cyclotomic, UPoly, number_field
 from torion.multipoly import MultiPoly, parse
 
@@ -319,6 +320,48 @@ class TestTorsionConfigCheck:
         # the pole-pair cross-ratios have orders 3 and 8: they do not
         # divide 2
         assert verdict == "violates" and detail == "iii"
+
+    def test_number_field_configuration(self):
+        # the same shape over Q(zeta_8) = Q[x]/(x^4 + 1) with zx = zeta_8
+        # and zu = i: the pole-pair cross-ratios have order 4
+        fld = number_field(UPoly([1, 0, 0, 0, 1]))
+        zx = fld.generator()
+        zu = zx * zx
+        one = fld.one()
+        u1 = -(zx * zu.inverse())
+        cfg = StableFormConfig(
+            zeros=[(ProjPoint(0), 1), (ProjPoint.infinity(), 1)],
+            poles=[ProjPoint(one), ProjPoint(zx * zx), ProjPoint(u1),
+                   ProjPoint(zu * zu * u1)],
+            pair_partition=[[0, 1], [2, 3]])
+        assert torsion_config_check(cfg, None, 4) == ("satisfies", None)
+        assert torsion_config_check(cfg, None, 2) == ("violates", "iii")
+
+
+class TestRootOfUnityVerdict:
+    def test_zeta8_in_number_field(self):
+        zeta8 = number_field(UPoly([1, 0, 0, 0, 1])).generator()
+        assert _root_of_unity_verdict(zeta8) == ("exact", 8)
+        assert _root_of_unity_verdict(zeta8 ** 2) == ("exact", 4)
+        assert _root_of_unity_verdict(zeta8 + 1) == (None, None)
+
+    def test_unit_circle_non_root_rejected(self):
+        # (3 + 4i)/5 has absolute value 1 but minimal polynomial
+        # x^2 - 6/5 x + 1, which is not cyclotomic
+        i = number_field(UPoly([1, 0, 1])).generator()
+        assert _root_of_unity_verdict((i * 4 + 3) / 5) == (None, None)
+
+    def test_rationals(self):
+        assert _root_of_unity_verdict(F(1)) == ("exact", 1)
+        assert _root_of_unity_verdict(F(-1)) == ("exact", 2)
+        assert _root_of_unity_verdict(F(0)) == (None, None)
+        assert _root_of_unity_verdict(F(2)) == (None, None)
+
+    def test_check_cre_over_number_field(self):
+        i = number_field(UPoly([1, 0, 1])).generator()
+        pairs = [(i, -i), (i * 2, -(i * 2)), (i * 4, -(i * 4))]
+        value, verdict = check_cre(pairs, (1, 0, -1))
+        assert value == 1 and verdict == ("exact", 1)
 
 
 class TestCrmin:

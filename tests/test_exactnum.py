@@ -6,10 +6,11 @@ import pytest
 from torion.exactnum import (AlgebraicReal, Cyclotomic, DegreeOutOfRange,
                              DependentBasis, NotQuartic, NotSquare,
                              RationalMatrix, Reducible, RootOfUnity, UPoly,
-                             char_poly, count_real_roots, cyclotomic_polynomial,
+                             char_poly, count_real_roots, cyclotomic_order,
+                             cyclotomic_polynomial,
                              discriminant, identity_matrix, is_irreducible,
                              isolate_real_roots, min_poly_of, number_field,
-                             quartic_galois_class, rational_roots,
+                             quartic_galois_class, rational, rational_roots,
                              squarefree_part, trace_dual_basis, upoly_gcd)
 
 
@@ -284,6 +285,13 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(4) == UPoly([1, 0, 1])
         assert cyclotomic_polynomial(12) == UPoly([1, 0, -1, 0, 1])
 
+    def test_cyclotomic_order(self):
+        for m in range(1, 40):
+            assert cyclotomic_order(cyclotomic_polynomial(m) * F(3, 2)) == m
+        assert cyclotomic_order(UPoly([1, F(-6, 5), 1])) is None
+        assert cyclotomic_order(UPoly([-1, 0, 0, 0, 1])) is None  # x^4 - 1
+        assert cyclotomic_order(UPoly([2])) is None
+
     def test_field_arithmetic(self):
         z = Cyclotomic.root_of_unity(5)
         assert z ** 5 == 1
@@ -328,3 +336,9 @@ class TestRationalMatrix:
     def test_fraction_entries(self):
         m = RationalMatrix.parse("1/2 1/3\n1/5 1/7")
         assert m.det() == F(1, 14) - F(1, 15)
+
+
+def test_rational_zero_denominator_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational("1/0")
+    assert rational(" -3/6 ") == F(-1, 2)

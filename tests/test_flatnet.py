@@ -328,3 +328,28 @@ class TestNetworkFile:
         assert currents == {"e1": 2, "e2": 1}
         assert sources == {"a": 3, "b": -3}
         assert moduli == {"e1": F(1, 2)}
+
+
+class TestBlockNullity:
+    def test_block_sum_matches_whole_rank(self):
+        """solve_moduli sums block kernel dimensions; the rank of the whole
+        circuit system in Fraction arithmetic is the reference."""
+        from torion.flatnet import small_graph_catalog
+        checked = 0
+        for g in small_graph_catalog():
+            ids = g.edge_ids()
+            circuits = g.fundamental_circuits()
+            for v1, v2 in combinations(g.vertices, 2):
+                for N in (1, 2):
+                    flows = enumerate_currents(g, N, (v1, v2))
+                    for fam in [[f] for f in flows] + [flows]:
+                        out = solve_moduli(g, fam)
+                        if out.kind == "infeasible":
+                            continue
+                        rows = [[F(circ.get(e, 0) * ca.currents.get(e, 0))
+                                 for e in ids]
+                                for _, circ in circuits for ca in fam]
+                        rank = RationalMatrix(rows).rank() if rows else 0
+                        assert out.nullity == len(ids) - rank
+                        checked += 1
+        assert checked > 0

@@ -300,3 +300,19 @@ class TestMultiStart:
         assert by_rank == {1: 454, 2: 97, 3: 3}
         remaining = [s for s in subs if not has_singleton_part(polys, s)]
         assert len(remaining) == 78
+
+    def test_shared_closure_is_union_of_closures(self):
+        polys = [parse("x*y*z + x + y + z", XYZ),
+                 parse("x^2*y - z + 3", XYZ)]
+        starts = [ExponentSubgroup([[1, 0, 0], [0, 1, 0]]),
+                  ExponentSubgroup([[0, 1, 1], [1, 0, -1]]),
+                  ExponentSubgroup.full(3)]
+        union = {}
+        for M in starts:
+            for S in enumerate_subspaces(polys, M):
+                union[S.key()] = S
+        multi = enumerate_subspaces_multi(polys, starts)
+        assert len({S.key() for S in multi}) == len(multi)
+        assert sorted(S.key() for S in multi) == sorted(union)
+        assert len(multi) < sum(len(enumerate_subspaces(polys, M))
+                                for M in starts)
