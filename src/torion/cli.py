@@ -1,8 +1,12 @@
 """Command-line front end: torus scans, ideal operations, heights,
 cross-ratio checks, network analysis, and golden-value reproduction runs.
 
-Exit codes: 0 complete, 1 infeasible or violation verdict, 2 parse error,
-3 budget-undetermined results present.
+Exit codes: 0 complete; 1 infeasible or violation verdict; 2 input error
+(unreadable or malformed input, an unknown vertex or edge, a missing
+argument); 3 budget-undetermined results present, or a budget ran out;
+4 internal error (an unexpected exception; its traceback and an "internal
+error: ..." line go to stderr).  With --report the report is written in
+every case, with the error in it when the run failed.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -24,6 +29,7 @@ from .multipoly import PolySyntaxError, UnknownVariable, data_text, parse, \
     read_poly_file
 from . import crossratio
 from . import flatnet
+from . import heights
 from . import toruscan
 from .crossratio import crossratio_m1, crossratio_m2, crossratio_m3
 
@@ -32,7 +38,7 @@ REPORT_SCHEMA = 1
 
 def _read_polys(path):
     """Read a polynomial file; a missing path raises FileNotFoundError
-    naming it instead of being parsed as polynomial text."""
+    naming it."""
     with open(path) as fh:
         return read_poly_file(fh.read())
 
@@ -104,41 +110,36 @@ def cmd_ideal(args, report: Report) -> int:
     I = Ideal(n, polys)
     budget = _budget(args)
     order = TermOrder(args.order) if args.order != "grevlex" else GREVLEX
-    try:
-        if args.op == "gb":
-            basis = I.groebner_basis(order, budget)
-            report.set("basis", [g.to_string(variables) for g in basis],
-                       grade="exact")
-            for g in basis:
-                print(g.to_string(variables))
-        elif args.op == "member":
-            p = parse(args.poly, variables)
-            nf = normal_form(p, I, order, budget)
-            report.set("normal_form", nf.to_string(variables), grade="exact")
-            report.set("member", nf.is_zero(), grade="exact")
-            print(nf.to_string(variables))
-        elif args.op == "eliminate":
-            keep = [variables.index(v) for v in args.keep.split(",")]
-            J = eliminate(I, keep, budget)
-            report.set("generators", [g.to_string(variables)
-                                      for g in J.generators], grade="exact")
-            for g in J.generators:
-                print(g.to_string(variables))
-        elif args.op == "saturate":
-            f = parse(args.poly, variables)
-            J = saturate_many(I, [f], budget)
-            report.set("generators", [g.to_string(variables)
-                                      for g in J.generators], grade="exact")
-            for g in J.generators:
-                print(g.to_string(variables))
-        elif args.op == "trivial":
-            t = is_trivial(I, budget)
-            report.set("trivial", t, grade="exact")
-            print("unit ideal" if t else "proper ideal")
-    except ResourceExhausted as exc:
-        report.set("undetermined", str(exc), grade="undetermined")
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return 3
+    if args.op == "gb":
+        basis = I.groebner_basis(order, budget)
+        report.set("basis", [g.to_string(variables) for g in basis],
+                   grade="exact")
+        for g in basis:
+            print(g.to_string(variables))
+    elif args.op == "member":
+        p = parse(args.poly, variables)
+        nf = normal_form(p, I, order, budget)
+        report.set("normal_form", nf.to_string(variables), grade="exact")
+        report.set("member", nf.is_zero(), grade="exact")
+        print(nf.to_string(variables))
+    elif args.op == "eliminate":
+        keep = [variables.index(v) for v in args.keep.split(",")]
+        J = eliminate(I, keep, budget)
+        report.set("generators", [g.to_string(variables)
+                                  for g in J.generators], grade="exact")
+        for g in J.generators:
+            print(g.to_string(variables))
+    elif args.op == "saturate":
+        f = parse(args.poly, variables)
+        J = saturate_many(I, [f], budget)
+        report.set("generators", [g.to_string(variables)
+                                  for g in J.generators], grade="exact")
+        for g in J.generators:
+            print(g.to_string(variables))
+    elif args.op == "trivial":
+        t = is_trivial(I, budget)
+        report.set("trivial", t, grade="exact")
+        print("unit ideal" if t else "proper ideal")
     return 0
 
 
@@ -555,6 +556,13 @@ def build_parser():
     return ap
 
 
+# exceptions that end a run with exit 2 (bad input) and 3 (out of budget)
+INPUT_ERRORS = (PolySyntaxError, UnknownVariable, FileNotFoundError,
+                ValueError, flatnet.UnknownVertex, flatnet.UnknownEdge)
+BUDGET_ERRORS = (flatnet.BudgetExceeded, heights.BudgetExceeded,
+                 ResourceExhausted)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -562,10 +570,19 @@ def main(argv=None) -> int:
     report = Report(args.command)
     try:
         code = args.fn(args, report)
-    except (PolySyntaxError, UnknownVariable, FileNotFoundError,
-            ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report.set("error", str(exc))
+        code = 2
+    except BUDGET_ERRORS as exc:
+        print(f"undetermined: {exc}", file=sys.stderr)
+        report.set("undetermined", str(exc), grade="undetermined")
+        code = 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        report.set("error", f"internal error: {exc!r}")
+        code = 4
     if args.report:
         report.emit(args.report)
     return code

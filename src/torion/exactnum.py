@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import intlat
+
 
 class Reducible(ValueError):
     pass
@@ -161,17 +163,8 @@ class UPoly:
         """Scale to coprime integer coefficients with positive leading one."""
         if self.is_zero():
             return (0,)
-        l = 1
-        for c in self.coeffs:
-            l = l * c.denominator // math.gcd(l, c.denominator)
-        ints = [int(c * l) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return tuple(ints)
+        ints = intlat.clear_denominators(self.coeffs)
+        return tuple(-c for c in ints) if ints[-1] < 0 else ints
 
     def __repr__(self):
         if self.is_zero():
@@ -940,9 +933,6 @@ class RationalMatrix:
             rows.append([rational(tok) for tok in line.split()])
         return cls(rows)
 
-    def copy(self):
-        return RationalMatrix([row[:] for row in self.entries])
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -1007,21 +997,6 @@ class RationalMatrix:
                 v[pc] = -R[i][fc]
             out.append(v)
         return out
-
-    def solve(self, rhs):
-        """One solution of A x = rhs, or None."""
-        aug = RationalMatrix([row + [Fraction(b)] for row, b in
-                              zip(self.entries, rhs)])
-        R, piv = aug._rref()
-        x = [Fraction(0)] * self.cols
-        for i, pc in enumerate(piv):
-            if pc == self.cols:
-                return None
-            x[pc] = R[i][self.cols]
-        for i in range(self.rows):
-            if sum(self.entries[i][j] * x[j] for j in range(self.cols)) != rhs[i]:
-                return None
-        return x
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():

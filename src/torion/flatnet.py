@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
 from . import intlat
-from .exactnum import RationalMatrix, identity_matrix
+from .exactnum import RationalMatrix, rational
 
 
 class Disconnected(ValueError):
@@ -44,8 +46,10 @@ class DualGraph:
         self.vertices = sorted(set(vertices))
         self.edges = {}
         for eid, tail, head in edges:
-            if tail not in self.vertices or head not in self.vertices:
-                raise UnknownVertex(f"edge {eid} touches a missing vertex")
+            for v in (tail, head):
+                if v not in self.vertices:
+                    raise UnknownVertex(f"edge {eid} touches missing vertex "
+                                        f"{v}")
             if eid in self.edges:
                 raise ValueError(f"duplicate edge id {eid}")
             self.edges[eid] = (tail, head)
@@ -65,42 +69,16 @@ class DualGraph:
         return sorted(out)
 
     def is_connected(self):
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj = {v: set() for v in self.vertices}
-        for t, h in self.edges.values():
-            adj[t].add(h)
-            adj[h].add(t)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == set(self.vertices)
+        return len(self.spanning_tree()) == len(self.vertices) - 1
 
     def bridges(self):
+        """Separating edges: the blocks made of one non-loop edge."""
         out = []
-        for eid in self.edges:
-            t, h = self.edges[eid]
-            if t == h:
-                continue
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                u = stack.pop()
-                for e2, (a, b) in self.edges.items():
-                    if e2 == eid:
-                        continue
-                    for (p, q) in ((a, b), (b, a)):
-                        if p == u and q not in seen:
-                            seen.add(q)
-                            stack.append(q)
-            if seen != set(self.vertices):
-                out.append(eid)
-        return sorted(out)
+        for blk in block_decomposition(self).blocks:
+            t, h = self.edges[blk[0]]
+            if len(blk) == 1 and t != h:
+                out.append(blk[0])
+        return out
 
     def subgraph(self, edge_subset):
         es = [(eid, *self.edges[eid]) for eid in edge_subset]
@@ -127,35 +105,43 @@ class DualGraph:
                 tree.append(eid)
         return tree
 
+    # a DualGraph is not changed after construction, so one adjacency of
+    # the spanning tree serves every tree path (one per chord and flow)
+    @cached_property
+    def _tree_adjacency(self):
+        adj = {v: [] for v in self.vertices}
+        for eid in self.spanning_tree():
+            t, h = self.edges[eid]
+            adj[t].append((eid, h, 1))
+            adj[h].append((eid, t, -1))
+        return adj
+
+    def tree_path(self, a, b):
+        """{edge id: +-1} of the spanning-tree path from vertex a to vertex
+        b, +1 where the path runs from an edge's tail to its head."""
+        adj = self._tree_adjacency
+        prev = {a: None}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            if u == b:
+                break
+            for eid, w, s in adj[u]:
+                if w not in prev:
+                    prev[w] = (u, eid, s)
+                    stack.append(w)
+        path = {}
+        u = b
+        while prev[u] is not None:
+            p, eid, s = prev[u]
+            path[eid] = s
+            u = p
+        return path
+
     def fundamental_circuits(self):
         """[(chord id, {edge id: +-1})]: each chord with its tree-path
         closure, the chord crossed positively."""
         tree = set(self.spanning_tree())
-        adj = {v: [] for v in self.vertices}
-        for eid in tree:
-            t, h = self.edges[eid]
-            adj[t].append((eid, h, 1))
-            adj[h].append((eid, t, -1))
-
-        def tree_path(a, b):
-            prev = {a: None}
-            stack = [a]
-            while stack:
-                u = stack.pop()
-                if u == b:
-                    break
-                for eid, w, s in adj[u]:
-                    if w not in prev:
-                        prev[w] = (u, eid, s)
-                        stack.append(w)
-            path = {}
-            u = b
-            while prev[u] is not None:
-                p, eid, s = prev[u]
-                path[eid] = s
-                u = p
-            return path
-
         out = []
         for eid in self.edge_ids():
             if eid in tree:
@@ -164,9 +150,7 @@ class DualGraph:
             circ = {eid: 1}
             if t != h:
                 # close from head back to tail through the tree
-                back = tree_path(h, t)
-                for e2, s in back.items():
-                    circ[e2] = s
+                circ.update(self.tree_path(h, t))
             out.append((eid, circ))
         return out
 
@@ -283,48 +267,39 @@ def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
 def enumerate_currents(g: DualGraph, N: int, source_pair,
                        cap: int = 2_000_000):
     """All integral flows with divisor N(v1 - v2) and |w_e| <= N,
-    lexicographic in edge-id order."""
+    lexicographic in edge-id order.
+
+    Such a flow is the particular flow, N units along the tree path from v2
+    to v1, plus sum_j c_j circuit_j over the fundamental circuits, where c_j
+    is the current on chord j; so the flows are the chord vectors c in
+    [-N, N]^b1 whose tree currents also stay within N.  BudgetExceeded is
+    raised before any work when (2N+1)^b1 exceeds `cap`."""
     v1, v2 = source_pair
     if v1 == v2:
         raise ValueError("source and sink must differ")
+    for v in source_pair:
+        if v not in g.vertices:
+            raise UnknownVertex(str(v))
+    circuits = g.fundamental_circuits()
+    if (2 * N + 1) ** len(circuits) > cap:
+        raise BudgetExceeded("current enumeration cap")
     ids = g.edge_ids()
+    path = g.tree_path(v2, v1)
+    # per edge: the particular current and the edge's entry in each circuit
+    columns = [(N * path.get(e, 0), [circ.get(e, 0) for _, circ in circuits])
+               for e in ids]
+    flows = []
+    for c in product(range(-N, N + 1), repeat=len(circuits)):
+        w = tuple(base + sum(cj * s for cj, s in zip(c, col))
+                  for base, col in columns)
+        if all(-N <= x <= N for x in w):
+            flows.append(w)
+    flows.sort()
     div = {v: 0 for v in g.vertices}
     div[v1] = N
     div[v2] = -N
-    out = []
-    box = range(-N, N + 1)
-    count = [0]
-
-    def feasible_partial(assigned):
-        # vertices all of whose incident edges are assigned must balance
-        for v in g.vertices:
-            inc_edges = g.incident(v)
-            if all(e in assigned for e in inc_edges):
-                inc = sum(w for e, w in assigned.items()
-                          if g.edges[e][1] == v and g.edges[e][0] != v)
-                o = sum(w for e, w in assigned.items()
-                        if g.edges[e][0] == v and g.edges[e][1] != v)
-                if inc - o != div[v]:
-                    return False
-        return True
-
-    def rec(i, assigned):
-        count[0] += 1
-        if count[0] > cap:
-            raise BudgetExceeded("current enumeration cap")
-        if i == len(ids):
-            ca = CurrentAssignment(dict(div), dict(assigned), N)
-            if kirchhoff_check(g, ca):
-                out.append(ca)
-            return
-        for w in box:
-            assigned[ids[i]] = w
-            if feasible_partial(assigned):
-                rec(i + 1, assigned)
-        del assigned[ids[i]]
-
-    rec(0, {})
-    return out
+    return [CurrentAssignment(dict(div), dict(zip(ids, w)), N)
+            for w in flows]
 
 
 @dataclass
@@ -475,65 +450,31 @@ def trace_matrix(block: DualGraph, moduli) -> TraceMatrix:
     """Trace Gram matrix of the width vectors of a 2-connected block with
     the given positive moduli.
 
-    Deterministic construction: spanning tree with smallest edge ids; edges
-    reordered chords-first; A, B the reduced incidence columns of chords and
-    tree edges, K = -B^(-1) A, L = [I; K]; N the fundamental circuit matrix
-    (which equals L^T), M = diag(m); P = N M L and Q = L P^(-1) L^T,
-    returned in original edge-id order.  Q is symmetric positive
-    semidefinite of rank |E| - |V| + 1 and scales by 1/q when the moduli
-    scale by q."""
+    Deterministic construction: N is the fundamental circuit matrix of the
+    spanning tree with smallest edge ids (a row per chord, columns in
+    edge-id order), M = diag(m), P = N M N^T and Q = N^T P^(-1) N.  Q is
+    symmetric positive semidefinite of rank |E| - |V| + 1 and scales by
+    1/q when the moduli scale by q."""
     ids = block.edge_ids()
     if any(block.edges[e][0] == block.edges[e][1] for e in ids):
         raise ValueError("loops carry no width data in the block formula")
-    tree = block.spanning_tree()
-    chords = [e for e in ids if e not in tree]
-    if not chords:
+    missing = [e for e in ids if e not in moduli]
+    if missing:
+        raise ValueError(f"no modulus for edges {missing}")
+    circuits = block.fundamental_circuits()
+    if not circuits:
         raise SingularP("a tree block has no circuit matrix")
-    order = chords + [e for e in ids if e in tree]
-    vs = block.vertices[1:]  # drop the smallest vertex as basepoint
-    vpos = {v: i for i, v in enumerate(vs)}
-
-    def incidence_col(eid):
-        t, h = block.edges[eid]
-        col = [Fraction(0)] * len(vs)
-        if h in vpos:
-            col[vpos[h]] += 1
-        if t in vpos:
-            col[vpos[t]] -= 1
-        return col
-
-    A = RationalMatrix([[incidence_col(e)[i] for e in chords]
-                        for i in range(len(vs))])
-    B = RationalMatrix([[incidence_col(e)[i] for e in order[len(chords):]]
-                        for i in range(len(vs))])
-    try:
-        Binv = B.inverse()
-    except ZeroDivisionError as exc:
-        raise SingularP("tree incidence matrix is singular") from exc
-    K = Binv * A * Fraction(-1)
-    m = len(chords)
-    L_rows = identity_matrix(m).entries + K.entries
-    L = RationalMatrix(L_rows)
-    circuits = dict(block.fundamental_circuits())
-    Nrows = []
-    for ch in chords:
-        circ = circuits[ch]
-        Nrows.append([Fraction(circ.get(e, 0)) for e in order])
-    Nmat = RationalMatrix(Nrows)
-    M = RationalMatrix([[Fraction(moduli[e]) if i == j else Fraction(0)
-                         for j, e in enumerate(order)]
-                        for i, e in enumerate(order)])
-    P = Nmat * M * L
+    Nmat = RationalMatrix([[circ.get(e, 0) for e in ids]
+                           for _, circ in circuits])
+    M = RationalMatrix([[moduli[e] if i == j else 0
+                         for j in range(len(ids))]
+                        for i, e in enumerate(ids)])
+    P = Nmat * M * Nmat.transpose()
     try:
         Pinv = P.inverse()
     except ZeroDivisionError as exc:
-        raise SingularP("P = N M L is singular") from exc
-    Q = L * Pinv * L.transpose()
-    # back to original edge order
-    perm = [order.index(e) for e in ids]
-    Qr = RationalMatrix([[Q.entries[perm[i]][perm[j]]
-                          for j in range(len(ids))] for i in range(len(ids))])
-    return TraceMatrix(ids, Qr)
+        raise SingularP("P = N M N^T is singular") from exc
+    return TraceMatrix(ids, Nmat.transpose() * Pinv * Nmat)
 
 
 def small_graph_catalog(max_edges=5):
@@ -558,9 +499,15 @@ def small_graph_catalog(max_edges=5):
 # file format: 'vertex', 'edge', 'current', 'source', 'modulus' lines
 # ---------------------------------------------------------------------------
 
+# the number of fields each directive takes after its keyword
+NETWORK_FIELDS = {"vertex": 1, "edge": 3, "current": 2, "source": 2,
+                  "modulus": 2}
+
+
 def parse_network(text: str):
     """Parse a network file: returns (DualGraph, currents dict,
-    sources dict, moduli dict)."""
+    sources dict, moduli dict).  A malformed line raises ValueError naming
+    its line number."""
     vertices = []
     edges = []
     currents = {}
@@ -570,18 +517,20 @@ def parse_network(text: str):
         line = line.split("#")[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "vertex":
-            vertices.append(parts[1])
-        elif kind == "edge":
-            edges.append((parts[1], parts[2], parts[3]))
-        elif kind == "current":
-            currents[parts[1]] = int(parts[2])
-        elif kind == "source":
-            sources[parts[1]] = int(parts[2])
-        elif kind == "modulus":
-            moduli[parts[1]] = Fraction(parts[2])
-        else:
+        kind, *parts = line.split()
+        if kind not in NETWORK_FIELDS:
             raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+        if len(parts) != NETWORK_FIELDS[kind]:
+            raise ValueError(f"line {lineno}: {kind} takes "
+                             f"{NETWORK_FIELDS[kind]} fields")
+        if kind == "vertex":
+            vertices.append(parts[0])
+        elif kind == "edge":
+            edges.append(tuple(parts))
+        elif kind == "current":
+            currents[parts[0]] = int(parts[1])
+        elif kind == "source":
+            sources[parts[0]] = int(parts[1])
+        else:
+            moduli[parts[0]] = rational(parts[1])
     return DualGraph(vertices, edges), currents, sources, moduli

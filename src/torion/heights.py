@@ -65,14 +65,7 @@ def coprime_integer_representative(coords):
     coords = [Fraction(c) for c in coords]
     if all(c == 0 for c in coords):
         raise AllZeroProjective("all coordinates vanish")
-    l = 1
-    for c in coords:
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    ints = [int(c * l) for c in coords]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in ints]
+    return list(intlat.clear_denominators(coords))
 
 
 def height_point(coords, mode: str = "affine") -> HeightValue:

@@ -525,14 +525,9 @@ def substitute_torus(p: MultiPoly, E):
 # golden-file IO: header '# vars: x y z', one polynomial per line
 # ---------------------------------------------------------------------------
 
-def read_poly_file(path_or_text, laurent=False):
-    """Returns (variables, [MultiPoly]); accepts a path or raw text."""
-    import os
-    text = path_or_text
-    if isinstance(path_or_text, (str, os.PathLike)) and \
-            os.path.exists(str(path_or_text)):
-        with open(path_or_text) as fh:
-            text = fh.read()
+def read_poly_file(text, laurent=False):
+    """Parse the text of a polynomial file: returns (variables,
+    [MultiPoly])."""
     variables = None
     polys = []
     for line in text.splitlines():

@@ -196,6 +196,44 @@ class TestNetworkCommand:
                      .replace("current e3 0", "current e3 1"))
         assert run(["network", "--graph", str(g), "--check-kirchhoff"]) == 0
 
+    @pytest.mark.parametrize("edit, argv", [
+        (("edge e3 b a", "edge e3 b zz"), ["--solve-moduli"]),
+        (("current e3 0", "current zz 0"), ["--solve-moduli"]),
+        (None, ["--enumerate", "1", "a", "zz"]),
+    ])
+    def test_unknown_vertex_or_edge_exit_2(self, edit, argv, tmp_path,
+                                           capsys):
+        g = tmp_path / "theta.net"
+        g.write_text(self.GRAPH.replace(*edit) if edit else self.GRAPH)
+        assert run(["network", "--graph", str(g)] + argv) == 2
+        assert "zz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b\n",
+         ["--solve-moduli"], "line 4: edge takes 3 fields"),
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nmodulus e1 1\n",
+         ["--trace-matrix"], "no modulus for edges ['e2']"),
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nmodulus e1 1/0\n",
+         ["--trace-matrix"], "zero denominator"),
+    ])
+    def test_malformed_network_file_exit_2(self, text, argv, message,
+                                           tmp_path, capsys):
+        g = tmp_path / "bad.net"
+        g.write_text(text)
+        assert run(["network", "--graph", str(g)] + argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_enumeration_budget_exit_3(self, tmp_path, capsys):
+        g = tmp_path / "banana5.net"
+        g.write_text("vertex a\nvertex b\n" + "".join(
+            f"edge e{i} b a\n" for i in range(1, 6)))
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "network", "--graph", str(g),
+                    "--enumerate", "20", "a", "b"]) == 3
+        assert "undetermined" in capsys.readouterr().err
+        assert json.loads(rep.read_text())["grades"]["undetermined"] == \
+            "undetermined"
+
 
 class TestCrossRatioCommand:
     CFG = """
@@ -284,6 +322,20 @@ class TestReproduceCommand:
         monkeypatch.setattr(cli, "data_text", corrupted)
         assert run(["reproduce", "lem-so"]) == 1
         assert "MISMATCH" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, tmp_path, monkeypatch,
+                                         capsys):
+        def broken(args, report):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_height", broken)
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "height", "--affine", "2"]) == 4
+        assert "internal error: RuntimeError('boom')" in \
+            capsys.readouterr().err
+        doc = json.loads(rep.read_text())
+        assert "boom" in doc["results"]["error"]
 
 
 class TestBudgetExit:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -9,7 +9,8 @@ from torion.flatnet import (BudgetExceeded, CurrentAssignment, Disconnected,
                             DualGraph, SingularP, UnknownEdge,
                             block_decomposition, enumerate_currents,
                             kirchhoff_check, moduli_height_audit,
-                            parse_network, solve_moduli, trace_matrix)
+                            parse_network, small_graph_catalog,
+                            solve_moduli, trace_matrix)
 
 
 def theta():
@@ -35,6 +36,33 @@ class TestGraph:
     def test_spanning_tree_smallest_ids(self):
         g = theta()
         assert g.spanning_tree() == ["e1"]
+
+    def test_bridges_match_edge_deletion(self):
+        """bridges() equals the non-loop edges whose deletion disconnects
+        the graph, on random connected multigraphs."""
+        def connected(vs, edges):
+            seen = {vs[0]}
+            grow = True
+            while grow:
+                grow = False
+                for _, t, h in edges:
+                    if (t in seen) != (h in seen):
+                        seen.update((t, h))
+                        grow = True
+            return seen == set(vs)
+
+        rng = random.Random(1)
+        checked = 0
+        while checked < 200:
+            vs = [chr(ord("a") + i) for i in range(rng.randint(2, 5))]
+            edges = [(f"e{i+1}", rng.choice(vs), rng.choice(vs))
+                     for i in range(rng.randint(len(vs) - 1, 7))]
+            if not connected(vs, edges):
+                continue
+            checked += 1
+            expect = [eid for eid, t, h in edges if t != h and not
+                      connected(vs, [e for e in edges if e[0] != eid])]
+            assert DualGraph(vs, edges).bridges() == sorted(expect), edges
 
 
 class TestBlocks:
@@ -154,6 +182,37 @@ class TestEnumerate:
         expect = sorted(t for t in product((-1, 0, 1), repeat=3)
                         if sum(t) == 1)
         assert got == expect
+
+    def test_brute_force_oracle(self):
+        """The flows are, in order, the points of the box [-N, N]^|E| that
+        satisfy the current law with divisor N(v1 - v2)."""
+        graphs = small_graph_catalog() + [
+            # two bananas sharing a vertex, with a loop
+            DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
+                       ("e4", "b", "c"), ("e5", "a", "a")]),
+            # a banana with a bridge to a pendant vertex
+            DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "b", "a"), ("e3", "b", "c")]),
+            # a 4-cycle with a diagonal
+            DualGraph(["a", "b", "c", "d"],
+                      [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"),
+                       ("e4", "d", "a"), ("e5", "a", "c")]),
+        ]
+        for g in graphs:
+            ids = g.edge_ids()
+            for v1, v2 in permutations(g.vertices, 2):
+                for N in (1, 2):
+                    div = {v: 0 for v in g.vertices}
+                    div[v1], div[v2] = N, -N
+                    expect = [w for w in product(range(-N, N + 1),
+                                                 repeat=len(ids))
+                              if kirchhoff_check(g, CurrentAssignment(
+                                  div, dict(zip(ids, w))))]
+                    flows = enumerate_currents(g, N, (v1, v2))
+                    assert [tuple(f.currents[e] for e in ids)
+                            for f in flows] == expect, (g, v1, v2, N)
+                    assert all(f.divisor == div for f in flows)
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -303,6 +362,27 @@ class TestTraceMatrix:
         gram = RationalMatrix([[(x * y).trace() for y in (r1, r2)]
                                for x in (r1, r2)])
         assert gram.entries == q.entries
+
+    def test_k4_random_moduli(self):
+        """Q is symmetric of rank b1, and Q M c = c for every fundamental
+        circuit c (Q M is the projection onto the cycle space)."""
+        g = DualGraph(["a", "b", "c", "d"],
+                      [("e1", "a", "b"), ("e2", "c", "a"), ("e3", "a", "d"),
+                       ("e4", "b", "c"), ("e5", "d", "b"), ("e6", "c", "d")])
+        circuits = [[circ.get(e, 0) for e in g.edge_ids()]
+                    for _, circ in g.fundamental_circuits()]
+        rng = random.Random(4)
+        for _ in range(5):
+            m = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(6)]
+            tm = trace_matrix(g, dict(zip(g.edge_ids(), m)))
+            q = tm.matrix
+            assert tm.edge_ids == g.edge_ids()
+            assert q.entries == q.transpose().entries
+            assert q.rank() == len(circuits) == 3
+            for c in circuits:
+                mc = [mi * ci for mi, ci in zip(m, c)]
+                assert [sum(x * y for x, y in zip(row, mc))
+                        for row in q.entries] == c
 
     def test_singular_p_flagged(self):
         g = banana2()

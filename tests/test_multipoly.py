@@ -159,7 +159,7 @@ class TestGoldenFiles:
         p = parse("x^2*y - 3*z + 1/2", XYZ)
         path = tmp_path / "t.poly"
         write_poly_file(path, XYZ, [p])
-        variables, polys = read_poly_file(str(path))
+        variables, polys = read_poly_file(path.read_text())
         assert variables == XYZ and polys == [p]
 
 
