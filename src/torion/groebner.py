@@ -4,25 +4,51 @@ elimination, saturation, and unit-ideal tests.
 The core loop works on content-free integer coefficient dictionaries (fast
 exact arithmetic); public results are presented monic with Fraction
 coefficients.  Pair selection uses the sugar strategy with both Buchberger
-criteria.  All resource limits are explicit: exceeding one raises
-ResourceExhausted, which pipelines treat as "undetermined", never as a
-mathematical answer.
+criteria.  Each basis computation computes the order key of a monomial at
+most once.  The minimal basis is interreduced in ascending lead order, each
+member against the members already reduced before it: a tail term t of g
+lies below lead(g), so only leads <= t can divide it.  All resource limits
+are explicit: exceeding one raises ResourceExhausted, which carries the
+GBStats counters reached and which pipelines treat as "undetermined", never
+as a mathematical answer.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .multipoly import MultiPoly, RingMismatch
 
 
+@dataclass
+class GBStats:
+    """How far one Buchberger computation got."""
+    pairs: int = 0            # pairs popped from the queue
+    coprime_skips: int = 0    # pairs skipped by the coprime-leads criterion
+    chain_skips: int = 0      # pairs skipped by the chain criterion
+    reductions: int = 0       # S-polynomials reduced
+    zero_reductions: int = 0  # of those, the ones that reduced to zero
+    basis_size: int = 0       # members so far, before minimalization
+    max_degree: int = 0       # largest lead degree added
+    max_coeff_bits: int = 0   # largest coefficient added, in bits
+
+    def __str__(self):
+        return ", ".join(f"{f.name}={getattr(self, f.name)}"
+                         for f in fields(self))
+
+
 class ResourceExhausted(RuntimeError):
-    def __init__(self, stage, detail=""):
-        super().__init__(f"resource budget exhausted: {stage} {detail}".strip())
+    def __init__(self, stage, detail="", stats: GBStats | None = None):
+        msg = f"resource budget exhausted: {stage} {detail}".strip()
+        if stats is not None:
+            msg += f" ({stats})"
+        super().__init__(msg)
         self.stage = stage
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -82,6 +108,20 @@ class TermOrder:
 GREVLEX = TermOrder("grevlex")
 
 
+class _KeyCache(dict):
+    """Order keys of the monomials one computation meets, each computed once.
+    Pass the bound __getitem__ as a sort key: a hit stays in C, a miss goes
+    through __missing__."""
+
+    def __init__(self, order: TermOrder):
+        super().__init__()
+        self.order_key = order.key
+
+    def __missing__(self, e):
+        k = self[e] = self.order_key(e)
+        return k
+
+
 def elimination_order(n: int, eliminate) -> TermOrder:
     """Lex order with the eliminated variables largest."""
     elim = [i for i in range(n) if i in set(eliminate)]
@@ -124,13 +164,13 @@ def _normalize(p, key):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_mul(p, e0, c0):
     if c0 == 1 and not any(e0):
         return dict(p)
-    return {tuple(a + b for a, b in zip(e, e0)): c * c0 for e, c in p.items()}
+    return {tuple(map(operator.add, e, e0)): c * c0 for e, c in p.items()}
 
 
 def _add_into(a, b):
@@ -150,17 +190,13 @@ def _reduce_int(p, basis, leads, key):
     out = {}
     while p:
         e = max(p, key=key)
-        c = p[e]
-        hit = -1
-        for i in range(len(basis)):
-            if _divides(leads[i][0], e):
-                hit = i
+        for g, (lg, lc) in zip(basis, leads):
+            if _divides(lg, e):
                 break
-        if hit < 0:
-            out[e] = c
-            del p[e]
+        else:
+            out[e] = p.pop(e)
             continue
-        lg, lc = leads[hit]
+        c = p[e]
         d = math.gcd(abs(c), lc)
         mp = lc // d
         mg = c // d
@@ -169,8 +205,7 @@ def _reduce_int(p, basis, leads, key):
                 p[k] *= mp
             for k in out:
                 out[k] *= mp
-        _add_into(p, _mono_mul(basis[hit],
-                               tuple(a - b for a, b in zip(e, lg)), -mg))
+        _add_into(p, _mono_mul(g, tuple(map(operator.sub, e, lg)), -mg))
         if len(p) + len(out) > 64:
             g = 0
             for c0 in p.values():
@@ -189,18 +224,27 @@ def _reduce_int(p, basis, leads, key):
 
 
 def _buchberger(gens, order: TermOrder, budget: Budget):
-    key = order.key
+    key = _KeyCache(order).__getitem__
+    stats = GBStats()
     G, leads, sugars = [], [], []
+
+    def exhausted(limit):
+        return ResourceExhausted(limit, str(getattr(budget, limit)), stats)
 
     def push(p, sug=None):
         le = max(p, key=key)
-        if sum(le) > budget.max_degree:
-            raise ResourceExhausted("max_degree", f"{sum(le)}")
+        deg = sum(le)
+        stats.max_degree = max(stats.max_degree, deg)
+        stats.max_coeff_bits = max(stats.max_coeff_bits,
+                                   max(map(abs, p.values())).bit_length())
+        if deg > budget.max_degree:
+            raise exhausted("max_degree")
         G.append(p)
         leads.append((le, p[le]))
-        sugars.append(sug if sug is not None else sum(le))
+        sugars.append(sug if sug is not None else deg)
+        stats.basis_size = len(G)
         if len(G) > budget.max_basis:
-            raise ResourceExhausted("max_basis", f"{len(G)}")
+            raise exhausted("max_basis")
 
     for g in gens:
         g = _normalize(dict(g), key)
@@ -221,12 +265,11 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
     pq = [pair_entry(i, j) for i in range(len(G)) for j in range(i)]
     heapq.heapify(pq)
     done = set()
-    npairs = 0
     while pq:
-        npairs += 1
-        if npairs > budget.max_pairs:
-            raise ResourceExhausted("max_pairs", f"{npairs}")
+        if stats.pairs >= budget.max_pairs:
+            raise exhausted("max_pairs")
         sug, _, i, j = heapq.heappop(pq)
+        stats.pairs += 1
         if (i, j) in done:
             continue
         done.add((i, j))
@@ -234,7 +277,8 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
         lj, cj = leads[j]
         l = lcm_of(i, j)
         if all(a + b == m for a, b, m in zip(li, lj, l)):
-            continue  # coprime leading monomials
+            stats.coprime_skips += 1
+            continue
         skip = False
         for k in range(len(G)):
             if k in (i, j):
@@ -245,14 +289,17 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
                     skip = True
                     break
         if skip:
+            stats.chain_skips += 1
             continue
         d = math.gcd(ci, cj)
         cl = ci // d * cj
-        sp = _mono_mul(G[i], tuple(a - b for a, b in zip(l, li)), cl // ci)
-        _add_into(sp, _mono_mul(G[j], tuple(a - b for a, b in zip(l, lj)),
+        sp = _mono_mul(G[i], tuple(map(operator.sub, l, li)), cl // ci)
+        _add_into(sp, _mono_mul(G[j], tuple(map(operator.sub, l, lj)),
                                 -cl // cj))
+        stats.reductions += 1
         nf = _reduce_int(sp, G, leads, key)
         if not nf:
+            stats.zero_reductions += 1
             continue
         le = max(nf, key=key)
         if not any(x for x in le):
@@ -275,17 +322,15 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
                 break
         if not dominated:
             keep.append(i)
-    H = [G[i] for i in keep]
-    # tail-reduce each against the others
-    out = []
-    for i in range(len(H)):
-        others = H[:i] + H[i + 1:]
-        ol = [(max(h, key=key), h[max(h, key=key)]) for h in others]
-        r = _reduce_int(H[i], others, ol, key) if others else \
-            _normalize(H[i], key)
-        if r:
-            out.append(r)
-    out.sort(key=lambda p: key(max(p, key=key)))
+    # interreduce in ascending lead order, each member against the members
+    # already reduced (every member of G is content-free with positive lead)
+    keep.sort(key=lambda i: key(leads[i][0]))
+    out, out_leads = [], []
+    for i in keep:
+        r = _reduce_int(G[i], out, out_leads, key) if out else G[i]
+        le = leads[i][0]
+        out.append(r)
+        out_leads.append((le, r[le]))
     return out
 
 
@@ -349,7 +394,7 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
     if p.laurent:
         p = p.strip_monomial_content().as_polynomial()
     basis = I.groebner_basis(order, budget)
-    key = order.key
+    key = _KeyCache(order).__getitem__
     leads = [max(g.terms, key=key) for g in basis]
     rem = dict(p.terms)
     out = {}
@@ -400,6 +445,23 @@ def _append_variable(p: MultiPoly) -> MultiPoly:
     return q
 
 
+def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
+    """J intersected with the subring without the first variable, read off
+    the reduced block1 basis.  Its members free of the first variable are
+    the reduced basis of that intersection in the order block1 induces
+    there, which is grevlex, so the result carries them as its grevlex
+    basis."""
+    out = []
+    for g in J.groebner_basis(TermOrder("block1"), budget):
+        if all(e[0] == 0 for e in g.terms):
+            q = MultiPoly(J.n - 1, None, False)
+            q.terms = {e[1:]: c for e, c in g.terms.items()}
+            out.append(q)
+    result = Ideal(J.n - 1, out)
+    result._basis_cache[result._cache_key(GREVLEX)] = list(out)
+    return result
+
+
 def saturate(I: Ideal, f: MultiPoly,
              budget: Budget = BUDGET_PROFILES["default"]) -> Ideal:
     """I : f^infinity by the extra-variable method: adjoin y, add 1 - y*f,
@@ -414,14 +476,7 @@ def saturate(I: Ideal, f: MultiPoly,
     yf.terms = {(1,) + e: c for e, c in f.terms.items()}
     rel = rel - yf
     J = Ideal(I.n + 1, lifted + [rel])
-    basis = J.groebner_basis(TermOrder("block1"), budget)
-    out = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            q = MultiPoly(I.n, None, False)
-            q.terms = {e[1:]: c for e, c in g.terms.items()}
-            out.append(q)
-    return Ideal(I.n, out)
+    return _eliminate_first(J, budget)
 
 
 def saturate_many(I: Ideal, polys,
@@ -446,15 +501,7 @@ def intersect(I: Ideal, J: Ideal,
     one_minus_t = MultiPoly.constant(n1, 1) - t
     gens = [t * _append_variable(g) for g in I.generators] + \
            [one_minus_t * _append_variable(g) for g in J.generators]
-    K = Ideal(n1, gens)
-    basis = K.groebner_basis(TermOrder("block1"), budget)
-    out = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            q = MultiPoly(I.n, None, False)
-            q.terms = {e[1:]: c for e, c in g.terms.items()}
-            out.append(q)
-    return Ideal(I.n, out)
+    return _eliminate_first(Ideal(n1, gens), budget)
 
 
 def saturate_by_ideal(I: Ideal, generators,
@@ -469,7 +516,8 @@ def saturate_by_ideal(I: Ideal, generators,
     for f in gens:
         S = saturate(I, f, budget)
         result = S if result is None else intersect(result, S, budget)
-        # early exit: saturating by a nonvanishing factor keeps everything
+        # early exit: the running intersection is already the zero ideal,
+        # and intersecting it with further saturations keeps it zero
         if result is not None and not result.generators:
             break
     return result if result is not None else I

@@ -350,3 +350,19 @@ class TestBudgetExit:
         code = run(["--budget", "tiny", "ideal", "--op", "gb",
                     "--polys", str(f)])
         assert code == 3
+
+    def test_undetermined_result_names_counters(self, tmp_path, monkeypatch,
+                                                capsys):
+        profiles = dict(cli.BUDGET_PROFILES)
+        profiles["tiny"] = Budget(max_pairs=2)
+        monkeypatch.setattr(cli, "BUDGET_PROFILES", profiles)
+        f = tmp_path / "i.poly"
+        f.write_text("# vars: x1 x2 x3\n"
+                     "x1^2*x2 - x3\nx2^2*x3 - x1\nx3^2*x1 - x2\n")
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "--budget", "tiny", "ideal",
+                    "--op", "gb", "--polys", str(f)]) == 3
+        note = json.loads(rep.read_text())["results"]["undetermined"]
+        assert note.startswith("resource budget exhausted: max_pairs 2 (")
+        assert "pairs=2" in note and "reductions=2" in note
+        assert note in capsys.readouterr().err

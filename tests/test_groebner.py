@@ -1,13 +1,18 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
+from operator import sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torion.groebner import (BUDGET_PROFILES, Budget, Ideal,
-                             ResourceExhausted, TermOrder, eliminate,
-                             groebner_basis, is_trivial, normal_form,
-                             saturate, saturate_many)
-from torion.multipoly import parse
+from torion import groebner
+from torion.groebner import (BUDGET_PROFILES, GREVLEX, Budget, GBStats,
+                             Ideal, ResourceExhausted, TermOrder, eliminate,
+                             groebner_basis, intersect, is_trivial,
+                             normal_form, saturate, saturate_many)
+from torion.multipoly import MultiPoly, parse
 
 XY = ["x", "y"]
 
@@ -135,6 +140,28 @@ class TestBudgets:
             I.groebner_basis(budget=Budget(max_pairs=2, max_degree=60,
                                            max_basis=5000))
 
+    def test_exhaustion_carries_counters(self):
+        I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        with pytest.raises(ResourceExhausted) as info:
+            I.groebner_basis(budget=Budget(max_pairs=2, max_degree=60,
+                                           max_basis=5000))
+        exc = info.value
+        assert exc.stage == "max_pairs"
+        assert exc.stats == GBStats(pairs=2, reductions=2, basis_size=5,
+                                    max_degree=3, max_coeff_bits=1)
+        assert str(exc).startswith("resource budget exhausted: max_pairs 2 (")
+        for f in fields(GBStats):
+            assert f"{f.name}={getattr(exc.stats, f.name)}" in str(exc)
+
+    def test_degree_limit_counts_the_offending_degree(self):
+        I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        with pytest.raises(ResourceExhausted) as info:
+            I.groebner_basis(budget=Budget(max_degree=3))
+        assert info.value.stage == "max_degree"
+        assert info.value.stats.max_degree > 3
+        assert info.value.stats.zero_reductions <= \
+            info.value.stats.reductions <= info.value.stats.pairs
+
     def test_profiles_exist(self):
         assert set(BUDGET_PROFILES) == {"default", "extended", "stretch"}
 
@@ -157,3 +184,86 @@ class TestStabilityMembership:
         jac = RationalMatrix([[f.derivative(i).evaluate(point)
                                for i in range(4)] for f in (f1, f2)])
         assert jac.rank() == 2
+
+
+# ---------------------------------------------------------------------------
+# properties of the reduced basis on random small ideals
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_ideals(draw, max_gens=3):
+    """2-3 variables, generators of degree <= 3 with coefficients in
+    [-3, 3]."""
+    n = draw(st.integers(2, 3))
+    mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 3).map(tuple)
+    poly = st.dictionaries(mono, st.integers(-3, 3), min_size=1,
+                           max_size=3).map(lambda t: MultiPoly(n, t))
+    return n, draw(st.lists(poly, min_size=1, max_size=max_gens))
+
+
+def draw_order(data, n):
+    kind = data.draw(st.sampled_from(["grevlex", "lex", "block"]))
+    if kind != "block":
+        return TermOrder(kind)
+    return TermOrder("block", perm=data.draw(st.permutations(range(n))),
+                     nblock=data.draw(st.integers(1, n - 1)))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.data())
+def test_basis_is_reduced_and_generates(case, data):
+    """Leads are monic and ascending, no term of a member is divisible by
+    another member's lead, every S-pair and every generator reduces to 0."""
+    n, gens = case
+    order = draw_order(data, n)
+    I = Ideal(n, gens)
+    basis = I.groebner_basis(order)
+    leads = [max(g.terms, key=order.key) for g in basis]
+    assert [order.key(le) for le in leads] == \
+        sorted(order.key(le) for le in leads)
+    for g, lg in zip(basis, leads):
+        assert g.terms[lg] == 1
+        for h, lh in zip(basis, leads):
+            if h is not g:
+                assert not any(_divides(lh, e) for e in g.terms)
+    for (g, lg), (h, lh) in combinations(zip(basis, leads), 2):
+        lcm = tuple(map(max, lg, lh))
+        s_pair = MultiPoly(n, {tuple(map(sub, lcm, lg)): 1}) * g - \
+            MultiPoly(n, {tuple(map(sub, lcm, lh)): 1}) * h
+        assert normal_form(s_pair, I, order).is_zero()
+    for g in gens:
+        assert normal_form(g, I, order).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(), small_ideals(max_gens=2), st.data())
+def test_saturation_carries_its_grevlex_basis(case, other, data):
+    """saturate and intersect hand back the grevlex basis of their result,
+    equal to a fresh computation from the result's generators."""
+    n, gens = case
+    f = data.draw(st.sampled_from(
+        [MultiPoly.variable(n, i) for i in range(n)] +
+        [g for g in other[1] if other[0] == n and not g.is_zero()]))
+    I = Ideal(n, gens)
+    results = [saturate(I, f)]
+    if other[0] == n:
+        results.append(intersect(I, Ideal(n, other[1])))
+    for J in results:
+        cached = J._basis_cache[J._cache_key(GREVLEX)]
+        assert cached == Ideal(n, J.generators).groebner_basis(GREVLEX)
+
+
+def test_is_trivial_after_saturation_runs_no_buchberger(monkeypatch):
+    S = saturate(mk(2, "x^2*y - x", "y^2 - 1"), parse("y", XY))
+    T = saturate(mk(2, "x^2", "x*y"), parse("x", XY))
+
+    def forbidden(*args):
+        raise AssertionError("Buchberger ran")
+    monkeypatch.setattr(groebner, "_buchberger", forbidden)
+    assert not is_trivial(S)
+    assert is_trivial(T)

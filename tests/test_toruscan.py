@@ -58,6 +58,14 @@ class TestCoefficientVariety:
         sols = {s for s in cand.cosets}
         assert sols == {(None, F(1), F(-1)), (None, F(-1), F(1))}
 
+    def test_undetermined_note_names_counters(self):
+        h = parse("x*y*z + x + y + z", XYZ)
+        cand = coefficient_variety([h], ExponentSubgroup([[1, 0, 0]]),
+                                   Budget(max_pairs=1))
+        assert cand.status == "undetermined"
+        assert cand.note.startswith("resource budget exhausted: max_pairs 1")
+        assert "pairs=1" in cand.note and "basis_size=" in cand.note
+
     def test_singleton_pruned(self):
         h = parse("x + y + 1", ["x", "y"])
         cand = coefficient_variety([h], ExponentSubgroup([[1, -1]]))
