@@ -123,8 +123,11 @@ def cmd_ideal(args, report: Report) -> int:
         report.set("member", nf.is_zero(), grade="exact")
         print(nf.to_string(variables))
     elif args.op == "eliminate":
-        keep = [variables.index(v) for v in args.keep.split(",")]
-        J = eliminate(I, keep, budget)
+        keep = args.keep.split(",")
+        for v in keep:
+            if v not in variables:
+                raise UnknownVariable(f"unknown variable {v!r}")
+        J = eliminate(I, [variables.index(v) for v in keep], budget)
         report.set("generators", [g.to_string(variables)
                                   for g in J.generators], grade="exact")
         for g in J.generators:
@@ -235,24 +238,34 @@ def cmd_cross_ratio(args, report: Report) -> int:
     raise ValueError(f"unknown check {args.check!r}")
 
 
+# the fields of each config directive; a part lists one or more indices
+CONFIG_FIELDS = {"zero": 2, "pole": 1, "part": 1}
+
+
 def _read_config(path) -> crossratio.StableFormConfig:
+    """A malformed line raises ValueError naming its line number."""
     zeros = []
     poles = []
     parts = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#")[0].strip()
             if not line:
                 continue
-            toks = line.split()
-            if toks[0] == "zero":
-                zeros.append((toks[1], int(toks[2])))
-            elif toks[0] == "pole":
-                poles.append(toks[1])
-            elif toks[0] == "part":
-                parts.append([int(t) for t in toks[1:]])
+            kind, *fields = line.split()
+            if kind not in CONFIG_FIELDS:
+                raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+            need = CONFIG_FIELDS[kind]
+            if len(fields) < need or (kind != "part" and len(fields) > need):
+                least = "at least " if kind == "part" else ""
+                raise ValueError(f"line {lineno}: {kind} takes {least}{need} "
+                                 f"field(s)")
+            if kind == "zero":
+                zeros.append((fields[0], int(fields[1])))
+            elif kind == "pole":
+                poles.append(fields[0])
             else:
-                raise ValueError(f"unknown directive {toks[0]!r}")
+                parts.append([int(t) for t in fields])
     return crossratio.StableFormConfig(zeros, poles, parts)
 
 

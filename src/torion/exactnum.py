@@ -961,54 +961,35 @@ class RationalMatrix:
         return RationalMatrix([[a - b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.entries, other.entries)])
 
-    def _rref(self):
-        M = [row[:] for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if M[i][c] != 0), None)
-            if piv is None:
-                continue
-            M[r], M[piv] = M[piv], M[r]
-            pv = M[r][c]
-            M[r] = [x / pv for x in M[r]]
-            for i in range(self.rows):
-                if i != r and M[i][c] != 0:
-                    f = M[i][c]
-                    M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return M, pivots
+    def _int_rows(self):
+        return [intlat.clear_denominators(row) for row in self.entries]
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(intlat.echelon(self._int_rows())[1])
 
     def kernel(self):
-        """Basis of the right kernel (list of column vectors)."""
-        R, piv = self._rref()
-        free = [c for c in range(self.cols) if c not in piv]
+        """Basis of the right kernel (list of column vectors): one vector per
+        free column, 1 there and 0 at the other free columns."""
         out = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for i, pc in enumerate(piv):
-                v[pc] = -R[i][fc]
-            out.append(v)
+        for v in intlat.echelon_kernel(self._int_rows(), self.cols):
+            # the free column is v's last nonzero entry: the pivot columns
+            # it touches lie before it
+            d = next(x for x in reversed(v) if x)
+            out.append([Fraction(x, d) for x in v])
         return out
 
     def inverse(self) -> "RationalMatrix":
+        """Rows of the echelon form of [A | I] are k*[e_i | row i of A^-1]."""
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
         n = self.rows
-        aug = RationalMatrix([self.entries[i] +
-                              [Fraction(1 if i == j else 0) for j in range(n)]
-                              for i in range(n)])
-        R, piv = aug._rref()
-        if piv[:n] != list(range(n)):
+        form, pivots = intlat.echelon(
+            [intlat.clear_denominators(row + [int(i == j) for j in range(n)])
+             for i, row in enumerate(self.entries)])
+        if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return RationalMatrix([row[n:] for row in R[:n]])
+        return RationalMatrix([[Fraction(x, row[i]) for x in row[n:]]
+                               for i, row in enumerate(form)])
 
     def det(self) -> Fraction:
         if not self.is_square():

@@ -1,8 +1,10 @@
 """Buchberger-based ideal engine over Q: reduced bases, normal forms,
 elimination, saturation, and unit-ideal tests.
 
-The core loop works on content-free integer coefficient dictionaries (fast
-exact arithmetic); public results are presented monic with Fraction
+The one reduction loop works on content-free integer coefficient
+dictionaries (fast exact arithmetic) and serves both the basis computation
+and normal_form, which undoes the loop's tracked scalings to return the
+exact remainder; reduced bases are presented monic with Fraction
 coefficients.  Pair selection uses the sugar strategy with both Buchberger
 criteria.  Each basis computation computes the order key of a monomial at
 most once.  The minimal basis is interreduced in ascending lead order, each
@@ -134,17 +136,10 @@ def elimination_order(n: int, eliminate) -> TermOrder:
 # ---------------------------------------------------------------------------
 
 def _to_int_poly(p: MultiPoly):
-    """Content-free integer dict with positive leading coefficient (returns
-    the dict; the scaling is a positive rational so ideals are unchanged)."""
-    if p.is_zero():
-        return {}
-    den = 1
-    num = 0
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-        num = math.gcd(num, abs(c.numerator))
-    out = {e: int(c * den) // num for e, c in p.terms.items()}
-    return out
+    """Integer dict of p / p.content(): coprime integer coefficients with the
+    signs of p's (a positive rescaling, so ideals are unchanged)."""
+    c = p.content()
+    return {e: int(v / c) for e, v in p.terms.items()}
 
 
 def _normalize(p, key):
@@ -184,10 +179,13 @@ def _add_into(a, b):
 
 
 def _reduce_int(p, basis, leads, key):
-    """Full normal form (up to a positive rational factor) of the integer
-    dict p modulo the list of integer polys; content-stripped result."""
+    """Full normal form of the integer dict p modulo the list of integer
+    polys.  Returns (r, s): r is content-free with positive lead and equals
+    s times the exact remainder; s (a nonzero Fraction) accounts for the
+    multipliers and content divisions applied along the way."""
     p = dict(p)
     out = {}
+    num = den = 1
     while p:
         e = max(p, key=key)
         for g, (lg, lc) in zip(basis, leads):
@@ -201,6 +199,7 @@ def _reduce_int(p, basis, leads, key):
         mp = lc // d
         mg = c // d
         if mp != 1:
+            num *= mp
             for k in p:
                 p[k] *= mp
             for k in out:
@@ -218,9 +217,14 @@ def _reduce_int(p, basis, leads, key):
                     if g == 1:
                         break
             if g > 1:
+                den *= g
                 p = {k: v // g for k, v in p.items()}
                 out = {k: v // g for k, v in out.items()}
-    return _normalize(out, key)
+    r = _normalize(out, key)
+    if not r:
+        return r, Fraction(num, den)
+    e = next(iter(r))
+    return r, Fraction(num * r[e], den * out[e])
 
 
 def _buchberger(gens, order: TermOrder, budget: Budget):
@@ -297,7 +301,7 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
         _add_into(sp, _mono_mul(G[j], tuple(map(operator.sub, l, lj)),
                                 -cl // cj))
         stats.reductions += 1
-        nf = _reduce_int(sp, G, leads, key)
+        nf, _ = _reduce_int(sp, G, leads, key)
         if not nf:
             stats.zero_reductions += 1
             continue
@@ -327,7 +331,7 @@ def _buchberger(gens, order: TermOrder, budget: Budget):
     keep.sort(key=lambda i: key(leads[i][0]))
     out, out_leads = [], []
     for i in keep:
-        r = _reduce_int(G[i], out, out_leads, key) if out else G[i]
+        r = _reduce_int(G[i], out, out_leads, key)[0] if out else G[i]
         le = leads[i][0]
         out.append(r)
         out_leads.append((le, r[le]))
@@ -393,30 +397,16 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
         raise RingMismatch("arity mismatch")
     if p.laurent:
         p = p.strip_monomial_content().as_polynomial()
-    basis = I.groebner_basis(order, budget)
     key = _KeyCache(order).__getitem__
-    leads = [max(g.terms, key=key) for g in basis]
-    rem = dict(p.terms)
-    out = {}
-    while rem:
-        e = max(rem, key=key)
-        hit = next((i for i, le in enumerate(leads) if _divides(le, e)), None)
-        if hit is None:
-            out[e] = rem.pop(e)
-            continue
-        g = basis[hit]
-        le = leads[hit]
-        shift = tuple(a - b for a, b in zip(e, le))
-        factor = rem[e] / g.terms[le]
-        for eg, cg in g.terms.items():
-            e2 = tuple(a + b for a, b in zip(eg, shift))
-            nc = rem.get(e2, Fraction(0)) - factor * cg
-            if nc:
-                rem[e2] = nc
-            elif e2 in rem:
-                del rem[e2]
+    basis = [_to_int_poly(g) for g in I.groebner_basis(order, budget)]
+    leads = []
+    for g in basis:
+        le = max(g, key=key)
+        leads.append((le, g[le]))
+    rem, scale = _reduce_int(_to_int_poly(p), basis, leads, key)
+    factor = p.content() / scale
     r = MultiPoly(I.n, None, False)
-    r.terms = {e: c for e, c in out.items() if c != 0}
+    r.terms = {e: c * factor for e, c in rem.items()}
     return r
 
 

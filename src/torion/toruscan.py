@@ -39,6 +39,10 @@ class ExponentSubgroup:
             if not rows:
                 raise ValueError("empty subgroup needs explicit arity")
             n = len(rows[0])
+        for r in rows:
+            if len(r) != n:
+                raise ValueError(f"row {' '.join(map(str, r))} has {len(r)} "
+                                 f"entries, expected {n}")
         sat = intlat.saturate_rows(rows, n)
         self.basis = sat
         self.rank = len(sat)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -42,6 +43,10 @@ class TestIdealCommand:
         assert run(["ideal", "--op", "gb", "--polys", str(f)]) == 2
 
 
+class InputFile(str):
+    """An argv entry that stands for a file holding this text."""
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv, message", [
         (["ideal", "--op", "member"], "needs --poly"),
@@ -49,14 +54,31 @@ class TestArgumentErrors:
         (["ideal", "--op", "eliminate"], "needs --keep"),
         (["height"], "needs --affine"),
         (["height", "--affine", "1/0"], "zero denominator"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--subspace", InputFile("1 0\n")],
+         "row 1 0 has 2 entries, expected 3"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--subspace", InputFile("1 0 0 5\n")],
+         "row 1 0 0 5 has 4 entries, expected 3"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("pole 1\nzero a\n")], "line 2: zero takes 2 field(s)"),
+        (["ideal", "--op", "eliminate", "--keep", "x,w"],
+         "unknown variable 'w'"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":
             f = tmp_path / "i.poly"
             f.write_text("# vars: x y\nx^2 - 1\n")
             argv = argv + ["--polys", str(f)]
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if isinstance(arg, InputFile):
+                f = tmp_path / f"arg{i}"
+                f.write_text(arg)
+                argv[i] = str(f)
+        # as the console script does: sys.exit(main())
         with pytest.raises(SystemExit) as exc:
-            run(argv)
+            sys.exit(run(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

@@ -78,6 +78,19 @@ class TestNormalForm:
         assert normal_form(q, I).is_zero()
         assert normal_form(p + q, I).is_zero()
 
+    @pytest.mark.parametrize("kind", ["grevlex", "lex"])
+    def test_exact_remainder_of_a_long_polynomial(self, kind):
+        """Reducing y leaves only even coefficients on more than 64 terms,
+        so the integer reduction divides out a content of 2 on the way; the
+        remainder is still the exact one, with y replaced by 2z."""
+        names = ["x", "y", "z"]
+        y, z = parse("y", names), parse("z", names)
+        tail = MultiPoly(3, {(i, 0, j): F(i + 2 * j + 1)
+                             for i in range(9) for j in range(9)})
+        p = (y + tail * 2) * F(3, 7)
+        rem = normal_form(p, mk(3, "x2 - 2*x3"), TermOrder(kind))
+        assert rem == (z + tail) * F(6, 7)
+
 
 class TestEliminate:
     def test_substitution(self):

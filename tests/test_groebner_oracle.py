@@ -1,12 +1,13 @@
 """Differential test of the Buchberger engine against sympy's Gröbner bases
-on random small ideals from fixed seeds (skipped when sympy is absent)."""
+on random small ideals from fixed seeds: reduced bases, block elimination
+and normal forms (skipped when sympy is absent)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from torion.groebner import GREVLEX, Ideal, TermOrder, eliminate
+from torion.groebner import GREVLEX, Ideal, TermOrder, eliminate, normal_form
 from torion.multipoly import MultiPoly
 
 sympy = pytest.importorskip("sympy")
@@ -74,3 +75,41 @@ def test_block_elimination_matches_sympy_lex(seed):
     kept = [g for g in lex if all(e[0] == 0 for e in g.terms)]
     assert _as_set(Ideal(n, ours).groebner_basis(GREVLEX)) == \
         _as_set(Ideal(n, kept).groebner_basis(GREVLEX))
+
+
+def random_poly(rng, n, size=5, degree=4):
+    """Up to `size` terms of degree <= `degree`, coefficients in [-5, 5]
+    over denominators up to 4."""
+    terms = {}
+    for _ in range(rng.randint(1, size)):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return MultiPoly(n, terms)
+
+
+def _to_sympy(p, syms):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, *syms)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_normal_form_matches_sympy_reduced(seed, kind):
+    """The exact remainder, not rescaled, equals sympy's remainder modulo
+    the same reduced basis.  The last polynomial is long enough that the
+    integer reduction divides out contents along the way."""
+    n, gens = random_ideal(seed)
+    I = Ideal(n, gens)
+    order = TermOrder(kind)
+    syms = sympy.symbols(f"x0:{n}")
+    basis = [_to_sympy(g, syms) for g in I.groebner_basis(order)]
+    rng = random.Random(1000 + seed)
+    for size, degree in [(5, 4)] * 4 + [(120, 7)]:
+        p = random_poly(rng, n, size, degree)
+        _, ref = sympy.reduced(_to_sympy(p, syms), basis, *syms, order=kind)
+        expected = {e: Fraction(int(c.p), int(c.q))
+                    for e, c in ref.as_dict().items()}
+        assert normal_form(p, I, order).terms == expected
