@@ -179,19 +179,30 @@ def cmd_torus_scan(args, report: Report) -> int:
     return 0
 
 
+def _int_field(tok, path, lineno):
+    """tok as an integer; a bad one raises ValueError naming the file and
+    the line."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{path}, line {lineno}: {tok!r} is not an "
+                         f"integer") from None
+
+
 def _read_subspaces(path, n):
     """Blocks of integer rows separated by blank lines."""
     blocks = []
     cur = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#")[0].strip()
             if not line:
                 if cur:
                     blocks.append(cur)
                     cur = []
                 continue
-            cur.append([int(tok) for tok in line.split()])
+            cur.append([_int_field(tok, path, lineno)
+                        for tok in line.split()])
     if cur:
         blocks.append(cur)
     if not blocks:
@@ -243,7 +254,8 @@ CONFIG_FIELDS = {"zero": 2, "pole": 1, "part": 1}
 
 
 def _read_config(path) -> crossratio.StableFormConfig:
-    """A malformed line raises ValueError naming its line number."""
+    """A malformed line raises ValueError naming the file and its line
+    number."""
     zeros = []
     poles = []
     parts = []
@@ -254,18 +266,20 @@ def _read_config(path) -> crossratio.StableFormConfig:
                 continue
             kind, *fields = line.split()
             if kind not in CONFIG_FIELDS:
-                raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+                raise ValueError(f"{path}, line {lineno}: unknown directive "
+                                 f"{kind!r}")
             need = CONFIG_FIELDS[kind]
             if len(fields) < need or (kind != "part" and len(fields) > need):
                 least = "at least " if kind == "part" else ""
-                raise ValueError(f"line {lineno}: {kind} takes {least}{need} "
-                                 f"field(s)")
+                raise ValueError(f"{path}, line {lineno}: {kind} takes "
+                                 f"{least}{need} field(s)")
             if kind == "zero":
-                zeros.append((fields[0], int(fields[1])))
+                zeros.append((fields[0],
+                              _int_field(fields[1], path, lineno)))
             elif kind == "pole":
                 poles.append(fields[0])
             else:
-                parts.append([int(t) for t in fields])
+                parts.append([_int_field(t, path, lineno) for t in fields])
     return crossratio.StableFormConfig(zeros, poles, parts)
 
 

@@ -1,18 +1,30 @@
 """Buchberger-based ideal engine over Q: reduced bases, normal forms,
 elimination, saturation, and unit-ideal tests.
 
+Inside the kernel a monomial is one Python int (see _Packing): the fields
+of its order key come first, most significant, then its exponents, each
+field with a guard bit above it.  Comparing two monomials in the term order
+is one int comparison, multiplying them is one addition, and testing
+lead | t is one subtraction and mask.  Exponent tuples are packed on entry
+and unpacked on exit; a product that would overflow a field raises
+ResourceExhausted("max_degree") instead of wrapping.
+
 The one reduction loop works on content-free integer coefficient
 dictionaries (fast exact arithmetic) and serves both the basis computation
 and normal_form, which undoes the loop's tracked scalings to return the
 exact remainder; reduced bases are presented monic with Fraction
-coefficients.  Pair selection uses the sugar strategy with both Buchberger
-criteria.  Each basis computation computes the order key of a monomial at
-most once.  The minimal basis is interreduced in ascending lead order, each
-member against the members already reduced before it: a tail term t of g
-lies below lead(g), so only leads <= t can divide it.  All resource limits
-are explicit: exceeding one raises ResourceExhausted, which carries the
-GBStats counters reached and which pipelines treat as "undetermined", never
-as a mathematical answer.
+coefficients.  The loop keeps the monomials of the polynomial it reduces in
+a heap, so each step pops the lead instead of searching for it.  Each basis
+it reduces by keeps a memo from a monomial to the index of its first
+divisor among the leads (for a monomial no lead divides, the basis length
+it was checked against); a basis only grows, so the memo picks the reducer
+a linear scan would.  Pair selection uses the sugar strategy with both
+Buchberger criteria.  The minimal basis is interreduced in ascending lead
+order, each member against the members already reduced before it: a tail
+term t of g lies below lead(g), so only leads <= t can divide it.  All
+resource limits are explicit: exceeding one raises ResourceExhausted, which
+carries the GBStats counters reached and which pipelines treat as
+"undetermined", never as a mathematical answer.
 """
 
 from __future__ import annotations
@@ -20,8 +32,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, fields
+import time
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import reduce
 
 from .multipoly import MultiPoly, RingMismatch
 
@@ -37,6 +51,7 @@ class GBStats:
     basis_size: int = 0       # members so far, before minimalization
     max_degree: int = 0       # largest lead degree added
     max_coeff_bits: int = 0   # largest coefficient added, in bits
+    seconds: float = field(default=0.0, compare=False)  # wall time, to 1 us
 
     def __str__(self):
         return ", ".join(f"{f.name}={getattr(self, f.name)}"
@@ -110,25 +125,103 @@ class TermOrder:
 GREVLEX = TermOrder("grevlex")
 
 
-class _KeyCache(dict):
-    """Order keys of the monomials one computation meets, each computed once.
-    Pass the bound __getitem__ as a sort key: a hit stays in C, a miss goes
-    through __missing__."""
-
-    def __init__(self, order: TermOrder):
-        super().__init__()
-        self.order_key = order.key
-
-    def __missing__(self, e):
-        k = self[e] = self.order_key(e)
-        return k
-
-
 def elimination_order(n: int, eliminate) -> TermOrder:
     """Lex order with the eliminated variables largest."""
     elim = [i for i in range(n) if i in set(eliminate)]
     keep = [i for i in range(n) if i not in set(eliminate)]
     return TermOrder("lex", perm=elim + keep)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _FieldOverflow(ArithmeticError):
+    """A packed monomial does not fit its fields."""
+
+
+def _grevlex_fields(vs):
+    """Order fields of grevlex on the variables vs, as the variables each
+    field sums: the degree, then the partial sums of the first
+    len(vs) - 1, ..., 1 of them (a larger sum of the first k means a smaller
+    exponent further on)."""
+    return [vs[:k] for k in range(len(vs), 0, -1)]
+
+
+class _Packing:
+    """Monomials in n variables packed into one int each, for one term
+    order.  The order fields come first, most significant (lex: the
+    exponents; grevlex: the degree and partial sums; block orders: one such
+    list per block, after the order's permutation), then the n exponents.
+    Each field is w bits with a guard bit above them, 2^w > 4 * degree.
+
+    Every field is a sum of exponents, so packing is additive: words compare
+    as the monomials do in the order, adding words multiplies monomials, and
+    lead | t iff (t - lead) & guard == 0, since an exponent of t smaller than
+    lead's borrows into its guard bit.  No field exceeds the total degree;
+    a word or product whose fields would reach 2^w raises _FieldOverflow."""
+
+    def __init__(self, n: int, order: TermOrder, degree: int):
+        vs = list(order.perm) if order.perm is not None else list(range(n))
+        if order.kind == "lex":
+            rows = [[v] for v in vs]
+        elif order.kind == "grevlex":
+            rows = _grevlex_fields(vs)
+        else:  # block1 is the block order with one variable in block one
+            k = 1 if order.kind == "block1" else order.nblock
+            rows = _grevlex_fields(vs[:k]) + _grevlex_fields(vs[k:])
+        rows += [[i] for i in range(n)]
+        w = (4 * max(degree, 1)).bit_length()
+        width = w + 1
+        self.units = [0] * n  # the word of each variable
+        for j, row in enumerate(reversed(rows)):
+            for v in row:
+                self.units[v] += 1 << (j * width)
+        guards = [1 << (j * width + w) for j in range(len(rows))]
+        self.guard = sum(guards[:n])     # the exponent fields' guard bits
+        self.full_guard = sum(guards)
+        self.limit = 1 << w
+        self.shifts = [(n - 1 - i) * width for i in range(n)]
+
+    def encode(self, e) -> int:
+        if sum(e) >= self.limit:
+            raise _FieldOverflow
+        return sum(map(operator.mul, e, self.units))
+
+    def decode(self, m) -> tuple:
+        mask = self.limit - 1
+        return tuple((m >> s) & mask for s in self.shifts)
+
+    def packed(self, p):
+        return {self.encode(e): c for e, c in p.items()}
+
+    def unpacked(self, p):
+        return {self.decode(m): c for m, c in p.items()}
+
+    def check_shift(self, g, hi, q):
+        """Raise _FieldOverflow if some monomial of g times q overflows a
+        field.  Each field of hi, the bitwise or of g's monomials, bounds
+        theirs, so the exact test runs only when hi + q fails."""
+        guard = self.full_guard
+        if (hi + q) & guard and any((m + q) & guard for m in g):
+            raise _FieldOverflow
+
+
+class _Basis:
+    """Content-free integer polynomials with packed monomials, with their
+    leads, lead coefficients and the bitwise or of their monomials, and the
+    memo of first divisors that _reduce_int keeps for them.  Members are
+    only appended, so a first divisor stays the first."""
+
+    def __init__(self):
+        self.polys, self.leads, self.lcs, self.his = [], [], [], []
+        self.memo = {}
+
+    def append(self, p, le):
+        self.polys.append(p)
+        self.leads.append(le)
+        self.lcs.append(p[le])
+        self.his.append(reduce(operator.or_, p))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +235,7 @@ def _to_int_poly(p: MultiPoly):
     return {e: int(v / c) for e, v in p.terms.items()}
 
 
-def _normalize(p, key):
+def _normalize(p):
     if not p:
         return p
     g = 0
@@ -152,59 +245,73 @@ def _normalize(p, key):
             break
     if g > 1:
         p = {e: c // g for e, c in p.items()}
-    le = max(p, key=key)
-    if p[le] < 0:
+    if p[max(p)] < 0:
         p = {e: -c for e, c in p.items()}
     return p
 
 
-def _divides(a, b):
-    return all(map(operator.le, a, b))
-
-
-def _mono_mul(p, e0, c0):
-    if c0 == 1 and not any(e0):
-        return dict(p)
-    return {tuple(map(operator.add, e, e0)): c * c0 for e, c in p.items()}
-
-
-def _add_into(a, b):
-    for e, c in b.items():
-        nc = a.get(e, 0) + c
+def _sub_shifted(p, g, q, c):
+    """p -= c * x^q * g, in place."""
+    for m, cg in g.items():
+        t = m + q
+        nc = p.get(t, 0) - cg * c
         if nc:
-            a[e] = nc
-        elif e in a:
-            del a[e]
-    return a
+            p[t] = nc
+        else:
+            del p[t]
 
 
-def _reduce_int(p, basis, leads, key):
-    """Full normal form of the integer dict p modulo the list of integer
-    polys.  Returns (r, s): r is content-free with positive lead and equals
-    s times the exact remainder; s (a nonzero Fraction) accounts for the
-    multipliers and content divisions applied along the way."""
+def _reduce_int(p, basis: _Basis, packing: _Packing):
+    """Full normal form of the integer dict p modulo the basis.  Returns
+    (r, s): r is content-free with positive lead and equals s times the
+    exact remainder; s (a nonzero Fraction) accounts for the multipliers
+    and content divisions applied along the way."""
+    polys, leads, lcs, his = basis.polys, basis.leads, basis.lcs, basis.his
+    memo, guard = basis.memo, packing.guard
     p = dict(p)
+    heap = [-t for t in p]  # p's monomials, negated; stale ones are skipped
+    heapq.heapify(heap)
     out = {}
     num = den = 1
-    while p:
-        e = max(p, key=key)
-        for g, (lg, lc) in zip(basis, leads):
-            if _divides(lg, e):
-                break
-        else:
-            out[e] = p.pop(e)
+    while heap:
+        e = -heapq.heappop(heap)
+        if e not in p:
             continue
+        k = memo.get(e, -1)
+        if k < 0:  # no lead among the first ~k divides e
+            k, nb = ~k, len(leads)
+            while k < nb and (e - leads[k]) & guard:
+                k += 1
+            if k == nb:
+                memo[e] = ~nb
+                out[e] = p.pop(e)
+                continue
+            memo[e] = k
         c = p[e]
+        lc = lcs[k]
         d = math.gcd(abs(c), lc)
         mp = lc // d
         mg = c // d
         if mp != 1:
             num *= mp
-            for k in p:
-                p[k] *= mp
-            for k in out:
-                out[k] *= mp
-        _add_into(p, _mono_mul(g, tuple(map(operator.sub, e, lg)), -mg))
+            for t in p:
+                p[t] *= mp
+            for t in out:
+                out[t] *= mp
+        q = e - leads[k]
+        packing.check_shift(polys[k], his[k], q)
+        for m, cg in polys[k].items():
+            t = m + q
+            nc = p.get(t)
+            if nc is None:
+                p[t] = -cg * mg
+                heapq.heappush(heap, -t)
+            else:
+                nc -= cg * mg
+                if nc:
+                    p[t] = nc
+                else:
+                    del p[t]
         if len(p) + len(out) > 64:
             g = 0
             for c0 in p.values():
@@ -218,124 +325,142 @@ def _reduce_int(p, basis, leads, key):
                         break
             if g > 1:
                 den *= g
-                p = {k: v // g for k, v in p.items()}
-                out = {k: v // g for k, v in out.items()}
-    r = _normalize(out, key)
+                p = {t: v // g for t, v in p.items()}
+                out = {t: v // g for t, v in out.items()}
+    r = _normalize(out)
     if not r:
         return r, Fraction(num, den)
     e = next(iter(r))
     return r, Fraction(num * r[e], den * out[e])
 
 
-def _buchberger(gens, order: TermOrder, budget: Budget):
-    key = _KeyCache(order).__getitem__
+def _buchberger(n, gens, order: TermOrder, budget: Budget):
+    """Reduced basis of the integer dicts gens (exponent tuples, n
+    variables) and the counters of the computation.  The basis is a list of
+    (lead, poly) pairs in ascending lead order, each poly content-free with
+    a positive lead coefficient."""
+    start = time.perf_counter()
     stats = GBStats()
-    G, leads, sugars = [], [], []
 
-    def exhausted(limit):
-        return ResourceExhausted(limit, str(getattr(budget, limit)), stats)
+    def stop():
+        stats.seconds = round(time.perf_counter() - start, 6)
+        return stats
+
+    def exhausted(limit, note=""):
+        return ResourceExhausted(limit, f"{getattr(budget, limit)}{note}",
+                                 stop())
+
+    pk = _Packing(n, order, max([budget.max_degree] +
+                                [sum(e) for g in gens for e in g]))
+    G = _Basis()
+    exps, sugars = [], []  # lead exponents and sugar of each member
 
     def push(p, sug=None):
-        le = max(p, key=key)
-        deg = sum(le)
+        le = max(p)
+        lexp = pk.decode(le)
+        deg = sum(lexp)
         stats.max_degree = max(stats.max_degree, deg)
         stats.max_coeff_bits = max(stats.max_coeff_bits,
                                    max(map(abs, p.values())).bit_length())
         if deg > budget.max_degree:
             raise exhausted("max_degree")
-        G.append(p)
-        leads.append((le, p[le]))
+        G.append(p, le)
+        exps.append(lexp)
         sugars.append(sug if sug is not None else deg)
-        stats.basis_size = len(G)
-        if len(G) > budget.max_basis:
+        stats.basis_size = len(G.polys)
+        if len(G.polys) > budget.max_basis:
             raise exhausted("max_basis")
 
-    for g in gens:
-        g = _normalize(dict(g), key)
-        if g:
-            push(g)
-    if not G:
-        return []
-
     def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(leads[i][0], leads[j][0]))
+        return tuple(map(max, exps[i], exps[j]))
 
     def pair_entry(i, j):
-        l = lcm_of(i, j)
-        si = sugars[i] + sum(l) - sum(leads[i][0])
-        sj = sugars[j] + sum(l) - sum(leads[j][0])
-        return (max(si, sj), sum(l), i, j)
+        l = sum(lcm_of(i, j))
+        si = sugars[i] + l - sum(exps[i])
+        sj = sugars[j] + l - sum(exps[j])
+        return (max(si, sj), l, i, j)
 
-    pq = [pair_entry(i, j) for i in range(len(G)) for j in range(i)]
-    heapq.heapify(pq)
-    done = set()
-    while pq:
-        if stats.pairs >= budget.max_pairs:
-            raise exhausted("max_pairs")
-        sug, _, i, j = heapq.heappop(pq)
-        stats.pairs += 1
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        li, ci = leads[i]
-        lj, cj = leads[j]
-        l = lcm_of(i, j)
-        if all(a + b == m for a, b, m in zip(li, lj, l)):
-            stats.coprime_skips += 1
-            continue
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
+    try:
+        for g in gens:
+            g = _normalize(pk.packed(g))
+            if g:
+                push(g)
+        if not G.polys:
+            return [], stop()
+        leads, guard = G.leads, pk.guard
+        pq = [pair_entry(i, j) for i in range(len(leads)) for j in range(i)]
+        heapq.heapify(pq)
+        done = set()
+        while pq:
+            if stats.pairs >= budget.max_pairs:
+                raise exhausted("max_pairs")
+            sug, _, i, j = heapq.heappop(pq)
+            stats.pairs += 1
+            if (i, j) in done:
                 continue
-            if _divides(leads[k][0], l):
-                if (max(i, k), min(i, k)) in done and \
-                        (max(j, k), min(j, k)) in done:
-                    skip = True
+            done.add((i, j))
+            li, lj = leads[i], leads[j]
+            l = pk.encode(lcm_of(i, j))
+            if l == li + lj:
+                stats.coprime_skips += 1
+                continue
+            skip = False
+            for k, lk in enumerate(leads):
+                if k in (i, j):
+                    continue
+                if not (l - lk) & guard:
+                    if (max(i, k), min(i, k)) in done and \
+                            (max(j, k), min(j, k)) in done:
+                        skip = True
+                        break
+            if skip:
+                stats.chain_skips += 1
+                continue
+            ci, cj = G.lcs[i], G.lcs[j]
+            d = math.gcd(ci, cj)
+            cl = ci // d * cj
+            qi, qj = l - li, l - lj
+            pk.check_shift(G.polys[i], G.his[i], qi)
+            pk.check_shift(G.polys[j], G.his[j], qj)
+            sp = {m + qi: c * (cl // ci) for m, c in G.polys[i].items()}
+            _sub_shifted(sp, G.polys[j], qj, cl // cj)
+            stats.reductions += 1
+            nf, _ = _reduce_int(sp, G, pk)
+            if not nf:
+                stats.zero_reductions += 1
+                continue
+            if not max(nf):
+                zero = (0,) * n
+                return [(zero, {zero: 1})], stop()  # unit ideal
+            idx = len(leads)
+            push(nf, sug)
+            for k in range(idx):
+                heapq.heappush(pq, pair_entry(idx, k))
+        # minimalize: drop members whose lead is divisible by another lead
+        keep = []
+        for i, li in enumerate(leads):
+            dominated = False
+            for j, lj in enumerate(leads):
+                if j == i:
+                    continue
+                if not (li - lj) & guard and (lj != li or j < i):
+                    dominated = True
                     break
-        if skip:
-            stats.chain_skips += 1
-            continue
-        d = math.gcd(ci, cj)
-        cl = ci // d * cj
-        sp = _mono_mul(G[i], tuple(map(operator.sub, l, li)), cl // ci)
-        _add_into(sp, _mono_mul(G[j], tuple(map(operator.sub, l, lj)),
-                                -cl // cj))
-        stats.reductions += 1
-        nf, _ = _reduce_int(sp, G, leads, key)
-        if not nf:
-            stats.zero_reductions += 1
-            continue
-        le = max(nf, key=key)
-        if not any(x for x in le):
-            return [{le: 1}]  # unit ideal
-        idx = len(G)
-        push(nf, sug)
-        for k in range(idx):
-            heapq.heappush(pq, pair_entry(idx, k))
-    # minimalize: drop members whose lead is divisible by another lead
-    keep = []
-    for i in range(len(G)):
-        li = leads[i][0]
-        dominated = False
-        for j in range(len(G)):
-            if j == i:
-                continue
-            lj = leads[j][0]
-            if _divides(lj, li) and (lj != li or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    # interreduce in ascending lead order, each member against the members
-    # already reduced (every member of G is content-free with positive lead)
-    keep.sort(key=lambda i: key(leads[i][0]))
-    out, out_leads = [], []
-    for i in keep:
-        r = _reduce_int(G[i], out, out_leads, key)[0] if out else G[i]
-        le = leads[i][0]
-        out.append(r)
-        out_leads.append((le, r[le]))
-    return out
+            if not dominated:
+                keep.append(i)
+        # interreduce in ascending lead order, each member against the
+        # members already reduced (every member of G is content-free with
+        # positive lead)
+        keep.sort(key=leads.__getitem__)
+        out = _Basis()
+        for i in keep:
+            r = _reduce_int(G.polys[i], out, pk)[0] if out.polys \
+                else G.polys[i]
+            out.append(r, leads[i])
+    except _FieldOverflow:
+        raise exhausted("max_degree", ", field overflow") from None
+    return [(pk.decode(le), pk.unpacked(r))
+            for le, r in zip(out.leads, out.polys)], stop()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +485,7 @@ class Ideal:
                 gens.append(g)
         self.generators = gens
         self._basis_cache = {}
+        self._stats_cache = {}
 
     def _cache_key(self, order: TermOrder):
         return (order.kind, order.perm, order.nblock)
@@ -369,17 +495,25 @@ class Ideal:
         key = self._cache_key(order)
         if key in self._basis_cache:
             return self._basis_cache[key]
-        raw = _buchberger([_to_int_poly(g) for g in self.generators],
-                          order, budget)
+        raw, stats = _buchberger(self.n, [_to_int_poly(g)
+                                          for g in self.generators],
+                                 order, budget)
         basis = []
-        for p in raw:
-            le = max(p, key=order.key)
+        for le, p in raw:
             lc = Fraction(p[le])
             q = MultiPoly(self.n, None, False)
             q.terms = {e: Fraction(c) / lc for e, c in p.items()}
             basis.append(q)
         self._basis_cache[key] = basis
+        self._stats_cache[key] = stats
         return basis
+
+    def stats(self, order: TermOrder = GREVLEX) -> GBStats | None:
+        """Counters of the Buchberger run behind the cached basis in this
+        order; None when no run here produced it (not computed yet, or
+        handed over by the saturation or intersection that made this
+        ideal)."""
+        return self._stats_cache.get(self._cache_key(order))
 
     def __repr__(self):
         return f"Ideal(n={self.n}, {len(self.generators)} generators)"
@@ -397,16 +531,23 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
         raise RingMismatch("arity mismatch")
     if p.laurent:
         p = p.strip_monomial_content().as_polynomial()
-    key = _KeyCache(order).__getitem__
-    basis = [_to_int_poly(g) for g in I.groebner_basis(order, budget)]
-    leads = []
-    for g in basis:
-        le = max(g, key=key)
-        leads.append((le, g[le]))
-    rem, scale = _reduce_int(_to_int_poly(p), basis, leads, key)
+    polys = [_to_int_poly(g) for g in I.groebner_basis(order, budget)]
+    polys.append(_to_int_poly(p))
+    pk = _Packing(I.n, order, max([budget.max_degree] +
+                                  [sum(e) for g in polys for e in g]))
+    basis = _Basis()
+    for g in polys[:-1]:
+        g = pk.packed(g)
+        basis.append(g, max(g))
+    try:
+        rem, scale = _reduce_int(pk.packed(polys[-1]), basis, pk)
+    except _FieldOverflow:
+        raise ResourceExhausted("max_degree",
+                                f"{budget.max_degree}, field overflow",
+                                I.stats(order) or GBStats()) from None
     factor = p.content() / scale
     r = MultiPoly(I.n, None, False)
-    r.terms = {e: c * factor for e, c in rem.items()}
+    r.terms = {pk.decode(m): c * factor for m, c in rem.items()}
     return r
 
 

@@ -64,6 +64,12 @@ class TestArgumentErrors:
           InputFile("pole 1\nzero a\n")], "line 2: zero takes 2 field(s)"),
         (["ideal", "--op", "eliminate", "--keep", "x,w"],
          "unknown variable 'w'"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--subspace", InputFile("1 0 0\n\n1 a 0\n")],
+         "arg4, line 3: 'a' is not an integer"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("pole 1\nzero a x\n")],
+         "arg4, line 2: 'x' is not an integer"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

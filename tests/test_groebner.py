@@ -2,7 +2,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
-from operator import sub
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +175,44 @@ class TestBudgets:
         assert info.value.stats.zero_reductions <= \
             info.value.stats.reductions <= info.value.stats.pairs
 
+    def test_field_overflow_raises_instead_of_wrapping(self):
+        """max_degree 3 gives 4-bit fields; in lex, reducing the S-pair of
+        x1 - x2^3 and x1^2 - 1 rewrites x1^2 as x3^18, past them."""
+        I = mk(3, "x1 - x2^3", "x2 - x3^3", "x1^2 - 1")
+        with pytest.raises(ResourceExhausted) as info:
+            I.groebner_basis(TermOrder("lex"), Budget(max_degree=3))
+        exc = info.value
+        assert exc.stage == "max_degree"
+        assert "field overflow" in str(exc)
+        assert exc.stats.pairs >= exc.stats.reductions == 1
+        assert I.stats(TermOrder("lex")) is None
+
+    @pytest.mark.parametrize("kind, expect", [
+        ("lex", {(0, 82): F(2 ** 40, 3)}),
+        ("grevlex", {(41, 0): F(1, 6)}),
+    ])
+    def test_normal_form_above_the_degree_budget(self, kind, expect):
+        """x^40*y^2 modulo x - 2*y^2 with max_degree 3: the fields are sized
+        from the input too, so the remainder is still the exact one."""
+        I = mk(2, "x - 2*y^2")
+        p = parse("x^40*y^2", XY) * F(1, 3)
+        rem = normal_form(p, I, TermOrder(kind), Budget(max_degree=3))
+        assert rem.terms == expect
+
+    def test_counters_on_success(self):
+        I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        assert I.stats() is None
+        basis = I.groebner_basis()
+        stats = I.stats()
+        assert stats.basis_size >= len(basis)
+        assert stats.pairs >= stats.reductions >= stats.zero_reductions
+        assert stats.seconds >= 0
+        assert f"seconds={stats.seconds}" in str(stats)
+        assert I.stats(TermOrder("lex")) is None
+        again = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        again.groebner_basis()
+        assert again.stats() == stats  # seconds are not compared
+
     def test_profiles_exist(self):
         assert set(BUDGET_PROFILES) == {"default", "extended", "stretch"}
 
@@ -225,6 +263,26 @@ def draw_order(data, n):
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_packing_is_the_order(data):
+    """Packed words compare as order.key does, add as exponents do, and the
+    guard test is the componentwise <=, for every order kind and perm."""
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["lex", "grevlex", "block1", "block"]))
+    perm = data.draw(st.none() | st.permutations(range(n)))
+    order = TermOrder(kind, perm=perm, nblock=data.draw(st.integers(1, n)))
+    exps = st.lists(st.integers(0, 40), min_size=n, max_size=n).map(tuple)
+    a, b = data.draw(exps), data.draw(exps)
+    packing = groebner._Packing(n, order, sum(a) + sum(b))
+    pa, pb = packing.encode(a), packing.encode(b)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == packing.encode(tuple(map(add, a, b)))
+    assert packing.decode(pa) == a
+    assert ((pb - pa) & packing.guard == 0) == all(map(le, a, b))
 
 
 @settings(max_examples=150, deadline=None)

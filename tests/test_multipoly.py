@@ -1,13 +1,29 @@
 import random
+from operator import mul
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torion.multipoly import (MultiPoly, PolySyntaxError, RingMismatch,
                               UnknownVariable, data_text, parse,
                               read_poly_file, substitute_torus)
 
 XYZ = ["x", "y", "z"]
+NAMES = ["x", "y", "z", "w"]
+
+
+@st.composite
+def polys(draw):
+    """1-4 variables, up to six terms with rational coefficients, and in
+    Laurent mode exponents down to -3."""
+    n = draw(st.integers(1, 4))
+    laurent = draw(st.booleans())
+    mono = st.lists(st.integers(-3 if laurent else 0, 3), min_size=n,
+                    max_size=n).map(tuple)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return MultiPoly(n, draw(st.dictionaries(mono, coeff, max_size=6)),
+                     laurent)
 
 
 class TestParse:
@@ -44,6 +60,12 @@ class TestParse:
                 terms[e] = F(rng.randint(-9, 9)) or F(1)
             p = MultiPoly(3, terms)
             assert parse(p.to_string(XYZ), XYZ) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys())
+    def test_parse_print_round_trip_property(self, p):
+        names = NAMES[:p.n]
+        assert parse(p.to_string(names), names, laurent=p.laurent) == p
 
 
 class TestArith:
@@ -131,6 +153,25 @@ class TestSubstituteTorus:
                 for _, q in parts:
                     union.extend(q.terms)
                 assert sorted(union) == sorted(p.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys(), st.data())
+    def test_parts_partition_the_support(self, p, data):
+        """Every term lands in exactly one part, the part of its image
+        under E, and the parts add up to p."""
+        row = st.lists(st.integers(-3, 3), min_size=p.n, max_size=p.n)
+        E = data.draw(st.lists(row, min_size=1, max_size=3))
+        parts = substitute_torus(p, E)
+        assert [J for J, _ in parts] == sorted({J for J, _ in parts})
+        placed = [e for _, q in parts for e in q.terms]
+        assert sorted(placed) == sorted(p.terms)
+        total = MultiPoly.zero(p.n, p.laurent)
+        for J, q in parts:
+            assert q.terms
+            assert all(tuple(sum(map(mul, r, e)) for r in E) == J
+                       for e in q.terms)
+            total = total + q
+        assert total == p
 
     def test_substitution_identity(self):
         # sum_J p_J(a) t^J == p(a_1 t^E1, ..., a_n t^En) for random a, t
