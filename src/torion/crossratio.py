@@ -3,7 +3,9 @@ for stable one-forms, torsion-configuration checks, and the degeneration
 combinatorics of marked trees.
 
 Projective points carry homogeneous 2-coordinates so infinity needs no
-special case: all cross-ratios are ratios of 2x2 determinants.
+special case: all cross-ratios are ratios of 2x2 determinants.  A
+degeneration tree is a `flatnet.DualGraph`, and its exponents are read off
+the graph's tree paths.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
     RootOfUnity, UPoly, cyclotomic_order, min_poly_of, trace_dual_basis
+from .flatnet import Disconnected, DualGraph, UnknownVertex
 from .multipoly import MultiPoly
 from . import intlat
 
@@ -60,11 +63,7 @@ class ProjPoint:
 
     @staticmethod
     def _is_zero(x):
-        if isinstance(x, Fraction):
-            return x == 0
-        if hasattr(x, "is_zero"):
-            return x.is_zero()
-        return x == 0
+        return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
     @classmethod
     def infinity(cls):
@@ -89,8 +88,6 @@ class ProjPoint:
     def affine(self):
         if self.is_infinity():
             raise ValueError("infinite point")
-        if isinstance(self.u, Fraction) and isinstance(self.v, Fraction):
-            return self.u / self.v
         return self.u * _invert(self.v)
 
     def __repr__(self):
@@ -101,11 +98,7 @@ ProjPoint.INF = ProjPoint(1, 0)
 
 
 def _invert(x):
-    if isinstance(x, Fraction):
-        return Fraction(1) / x
-    if hasattr(x, "inverse"):
-        return x.inverse()
-    return 1 / x
+    return x.inverse() if hasattr(x, "inverse") else 1 / x
 
 
 def _det(a: ProjPoint, b: ProjPoint):
@@ -122,8 +115,6 @@ def cross_ratio(z1, z2, z3, z4):
                 raise DegenerateQuadruple(f"points {i+1} and {j+1} coincide")
     num = _det(pts[0], pts[2]) * _det(pts[1], pts[3])
     den = _det(pts[0], pts[3]) * _det(pts[1], pts[2])
-    if isinstance(num, Fraction) and isinstance(den, Fraction):
-        return num / den
     return num * _invert(den)
 
 
@@ -185,8 +176,7 @@ def residues(cfg: StableFormConfig):
         for z, m in cfg.zeros:
             if z.is_infinity():
                 continue
-            f = a - z.affine()
-            fm = f ** m if not isinstance(f, Fraction) else f ** m
+            fm = (a - z.affine()) ** m
             num = fm if num is None else num * fm
         if num is None:
             num = Fraction(1)
@@ -564,7 +554,7 @@ def torsion_config_check(cfg: StableFormConfig, fld, N: int):
     rs = residues(cfg)
     n = len(cfg.poles)
     for part, s in zip(cfg.pair_partition, partition_residue_sums(cfg)):
-        if not _value_is_zero(s):
+        if not ProjPoint._is_zero(s):
             return ("violates", "i")
     ratios = [r * _invert(rs[0]) for r in rs]
     dim = _q_span_dimension(ratios)
@@ -587,14 +577,6 @@ def torsion_config_check(cfg: StableFormConfig, fld, N: int):
                         if order is None or N % order != 0:
                             return ("violates", "iii")
     return ("satisfies", None)
-
-
-def _value_is_zero(x):
-    if isinstance(x, Fraction):
-        return x == 0
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 def _q_span_dimension(values):
@@ -806,31 +788,17 @@ class DecoratedTree:
     def __post_init__(self):
         self.vertex_labels = {v: set(ls) for v, ls in
                               self.vertex_labels.items()}
-        vs = set(self.vertex_labels)
-        if len(self.edges) != len(vs) - 1:
+        if len(self.edges) != len(self.vertex_labels) - 1:
             raise InvalidTree("edge count must be vertex count - 1")
-        adj = {v: [] for v in vs}
-        for eid, u, v in self.edges:
-            if u not in vs or v not in vs:
-                raise InvalidTree("edge endpoint missing")
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
-        seen = {next(iter(vs))}
-        stack = [next(iter(vs))]
-        while stack:
-            u = stack.pop()
-            for _, w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vs:
-            raise InvalidTree("graph is not connected")
+        try:
+            self.graph = DualGraph(self.vertex_labels, self.edges)
+        except (UnknownVertex, Disconnected, ValueError) as exc:
+            raise InvalidTree(exc.args[0]) from exc
         for v, ls in self.vertex_labels.items():
             if not any(l.startswith("z") for l in ls):
                 raise InvalidTree(f"vertex {v} carries no zero")
         if any(self.twists.get(eid, 0) < 0 for eid, _, _ in self.edges):
             raise InvalidTree("negative twist count")
-        self._adj = adj
 
     def vertex_of(self, label):
         for v, ls in self.vertex_labels.items():
@@ -838,59 +806,24 @@ class DecoratedTree:
                 return v
         raise InvalidTree(f"label {label} not attached")
 
-    def path(self, a, b):
-        """Vertex path from a to b (unique in a tree)."""
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for eid, w in self._adj[u]:
-                if w not in prev:
-                    prev[w] = (u, eid)
-                    stack.append(w)
-        path = [b]
-        edges = []
-        u = b
-        while prev[u] is not None:
-            p, eid = prev[u]
-            edges.append(eid)
-            path.append(p)
-            u = p
-        return list(reversed(path)), list(reversed(edges))
-
 
 def degeneration_exponent(tree: DecoratedTree, zero_pair, pole_pair_index):
     """Exponent of the coordinate R_{abj} on the degenerating family encoded
-    by the tree: the signed sum of the twist counts over the overlap of the
-    pole-pair path with the (z_a -> z_b) segment.  The sign is positive when
-    the oriented segment from the projection of x_j to the projection of
-    y_j agrees with the z_a -> z_b orientation (the convention that
-    reproduces the standard degeneration matrices)."""
+    by the tree: sum twist(e) s1(e) s2(e) over the edges e shared by the
+    tree paths z_a -> z_b and x_j -> y_j, with s1, s2 the two paths' signs
+    on e.  The shared edges are the segment between the projections of x_j
+    and y_j onto the z_a -> z_b path, and s1 s2 = +1 exactly when the two
+    paths cross it in the same direction (the convention that reproduces
+    the standard degeneration matrices)."""
     a, b = zero_pair
     j = pole_pair_index
     if a == b:
         raise InvalidTree("need two distinct zeros")
-    za, zb = tree.vertex_of(f"z{a}"), tree.vertex_of(f"z{b}")
-    path, edges = tree.path(za, zb)
-    pos = {v: i for i, v in enumerate(path)}
-    xv, yv = tree.vertex_of(f"x{j}"), tree.vertex_of(f"y{j}")
-
-    def project(v):
-        # nearest vertex of the path in the tree metric
-        p, _ = tree.path(v, za)
-        for u in p:
-            if u in pos:
-                return u
-        raise InvalidTree("projection failed")
-
-    px, py = pos[project(xv)], pos[project(yv)]
-    if px == py:
-        return 0
-    lo, hi = min(px, py), max(px, py)
-    total = sum(tree.twists.get(edges[i], 0) for i in range(lo, hi))
-    return total if px < py else -total
+    g = tree.graph
+    zpath = g.tree_path(tree.vertex_of(f"z{a}"), tree.vertex_of(f"z{b}"))
+    xpath = g.tree_path(tree.vertex_of(f"x{j}"), tree.vertex_of(f"y{j}"))
+    return sum(tree.twists.get(e, 0) * s * xpath[e]
+               for e, s in zpath.items() if e in xpath)
 
 
 def standard_degeneration_trees():

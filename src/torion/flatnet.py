@@ -2,6 +2,12 @@
 decompositions, integral Kirchhoff currents, exact moduli recovery from
 circuit relations, height audits, and the trace-matrix construction.
 
+The spanning tree with the smallest edge ids and its fundamental circuits
+are the one graph layer: tree paths, flows, bridges, blocks (the components
+of the cycle matroid, by union-find over the circuits) and trace matrices
+all come from them.  Degeneration trees in `crossratio` use the same tree
+paths.
+
 Currents are integers, moduli are positive rationals determined per block up
 to scale; every linear step is exact.
 """
@@ -38,6 +44,14 @@ class SingularP(ArithmeticError):
     pass
 
 
+def find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class DualGraph:
     """Oriented multigraph; loops and parallel edges allowed.  Edges are
     (id, tail, head); stable-curve mode additionally forbids bridges."""
@@ -61,13 +75,6 @@ class DualGraph:
     def edge_ids(self):
         return sorted(self.edges)
 
-    def incident(self, v):
-        out = []
-        for eid, (t, h) in self.edges.items():
-            if t == v or h == v:
-                out.append(eid)
-        return sorted(out)
-
     def is_connected(self):
         return len(self.spanning_tree()) == len(self.vertices) - 1
 
@@ -80,26 +87,14 @@ class DualGraph:
                 out.append(blk[0])
         return out
 
-    def subgraph(self, edge_subset):
-        es = [(eid, *self.edges[eid]) for eid in edge_subset]
-        vs = sorted({v for _, t, h in es for v in (t, h)})
-        return DualGraph(vs, es)
-
     def spanning_tree(self):
         """Edge ids of the lexicographically smallest spanning tree (Kruskal
         over sorted ids)."""
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         tree = []
         for eid in self.edge_ids():
             t, h = self.edges[eid]
-            rt, rh = find(t), find(h)
+            rt, rh = find(parent, t), find(parent, h)
             if rt != rh:
                 parent[rt] = rh
                 tree.append(eid)
@@ -165,68 +160,28 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: DualGraph) -> BlockDecomposition:
-    """Biconnected components; loops form their own blocks.  Deterministic:
-    blocks ordered by smallest edge id."""
-    loops = [eid for eid, (t, h) in g.edges.items() if t == h]
-    nonloop = [(eid, *g.edges[eid]) for eid in g.edges if eid not in loops]
-
-    index = {}
-    low = {}
-    counter = [0]
-    stack = []
-    blocks = []
+    """Blocks: the connected components of the cycle matroid.  Two edges
+    share a block exactly when a chain of fundamental circuits, each sharing
+    an edge with the next, links them; a loop's circuit is the loop alone
+    and a bridge lies on no circuit, so each is a block of one edge.
+    Blocks are ordered by smallest edge id; articulation vertices are the
+    vertices that lie in two or more blocks."""
+    parent = {eid: eid for eid in g.edges}
+    for chord, circ in g.fundamental_circuits():
+        root = find(parent, chord)
+        for eid in circ:
+            parent[find(parent, eid)] = root
+    members = {}
+    for eid in g.edge_ids():  # a block first appears at its smallest id
+        members.setdefault(find(parent, eid), []).append(eid)
+    blocks = list(members.values())
+    seen = set()
     arts = set()
-
-    adj = {v: [] for v in g.vertices}
-    for eid, t, h in nonloop:
-        adj[t].append((eid, h))
-        adj[h].append((eid, t))
-
-    def dfs(u, parent_edge):
-        index[u] = low[u] = counter[0]
-        counter[0] += 1
-        children = 0
-        for eid, w in adj[u]:
-            if eid == parent_edge:
-                continue
-            if w not in index:
-                children += 1
-                stack.append(eid)
-                dfs(w, eid)
-                low[u] = min(low[u], low[w])
-                if (parent_edge is None and children > 1) or \
-                        (parent_edge is not None and low[w] >= index[u]):
-                    arts.add(u)
-                if low[w] >= index[u]:
-                    blk = set()
-                    while True:
-                        e2 = stack.pop()
-                        blk.add(e2)
-                        if e2 == eid:
-                            break
-                    blocks.append(sorted(blk))
-            elif index[w] < index[u]:
-                stack.append(eid)
-                low[u] = min(low[u], index[w])
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(g.vertices) + 64))
-    try:
-        for v in g.vertices:
-            if v not in index:
-                dfs(v, None)
-                if stack:
-                    blocks.append(sorted(set(stack)))
-                    stack.clear()
-    finally:
-        sys.setrecursionlimit(old)
-    for eid in sorted(loops):
-        blocks.append([eid])
-        v = g.edges[eid][0]
-        if any(e2 != eid for e2 in g.incident(v)):
-            arts.add(v)
-    blocks.sort(key=lambda b: b[0])
+    for blk in blocks:
+        for v in {v for eid in blk for v in g.edges[eid]}:
+            if v in seen:
+                arts.add(v)
+            seen.add(v)
     return BlockDecomposition(blocks, sorted(arts))
 
 
@@ -247,21 +202,19 @@ class CurrentAssignment:
 
 
 def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
-    """Incoming minus outgoing current equals the vertex weight, everywhere."""
-    for eid in assignment.currents:
+    """Incoming minus outgoing current equals the vertex weight, everywhere
+    (a loop's current leaves and enters its vertex, so it nets to zero)."""
+    net = dict.fromkeys(g.vertices, 0)
+    for eid, w in assignment.currents.items():
         if eid not in g.edges:
             raise UnknownEdge(str(eid))
+        t, h = g.edges[eid]
+        net[t] -= w
+        net[h] += w
     for v in assignment.divisor:
-        if v not in g.vertices:
+        if v not in net:
             raise UnknownVertex(str(v))
-    for v in g.vertices:
-        inc = sum(w for eid, w in assignment.currents.items()
-                  if g.edges[eid][1] == v and g.edges[eid][0] != v)
-        out = sum(w for eid, w in assignment.currents.items()
-                  if g.edges[eid][0] == v and g.edges[eid][1] != v)
-        if inc - out != assignment.divisor.get(v, 0):
-            return False
-    return True
+    return all(net[v] == assignment.divisor.get(v, 0) for v in net)
 
 
 def enumerate_currents(g: DualGraph, N: int, source_pair,
@@ -275,6 +228,8 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
     [-N, N]^b1 whose tree currents also stay within N.  BudgetExceeded is
     raised before any work when (2N+1)^b1 exceeds `cap`."""
     v1, v2 = source_pair
+    if N < 1:
+        raise ValueError(f"torsion bound N = {N} is below 1")
     if v1 == v2:
         raise ValueError("source and sink must differ")
     for v in source_pair:
@@ -429,6 +384,8 @@ def moduli_height_audit(block_moduli, N: int):
     block's coprime positive integer moduli.  The comparison happens on
     integers: max m_i <= N^(n-1) * (n-1)!.  Returns (ok, margin_log,
     remark_bound) with the remark-level bound reported informationally."""
+    if N < 1:
+        raise ValueError(f"torsion bound N = {N} is below 1")
     ms = [int(x) for x in block_moduli]
     if any(x <= 0 for x in ms):
         raise ValueError("moduli must be positive integers")

@@ -243,6 +243,14 @@ class TestNetworkCommand:
          ["--trace-matrix"], "no modulus for edges ['e2']"),
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nmodulus e1 1/0\n",
          ["--trace-matrix"], "zero denominator"),
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n",
+         ["--enumerate", "-2", "a", "b"], "torsion bound N = -2 is below 1"),
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nsource a 2\n"
+         "source b -2\ncurrent e1 1\ncurrent e2 1\n",
+         ["--audit", "0"], "torsion bound N = 0 is below 1"),
+        ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nsource a 2\n"
+         "source b -2\ncurrent e1 1\ncurrent e2 1\n",
+         ["--audit", "-1"], "torsion bound N = -1 is below 1"),
     ])
     def test_malformed_network_file_exit_2(self, text, argv, message,
                                            tmp_path, capsys):

@@ -465,6 +465,43 @@ class TestDegenerationTrees:
         with pytest.raises(InvalidTree):
             DecoratedTree({1: {"z1"}, 2: {"x1"}}, [(1, 1, 2)], {1: 0})
 
+    @pytest.mark.parametrize("labels, edges", [
+        # an edge to a vertex that carries no labels at all
+        ({1: {"z1"}, 2: {"z2"}}, [(1, 1, 3)]),
+        # the right edge count, but a cycle and an unreached vertex
+        ({1: {"z1"}, 2: {"z2"}, 3: {"z3"}, 4: {"z4"}},
+         [(1, 1, 2), (2, 2, 3), (3, 3, 1)]),
+        # a path whose two edges share an id
+        ({1: {"z1"}, 2: {"z2"}, 3: {"z3"}}, [(1, 1, 2), (1, 2, 3)]),
+    ], ids=["missing-endpoint", "disconnected", "duplicate-edge-id"])
+    def test_invalid_graph(self, labels, edges):
+        with pytest.raises(InvalidTree):
+            DecoratedTree(labels, edges, {})
+
+    def test_swaps_negate(self):
+        """Swapping x_j with y_j, or z_a with z_b, negates the exponent."""
+        rng = random.Random(8)
+        for _ in range(40):
+            nv = rng.randint(2, 6)
+            edges = [(v, rng.randrange(v), v) for v in range(1, nv)]
+            labels = {v: {f"z{v + 1}"} for v in range(nv)}
+            for j in (1, 2, 3):
+                labels[rng.randrange(nv)].add(f"x{j}")
+                labels[rng.randrange(nv)].add(f"y{j}")
+            swapped = {v: {{"x": "y", "y": "x"}.get(l[0], l[0]) + l[1:]
+                           for l in ls} for v, ls in labels.items()}
+            twists = {e: rng.randint(0, 5) for e, _, _ in edges}
+            tree = DecoratedTree(labels, edges, twists)
+            flipped = DecoratedTree(swapped, edges, twists)
+            for a in range(1, nv + 1):
+                for b in range(1, nv + 1):
+                    if a == b:
+                        continue
+                    for j in (1, 2, 3):
+                        e = degeneration_exponent(tree, (a, b), j)
+                        assert degeneration_exponent(tree, (b, a), j) == -e
+                        assert degeneration_exponent(flipped, (a, b), j) == -e
+
 
 class TestImageOnSurface:
     def test_numeric_pullback_vanishing(self):

@@ -6,7 +6,7 @@ import pytest
 
 from torion.exactnum import RationalMatrix, UPoly, number_field
 from torion.flatnet import (BudgetExceeded, CurrentAssignment, Disconnected,
-                            DualGraph, SingularP, UnknownEdge,
+                            DualGraph, SingularP, UnknownEdge, UnknownVertex,
                             block_decomposition, enumerate_currents,
                             kirchhoff_check, moduli_height_audit,
                             parse_network, small_graph_catalog,
@@ -144,6 +144,27 @@ class TestBlocks:
                 oracle_blocks.setdefault(find(e), []).append(e)
             expect = sorted(sorted(b) for b in oracle_blocks.values())
             assert sorted(blocks) == expect, (g,)
+            # oracle: a vertex is an articulation vertex when deleting it
+            # disconnects the rest (loops play no part in that), or when it
+            # carries a loop and another edge
+            arts = []
+            for v in vs:
+                rest = [u for u in vs if u != v]
+                es = [(t, h) for t, h in g.edges.values()
+                      if v not in (t, h) and t != h]
+                seen = {rest[0]}
+                grow = True
+                while grow:
+                    grow = False
+                    for t, h in es:
+                        if (t in seen) != (h in seen):
+                            seen.update({t, h})
+                            grow = True
+                at_v = [(t, h) for t, h in g.edges.values() if v in (t, h)]
+                if seen != set(rest) or \
+                        ((v, v) in at_v and len(at_v) > 1):
+                    arts.append(v)
+            assert block_decomposition(g).articulation_vertices == arts, (g,)
 
 
 class TestKirchhoff:
@@ -163,6 +184,25 @@ class TestKirchhoff:
         with pytest.raises(UnknownEdge):
             kirchhoff_check(theta(), CurrentAssignment({"a": 0, "b": 0},
                                                        {"zz": 1}))
+
+    def test_unknown_vertex(self):
+        with pytest.raises(UnknownVertex):
+            kirchhoff_check(theta(), CurrentAssignment(
+                {"a": 1, "zz": -1}, {"e1": 0}))
+
+    def test_loop_current_nets_to_zero(self):
+        g = DualGraph(["a", "b"], [("e1", "b", "a"), ("e2", "a", "a")])
+        assert kirchhoff_check(g, CurrentAssignment(
+            {"a": 2, "b": -2}, {"e1": 2, "e2": 7}))
+        assert not kirchhoff_check(g, CurrentAssignment(
+            {"a": 2, "b": -2}, {"e1": 1, "e2": 1}))
+
+    def test_parallel_pair(self):
+        g = banana2()
+        assert kirchhoff_check(g, CurrentAssignment(
+            {"a": 3, "b": -3}, {"e1": 5, "e2": -2}))
+        assert not kirchhoff_check(g, CurrentAssignment(
+            {"a": 3, "b": -3}, {"e1": 3, "e2": 3}))
 
 
 class TestEnumerate:
