@@ -17,21 +17,22 @@ import json
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 from . import __version__
-from .exactnum import RationalMatrix, UPoly, char_poly, quartic_galois_class, \
-    rational
+from .exactnum import UPoly, rational
 from .groebner import BUDGET_PROFILES, GREVLEX, Ideal, ResourceExhausted, \
     TermOrder, eliminate, is_trivial, normal_form, saturate_many
 from .heights import height_algebraic, height_point
-from .multipoly import PolySyntaxError, UnknownVariable, data_text, parse, \
+from .multipoly import PolySyntaxError, UnknownVariable, parse, \
     read_poly_file
 from . import crossratio
 from . import flatnet
 from . import heights
+from . import reproduce
 from . import toruscan
+# not used here: perfbench's workloads import them from torion.cli
 from .crossratio import crossratio_m1, crossratio_m2, crossratio_m3
+from .multipoly import data_text
 
 REPORT_SCHEMA = 1
 
@@ -228,12 +229,7 @@ def cmd_cross_ratio(args, report: Report) -> int:
         if not args.exponents:
             raise ValueError("--check cre needs --exponents a,b,c")
         exps = tuple(int(t) for t in args.exponents.split(","))
-        if len(cfg.pair_partition) != 3 or \
-                any(len(p) != 2 for p in cfg.pair_partition):
-            raise ValueError("cre check needs three pole pairs")
-        pairs = [(cfg.poles[i], cfg.poles[j])
-                 for i, j in cfg.pair_partition]
-        value, (grade, order) = crossratio.check_cre(pairs, exps)
+        value, (grade, order) = crossratio.check_config_cre(cfg, exps)
         report.set("value", str(value), grade="exact")
         report.set("root_of_unity",
                    {"grade": grade, "order": order})
@@ -350,144 +346,22 @@ def cmd_network(args, report: Report) -> int:
     return 2
 
 
-# ---------------------------------------------------------------------------
-# reproduction targets
-# ---------------------------------------------------------------------------
-
-def _reproduce_lem_so(report: Report):
-    variables, polys = read_poly_file(data_text("coset_cubic.poly"))
-    rep = toruscan.scan(polys)
-    got = set()
-    for cand in rep.survivors:
-        for line in toruscan.coset_lines_for_report(cand):
-            got.add(line)
-    expected = {"(t, 1, -1)", "(t, -1, 1)", "(1, t, -1)", "(-1, t, 1)",
-                "(1, -1, t)", "(-1, 1, t)"}
-    report.set("lines", sorted(got), grade="exact")
-    return got == expected, {"expected": sorted(expected), "got": sorted(got)}
-
-
-def _reproduce_lem_so_odd(report: Report, budget):
-    variables, polys = read_poly_file(data_text("surface_deg14.poly"))
-    h = polys[0]
-    checks = {
-        "terms": len(h.terms) == 199,
-        "degree": h.total_degree() == 14,
-        "vanishes_at_unit": h.evaluate([Fraction(1)] * 3) == 0,
-    }
-    rep = toruscan.scan(polys, options=toruscan.ScanOptions(
-        tier_mode=True, budget=budget))
-    report.set("tier_counts", rep.tier_counts, grade="exact")
-    survivors = {}
-    for cand in rep.survivors:
-        survivors[cand.subgroup.vector()] = \
-            toruscan.coset_lines_for_report(cand)
-    expected = {
-        (1, 0, 0): ["(t, 1, 1)"],
-        (0, 1, 0): ["(1, t, 1)"],
-        (0, 0, 1): ["(1, 1, t)"],
-    }
-    ok = rep.tier_counts == [8796, 51, 3] and survivors == expected and \
-        all(checks.values())
-    report.set("survivors", {str(k): v for k, v in sorted(survivors.items())},
-               grade="exact")
-    return ok, {"tier_counts": rep.tier_counts,
-                "survivors": {str(k): v for k, v in survivors.items()},
-                "transcription_checks": checks}
-
-
-def _reproduce_m010(report: Report, prune: bool):
-    polys = crossratio.m010_system()
-    M = [toruscan.ExponentSubgroup(rows, 9)
-         for rows in (crossratio_m1(), crossratio_m2(), crossratio_m3())]
-    subs = toruscan.enumerate_subspaces_multi(polys, M)
-    by_rank = {}
-    for s in subs:
-        by_rank[s.rank] = by_rank.get(s.rank, 0) + 1
-    report.set("total", len(subs), grade="exact")
-    report.set("rank_profile", {str(k): v for k, v in sorted(by_rank.items())},
-               grade="exact")
-    ok = len(subs) == 554 and by_rank == {1: 454, 2: 97, 3: 3}
-    detail = {"total": len(subs), "profile": by_rank}
-    if prune:
-        surv = [s for s in subs if not toruscan.has_singleton_part(polys, s)]
-        report.set("after_pruning", len(surv), grade="exact")
-        ok = ok and len(surv) == 78
-        detail["after_pruning"] = len(surv)
-    return ok, detail
-
-
-def _reproduce_matrices_m123(report: Report):
-    trees = crossratio.standard_degeneration_trees()
-    expected = [crossratio_m1(), crossratio_m2(), crossratio_m3()]
-    got = [crossratio.degeneration_matrix(t) for t in trees]
-    ok = all(tuple(map(tuple, g)) == tuple(map(tuple, e))
-             for g, e in zip(got, expected))
-    report.set("matrices", got, grade="exact")
-    return ok, {"got": got}
-
-
-def _reproduce_charpoly_d4(report: Report):
-    A = RationalMatrix([[1, 0, -1, 0], [0, 1, 0, 2],
-                        [0, 0, 1, 0], [0, 0, 0, 1]])
-    B = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0],
-                        [-9, 3, 1, 0], [-2, 6, 0, 1]])
-    cp = char_poly(A * B)
-    target = UPoly([1, -25, 144, -25, 1])
-    galois = quartic_galois_class(cp) if cp.degree == 4 else None
-    report.set("char_poly", repr(cp), grade="exact")
-    report.set("galois_class", galois, grade="exact")
-    ok = cp == target and galois == "D4"
-    return ok, {"char_poly": repr(cp), "galois": galois}
-
-
-def _reproduce_moduli_audit(report: Report):
-    failures = []
-    checked = 0
-    for g in flatnet.small_graph_catalog(max_edges=4):
-        for v1 in g.vertices:
-            for v2 in g.vertices:
-                if v1 >= v2:
-                    continue
-                for N in (1, 2, 3):
-                    for ca in flatnet.enumerate_currents(g, N, (v1, v2)):
-                        out = flatnet.solve_moduli(g, [ca])
-                        if out.kind != "unique-per-block":
-                            continue
-                        for blk, tup in out.moduli.block_canonical:
-                            checked += 1
-                            ok, _, _ = flatnet.moduli_height_audit(tup, N)
-                            if not ok:
-                                failures.append((repr(g), N, tup))
-    report.set("unique_blocks_checked", checked, grade="exact")
-    report.set("failures", failures, grade="exact")
-    return not failures, {"checked": checked, "failures": failures}
-
-
-REPRODUCE_TARGETS = {
-    "lem-so": lambda args, rep: _reproduce_lem_so(rep),
-    "lem-so-odd": lambda args, rep: _reproduce_lem_so_odd(rep, _budget(args)),
-    "m010-subspaces": lambda args, rep: _reproduce_m010(rep, prune=False),
-    "m010-prune": lambda args, rep: _reproduce_m010(rep, prune=True),
-    "matrices-m123": lambda args, rep: _reproduce_matrices_m123(rep),
-    "charpoly-d4": lambda args, rep: _reproduce_charpoly_d4(rep),
-    "moduli-audit": lambda args, rep: _reproduce_moduli_audit(rep),
-}
-
-
 def cmd_reproduce(args, report: Report) -> int:
-    fn = REPRODUCE_TARGETS[args.target]
+    target = reproduce.TARGETS[args.target]
     t0 = time.perf_counter()
-    ok, detail = fn(args, report)
+    ok, results = target(_budget(args))
     report.timing(args.target, time.perf_counter() - t0)
+    for k, v in results.items():
+        report.set(k, v, grade="exact")
     report.set("target", args.target)
     report.set("pass", ok, grade="exact")
     if ok:
         print(f"reproduce {args.target}: pass")
         return 0
     print(f"reproduce {args.target}: MISMATCH", file=sys.stderr)
-    print(json.dumps(detail, indent=2, sort_keys=True, default=str),
-          file=sys.stderr)
+    print(json.dumps({"golden": reproduce.GOLDEN[args.target],
+                      "results": results},
+                     indent=2, sort_keys=True, default=str), file=sys.stderr)
     return 1
 
 
@@ -578,7 +452,7 @@ def build_parser():
     p.set_defaults(fn=cmd_network)
 
     p = sub.add_parser("reproduce", help="golden-value reproduction runs")
-    p.add_argument("target", choices=sorted(REPRODUCE_TARGETS))
+    p.add_argument("target", choices=sorted(reproduce.TARGETS))
     p.set_defaults(fn=cmd_reproduce)
     return ap
 

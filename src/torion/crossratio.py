@@ -529,6 +529,16 @@ def check_cre(pairs, exponents):
     return value, verdict
 
 
+def check_config_cre(cfg: StableFormConfig, exponents):
+    """`check_cre` on the pole pairs of a configuration whose partition is
+    three parts of two poles each."""
+    if len(cfg.pair_partition) != 3 or \
+            any(len(p) != 2 for p in cfg.pair_partition):
+        raise ValueError("cre check needs three pole pairs")
+    pairs = [(cfg.poles[i], cfg.poles[j]) for i, j in cfg.pair_partition]
+    return check_cre(pairs, exponents)
+
+
 def _root_of_unity_verdict(value):
     """('exact', order) when the value is a root of unity, else (None, None).
     Cyclotomic values take an exact power test; rationals and number-field

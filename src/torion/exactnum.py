@@ -65,10 +65,6 @@ class UPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def from_ints(cls, *coeffs):
-        return cls(coeffs)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -150,14 +146,6 @@ class UPoly:
             return self
         lc = self.coeffs[-1]
         return UPoly([c / lc for c in self.coeffs])
-
-    def shift_compose(self, a):
-        """p(x + a)."""
-        out = UPoly([Fraction(0)])
-        xa = UPoly([Fraction(a), Fraction(1)])
-        for c in reversed(self.coeffs):
-            out = out * xa + UPoly([c])
-        return out
 
     def primitive_int_coeffs(self):
         """Scale to coprime integer coefficients with positive leading one."""
@@ -328,21 +316,89 @@ class AlgebraicReal:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q for degree <= 6
+# integer factorization
 # ---------------------------------------------------------------------------
 
+def factorize(n: int):
+    """{prime: exponent} of a positive integer (trial division, then
+    deterministic Miller-Rabin / Pollard rho for large leftovers)."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 7
+    inc = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while f * f <= n and f < 100_000:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += inc[i % 8]
+        i += 1
+    if n > 1:
+        for q in _factor_large(n):
+            out[q] = out.get(q, 0) + 1
+    return out
+
+
+def _is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _factor_large(n: int):
+    if n == 1:
+        return []
+    if _is_probable_prime(n):
+        return [n]
+    # Pollard rho with deterministic restarts
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return sorted(_factor_large(d) + _factor_large(n // d))
+        c += 1
+
+
 def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The positive divisors of a nonzero integer, ascending."""
+    out = [1]
+    for p, e in factorize(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
+
+# ---------------------------------------------------------------------------
+# irreducibility over Q for degree <= 6
+# ---------------------------------------------------------------------------
 
 def rational_roots(p: UPoly):
     """All rational roots, via the rational root theorem on the primitive part."""
@@ -702,10 +758,6 @@ class RootOfUnity:
         k = self.exponent * n // self.order
         return Cyclotomic.root_of_unity(n, k)
 
-    def complex_value(self):
-        import cmath
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
     def __repr__(self):
         return f"zeta({self.order})^{self.exponent}"
 
@@ -722,16 +774,8 @@ def cyclotomic_polynomial(n: int) -> UPoly:
 
 def euler_phi(n: int) -> int:
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in factorize(n):
+        out -= out // p
     return out
 
 
@@ -867,11 +911,6 @@ class Cyclotomic:
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not rational")
-        return self.coords[0]
-
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(N-1)."""
         z = Cyclotomic.root_of_unity(self.order, self.order - 1)
@@ -898,14 +937,6 @@ class Cyclotomic:
             if (self ** d) == Cyclotomic.from_rational(1, self.order):
                 return True, d
         return True, m
-
-    def complex_value(self):
-        import cmath
-        z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for c in reversed(self.coords):
-            acc = acc * z + complex(c)
-        return acc
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coords)})"

@@ -76,7 +76,7 @@ class DualGraph:
         return sorted(self.edges)
 
     def is_connected(self):
-        return len(self.spanning_tree()) == len(self.vertices) - 1
+        return len(self._tree) == len(self.vertices) - 1
 
     def bridges(self):
         """Separating edges: the blocks made of one non-loop edge."""
@@ -90,6 +90,14 @@ class DualGraph:
     def spanning_tree(self):
         """Edge ids of the lexicographically smallest spanning tree (Kruskal
         over sorted ids)."""
+        return list(self._tree)
+
+    # A DualGraph is not changed after construction, so its spanning tree,
+    # the tree's adjacency and the fundamental circuits are built once and
+    # shared by every tree path, flow, block decomposition and circuit
+    # system; the public methods hand out copies.
+    @cached_property
+    def _tree(self):
         parent = {v: v for v in self.vertices}
         tree = []
         for eid in self.edge_ids():
@@ -100,12 +108,10 @@ class DualGraph:
                 tree.append(eid)
         return tree
 
-    # a DualGraph is not changed after construction, so one adjacency of
-    # the spanning tree serves every tree path (one per chord and flow)
     @cached_property
     def _tree_adjacency(self):
         adj = {v: [] for v in self.vertices}
-        for eid in self.spanning_tree():
+        for eid in self._tree:
             t, h = self.edges[eid]
             adj[t].append((eid, h, 1))
             adj[h].append((eid, t, -1))
@@ -136,7 +142,11 @@ class DualGraph:
     def fundamental_circuits(self):
         """[(chord id, {edge id: +-1})]: each chord with its tree-path
         closure, the chord crossed positively."""
-        tree = set(self.spanning_tree())
+        return [(chord, dict(circ)) for chord, circ in self._circuits]
+
+    @cached_property
+    def _circuits(self):
+        tree = set(self._tree)
         out = []
         for eid in self.edge_ids():
             if eid in tree:
@@ -167,7 +177,7 @@ def block_decomposition(g: DualGraph) -> BlockDecomposition:
     Blocks are ordered by smallest edge id; articulation vertices are the
     vertices that lie in two or more blocks."""
     parent = {eid: eid for eid in g.edges}
-    for chord, circ in g.fundamental_circuits():
+    for chord, circ in g._circuits:
         root = find(parent, chord)
         for eid in circ:
             parent[find(parent, eid)] = root
@@ -235,7 +245,7 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
     for v in source_pair:
         if v not in g.vertices:
             raise UnknownVertex(str(v))
-    circuits = g.fundamental_circuits()
+    circuits = g._circuits
     if (2 * N + 1) ** len(circuits) > cap:
         raise BudgetExceeded("current enumeration cap")
     ids = g.edge_ids()
@@ -281,7 +291,7 @@ def _circuit_rows(g: DualGraph, constraints):
     pos = {eid: i for i, eid in enumerate(ids)}
     rows = []
     tags = []
-    for chord, circ in g.fundamental_circuits():
+    for chord, circ in g._circuits:
         for ci, ca in enumerate(constraints):
             row = [0] * len(ids)
             for eid, s in circ.items():
@@ -366,7 +376,8 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
 def _find_witness(rows, tags, cols):
     """A circuit relation participating in the contradiction on the block
     with columns `cols`: prefer one whose nonzero coefficients share a sign
-    (it pins some modulus to zero)."""
+    (it pins some modulus to zero).  The circuit is a copy: the graph's
+    own circuits are shared."""
     fallback = None
     for row, (chord, ci, circ) in zip(rows, tags):
         sub = [row[c] for c in cols]
@@ -375,8 +386,8 @@ def _find_witness(rows, tags, cols):
         fallback = fallback or circ
         nz = [x for x in sub if x != 0]
         if all(x > 0 for x in nz) or all(x < 0 for x in nz):
-            return circ
-    return fallback
+            return dict(circ)
+    return None if fallback is None else dict(fallback)
 
 
 def moduli_height_audit(block_moduli, N: int):
@@ -418,7 +429,7 @@ def trace_matrix(block: DualGraph, moduli) -> TraceMatrix:
     missing = [e for e in ids if e not in moduli]
     if missing:
         raise ValueError(f"no modulus for edges {missing}")
-    circuits = block.fundamental_circuits()
+    circuits = block._circuits
     if not circuits:
         raise SingularP("a tree block has no circuit matrix")
     Nmat = RationalMatrix([[circ.get(e, 0) for e in ids]

@@ -519,11 +519,6 @@ class Ideal:
         return f"Ideal(n={self.n}, {len(self.generators)} generators)"
 
 
-def groebner_basis(I: Ideal, order: TermOrder = GREVLEX,
-                   budget: Budget = BUDGET_PROFILES["default"]):
-    return I.groebner_basis(order, budget)
-
-
 def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
                 budget: Budget = BUDGET_PROFILES["default"]) -> MultiPoly:
     """Remainder of p modulo the reduced basis; zero iff p is a member."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat
-from .exactnum import AlgebraicReal, UPoly, cyclotomic_order, \
+from .exactnum import AlgebraicReal, UPoly, cyclotomic_order, factorize, \
     is_irreducible, Reducible
 
 NUMERIC_ERROR_BOUND = 1e-12
@@ -134,73 +134,6 @@ def height_algebraic(min_poly: UPoly) -> HeightValue:
 # place decompositions (rational local data; product formula)
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int):
-    """Prime factorization of a positive integer (trial division +
-    deterministic Miller-Rabin / Pollard rho for large leftovers)."""
-    out = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += inc[i % 8]
-        i += 1
-    if n > 1:
-        for q in _factor_large(n):
-            out[q] = out.get(q, 0) + 1
-    return out
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factor_large(n: int):
-    if n == 1:
-        return []
-    if _is_probable_prime(n):
-        return [n]
-    # Pollard rho with deterministic restarts
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return sorted(_factor_large(d) + _factor_large(n // d))
-        c += 1
-
-
 @dataclass
 class PlaceDecomposition:
     """Local data of a nonzero rational: finite exponents ord_p(x) and the
@@ -215,9 +148,9 @@ class PlaceDecomposition:
         if x == 0:
             raise ZeroInput("zero has no place decomposition")
         fin = {}
-        for p, e in _factorize(abs(x.numerator)).items():
+        for p, e in factorize(abs(x.numerator)).items():
             fin[p] = fin.get(p, 0) + e
-        for p, e in _factorize(x.denominator).items():
+        for p, e in factorize(x.denominator).items():
             fin[p] = fin.get(p, 0) - e
         return cls(dict(sorted(fin.items())), abs(x), 1 if x > 0 else -1)
 

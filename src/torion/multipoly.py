@@ -179,9 +179,6 @@ class MultiPoly:
     def coefficient_of(self, exponents):
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def constant_term(self):
-        return self.terms.get(tuple([0] * self.n), Fraction(0))
-
     def is_constant(self):
         return all(not any(e) for e in self.terms)
 
@@ -235,13 +232,6 @@ class MultiPoly:
         r = MultiPoly(self.n, None, False)
         r.terms = {tuple(a - s for a, s in zip(e, shift)): c
                    for e, c in self.terms.items()}
-        return r
-
-    def as_laurent(self) -> "MultiPoly":
-        if self.laurent:
-            return self
-        r = MultiPoly(self.n, None, True)
-        r.terms = dict(self.terms)
         return r
 
     def derivative(self, i: int) -> "MultiPoly":

@@ -278,10 +278,10 @@ def coefficient_variety(polys, N: ExponentSubgroup,
 
 
 def _rational_roots_of_univariate(p: MultiPoly, var: int):
-    """Rational roots of a polynomial using only `var`, plus whether those
-    roots (with multiplicity) exhaust the degree, i.e. whether the
-    polynomial splits over Q."""
-    from .exactnum import UPoly, rational_roots
+    """Rational roots of a polynomial using only `var`, plus whether the
+    polynomial splits over Q: whether its distinct rational roots are as
+    many as the degree of its squarefree part."""
+    from .exactnum import UPoly, rational_roots, squarefree_part
     deg = p.degree_in(var) or 0
     coeffs = [Fraction(0)] * (deg + 1)
     for e, c in p.terms.items():
@@ -290,17 +290,7 @@ def _rational_roots_of_univariate(p: MultiPoly, var: int):
         coeffs[e[var]] += c
     u = UPoly(coeffs)
     roots = rational_roots(u)
-    total_mult = 0
-    for r in roots:
-        q = u
-        while True:
-            quo, rem = divmod(q, UPoly([-r, 1]))
-            if rem.is_zero():
-                q = quo
-                total_mult += 1
-            else:
-                break
-    return roots, total_mult == u.degree
+    return roots, len(roots) == squarefree_part(u).degree
 
 
 def _solve_coset_points(ideal: Ideal, n: int, budget: Budget):
@@ -390,11 +380,12 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def tier1_candidates(poly: MultiPoly, anchor=None, antipodal: bool = True):
+def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     """Rank-one candidate vectors from anchored pairwise systems (3 variables
-    only).  For each potential friend l1' of the anchor, the first support
-    element l2 (descending graded-reverse-lex) whose difference vectors are
-    all independent of anchor - l1' closes the system; every anomalous
+    only), anchored at the graded-reverse-lex largest support element.  For
+    each potential friend l1' of the anchor, the first support element l2
+    (descending graded-reverse-lex) whose difference vectors are all
+    independent of anchor - l1' closes the system; every anomalous
     direction solves one of the resulting 2x2 systems, i.e. is a cross
     product.  `antipodal` folds E and -E together (primitive, first nonzero
     entry positive); with antipodal=False both signs are listed."""
@@ -403,11 +394,7 @@ def tier1_candidates(poly: MultiPoly, anchor=None, antipodal: bool = True):
     sup = sorted(poly.terms,
                  key=lambda e: (sum(e), tuple(-x for x in reversed(e))),
                  reverse=True)
-    if anchor is None:
-        anchor = sup[0]
-    anchor = tuple(anchor)
-    if anchor not in poly.terms:
-        raise ValueError("anchor not in the support")
+    anchor = sup[0]
     out = set()
     for l1p in sup:
         if l1p == anchor:
@@ -459,7 +446,6 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
 @dataclass
 class ScanOptions:
     tier_mode: bool = False
-    anchor: tuple | None = None
     antipodal: bool = True
     budget: Budget = BUDGET_PROFILES["default"]
     threads: int = 1
@@ -520,7 +506,7 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
         if len(polys) != 1:
             raise ValueError("tier mode expects a single hypersurface")
         h = polys[0]
-        t1 = tier1_candidates(h, options.anchor, options.antipodal)
+        t1 = tier1_candidates(h, options.antipodal)
         t2 = tier2_friend_filter(h, t1)
         subgroups = [ExponentSubgroup.from_vector(E) for E in t2]
         tiers = [len(t1), len(t2)]

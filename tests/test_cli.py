@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import torion.cli as cli
-from torion.groebner import Budget
+from torion import reproduce
+from torion.groebner import BUDGET_PROFILES, Budget
 from torion.multipoly import data_text
 
 
@@ -355,9 +356,28 @@ class TestReproduceCommand:
             if name == "coset_cubic.poly":
                 return text.replace("x*y*z + x + y + z", "x*y*z + x + y - z")
             return text
-        monkeypatch.setattr(cli, "data_text", corrupted)
+        monkeypatch.setattr("torion.reproduce.data_text", corrupted)
         assert run(["reproduce", "lem-so"]) == 1
         assert "MISMATCH" in capsys.readouterr().err
+
+    def test_targets_are_the_cli_choices(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command").choices["reproduce"]
+        target = next(a for a in sub._actions if a.dest == "target")
+        assert sorted(reproduce.TARGETS) == sorted(target.choices)
+
+    @pytest.mark.parametrize("target", ["lem-so", "charpoly-d4",
+                                        "matrices-m123", "moduli-audit"])
+    def test_report_carries_the_library_results(self, tmp_path, target):
+        ok, results = reproduce.TARGETS[target](BUDGET_PROFILES["default"])
+        assert ok
+        rep = tmp_path / "r.json"
+        assert run(["--report", str(rep), "reproduce", target]) == 0
+        doc = json.loads(rep.read_text())
+        expected = json.loads(json.dumps(results))
+        assert {k: doc["results"][k] for k in results} == expected
+        assert set(doc["results"]) == set(results) | {"target", "pass"}
+        assert all(doc["grades"][k] == "exact" for k in results)
 
 
 class TestInternalError:

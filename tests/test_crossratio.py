@@ -6,7 +6,8 @@ import pytest
 from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                DecoratedTree, DomainViolation, InvalidTree,
                                ProjPoint, StableFormConfig, SymbolicStableForm,
-                               check_cre, cre_exponents, cross_ratio,
+                               check_config_cre, check_cre, cre_exponents,
+                               cross_ratio,
                                crossratio_m1, crossratio_m2, crossratio_m3,
                                crmin_forward, crmin_inverse, crmin_transform,
                                degeneration_exponent, degeneration_matrix,
@@ -260,6 +261,17 @@ class TestCre:
         pairs = [(F(1), F(1)), (F(2), F(-2)), (F(3), F(-3))]
         with pytest.raises(DegenerateQuadruple):
             check_cre(pairs, (1, 1, 1))
+
+    def test_config_pairs_from_partition(self):
+        poles = ["1", "-1", "2", "-2", "4", "-4"]
+        cfg = StableFormConfig([("0", 4)], poles, [[0, 1], [2, 3], [4, 5]])
+        pairs = [(F(1), F(-1)), (F(2), F(-2)), (F(4), F(-4))]
+        for exps in ((1, 0, -1), (1, 1, 1)):
+            assert check_config_cre(cfg, exps) == check_cre(pairs, exps)
+        for parts in ([[0, 1, 2], [3, 4, 5]], [[0, 1], [2, 3], [4, 5, 1]]):
+            cfg = StableFormConfig([("0", 4)], poles, parts)
+            with pytest.raises(ValueError, match="three pole pairs"):
+                check_config_cre(cfg, (1, 0, -1))
 
 
 class TestTorsionConfigCheck:

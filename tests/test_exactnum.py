@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,9 +7,10 @@ import pytest
 from torion.exactnum import (AlgebraicReal, Cyclotomic, DegreeOutOfRange,
                              DependentBasis, NotQuartic, NotSquare,
                              RationalMatrix, Reducible, RootOfUnity, UPoly,
-                             char_poly, count_real_roots, cyclotomic_order,
-                             cyclotomic_polynomial,
-                             discriminant, identity_matrix, is_irreducible,
+                             _divisors, char_poly, count_real_roots,
+                             cyclotomic_order, cyclotomic_polynomial,
+                             discriminant, euler_phi, factorize,
+                             identity_matrix, is_irreducible,
                              isolate_real_roots, min_poly_of, number_field,
                              quartic_galois_class, rational, rational_roots,
                              squarefree_part, trace_dual_basis, upoly_gcd)
@@ -25,6 +27,52 @@ def test_rational_canonicality_random_ops():
             assert v.denominator > 0
             from math import gcd
             assert gcd(v.numerator, v.denominator) == 1
+
+
+class TestFactorization:
+    N = 5000
+
+    def test_against_sieves(self):
+        """Factorization, divisors and phi against independent sieves."""
+        spf = list(range(self.N + 1))  # smallest prime factor
+        for p in range(2, self.N + 1):
+            if spf[p] == p:
+                for m in range(p * p, self.N + 1, p):
+                    spf[m] = min(spf[m], p)
+        divisors = [[] for _ in range(self.N + 1)]
+        for d in range(1, self.N + 1):
+            for m in range(d, self.N + 1, d):
+                divisors[m].append(d)
+        phi = list(range(self.N + 1))
+        for p in range(2, self.N + 1):
+            if spf[p] == p:
+                for m in range(p, self.N + 1, p):
+                    phi[m] -= phi[m] // p
+        for n in range(1, self.N + 1):
+            expected = {}
+            m = n
+            while m > 1:
+                expected[spf[m]] = expected.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factorize(n) == expected, n
+            assert _divisors(n) == _divisors(-n) == divisors[n], n
+            assert euler_phi(n) == phi[n], n
+
+    @pytest.mark.parametrize("p,q", [(1000003, 1000033),
+                                     (1000037, 2147483647),
+                                     (1000003, 1000003)])
+    def test_two_large_primes(self, p, q):
+        for r in (p, q):
+            assert all(r % d for d in range(2, math.isqrt(r) + 1))
+        assert factorize(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+        assert _divisors(p * q) == sorted({1, p, q, p * q})
+        assert euler_phi(p * q) == (p * (p - 1) if p == q
+                                    else (p - 1) * (q - 1))
+
+    def test_nonpositive_rejected(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                factorize(n)
 
 
 class TestUPoly:

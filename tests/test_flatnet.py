@@ -278,6 +278,27 @@ class TestSolveModuli:
         assert out.kind == "infeasible"
         assert out.witness_circuit is not None
 
+    def test_returned_circuits_are_copies(self):
+        """The graph's circuits are built once and shared; mutating a
+        returned witness or circuit list changes no later result."""
+        g = theta()
+        ca = CurrentAssignment({"a": 3, "b": -3},
+                               {"e1": 3, "e2": 0, "e3": 0})
+        first = solve_moduli(g, [ca])
+        witness = dict(first.witness_circuit)
+        first.witness_circuit.clear()
+        first.witness_circuit["e9"] = 5
+        for _, circ in g.fundamental_circuits():
+            circ.clear()
+        g.spanning_tree().clear()
+        again = solve_moduli(g, [ca])
+        assert again.kind == "infeasible"
+        assert again.witness_circuit == witness
+        assert again.witness_circuit is not first.witness_circuit
+        ok = solve_moduli(g, [CurrentAssignment(
+            {"a": 3, "b": -3}, {"e1": 1, "e2": 1, "e3": 1})])
+        assert ok.moduli.block_canonical == [(["e1", "e2", "e3"], (1, 1, 1))]
+
     def test_circuit_relations_hold(self):
         g = theta()
         out = solve_moduli(g, [CurrentAssignment(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from torion import groebner
 from torion.groebner import (BUDGET_PROFILES, GREVLEX, Budget, GBStats,
                              Ideal, ResourceExhausted, TermOrder, eliminate,
-                             groebner_basis, intersect, is_trivial,
+                             intersect, is_trivial,
                              normal_form, saturate, saturate_many)
 from torion.multipoly import MultiPoly, parse
 

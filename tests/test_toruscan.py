@@ -12,6 +12,7 @@ from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
                              enumerate_subspaces, enumerate_subspaces_multi,
                              has_singleton_part, scan, tier1_candidates,
                              tier2_friend_filter)
+from torion.toruscan import _rational_roots_of_univariate
 
 XYZ = ["x", "y", "z"]
 
@@ -81,6 +82,16 @@ class TestCoefficientVariety:
                 for g in cand.coefficient_ideal.generators]
         assert gens == ["a1*a2 - 1"]
         assert cand.cosets == ["unresolved"]
+
+    @pytest.mark.parametrize("text,roots,splits", [
+        ("(y-1)^2*(y-2)", [1, 2], True),
+        ("(y-1)^2*(y^2-2)", [1], False),
+        ("(y-1)^3", [1], True),
+        ("(y+3)^3*(y-1)^2*(y^2+1)", [-3, 1], False),
+    ])
+    def test_univariate_splitting(self, text, roots, splits):
+        p = parse(text, ["x", "y"])
+        assert _rational_roots_of_univariate(p, 1) == (roots, splits)
 
 
 class TestScan:
