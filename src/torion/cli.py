@@ -215,7 +215,7 @@ def cmd_cross_ratio(args, report: Report) -> int:
     cfg = _read_config(args.config)
     if args.check == "torsion":
         verdict, detail = crossratio.torsion_config_check(
-            cfg, None, args.torsion_order)
+            cfg, args.torsion_order)
         report.set("verdict", verdict, grade="exact")
         report.set("detail", detail)
         print(verdict if detail is None else f"{verdict}({detail})")
@@ -352,9 +352,16 @@ def cmd_reproduce(args, report: Report) -> int:
     ok, results = target(_budget(args))
     report.timing(args.target, time.perf_counter() - t0)
     for k, v in results.items():
-        report.set(k, v, grade="exact")
+        report.set(k, v, grade="undetermined" if k == "undetermined"
+                   else "exact")
     report.set("target", args.target)
-    report.set("pass", ok, grade="exact")
+    report.set("pass", ok, grade="exact" if ok is not None
+               else "undetermined")
+    if ok is None:
+        print(f"reproduce {args.target}: undetermined, "
+              f"{results['undetermined']} candidates left by the budget",
+              file=sys.stderr)
+        return 3
     if ok:
         print(f"reproduce {args.target}: pass")
         return 0

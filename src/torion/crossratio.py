@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
-    RootOfUnity, UPoly, cyclotomic_order, min_poly_of, trace_dual_basis
+    UPoly, cyclotomic_order, min_poly_of, trace_dual_basis
 from .flatnet import Disconnected, DualGraph, UnknownVertex
 from .multipoly import MultiPoly
 from . import intlat
@@ -540,20 +540,18 @@ def check_config_cre(cfg: StableFormConfig, exponents):
 
 
 def _root_of_unity_verdict(value):
-    """('exact', order) when the value is a root of unity, else (None, None).
-    Cyclotomic values take an exact power test; rationals and number-field
-    elements take Kronecker's: the value is a root of unity of order m
-    exactly when its minimal polynomial is Phi_m."""
-    if isinstance(value, Cyclotomic):
-        order = value.is_root_of_unity()[1]
-    elif isinstance(value, FieldElement):
-        order = cyclotomic_order(min_poly_of(value))
+    """('exact', order) when the value is a root of unity, else (None, None),
+    by Kronecker's test: the value is a root of unity of order m exactly
+    when its minimal polynomial is Phi_m."""
+    if isinstance(value, (Cyclotomic, FieldElement)):
+        poly = min_poly_of(value)
     else:
-        order = cyclotomic_order(UPoly([-Fraction(value), 1]))
+        poly = UPoly([-Fraction(value), 1])
+    order = cyclotomic_order(poly)
     return ("exact", order) if order else (None, None)
 
 
-def torsion_config_check(cfg: StableFormConfig, fld, N: int):
+def torsion_config_check(cfg: StableFormConfig, N: int):
     """Checks of the determined-by-torsion conditions:
     i) per-part residue sums vanish;
     ii) residue ratios span a Q-space of dimension n - (number of parts)
@@ -596,7 +594,7 @@ def _q_span_dimension(values):
     order = 1
     for v in values:
         if isinstance(v, Cyclotomic):
-            order = order * v.order // math.gcd(order, v.order)
+            order = math.lcm(order, v.order)
     for v in values:
         if isinstance(v, Fraction):
             rows.append([v])

@@ -9,6 +9,7 @@ canonical form (reduced, positive denominator).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -483,17 +484,102 @@ def is_irreducible(p: UPoly) -> bool:
 # number fields of degree 2..6
 # ---------------------------------------------------------------------------
 
-def _power(base, k: int, one):
-    """base**k by repeated squaring; a negative k inverts first."""
-    if k < 0:
-        base, k = base.inverse(), -k
-    out = one
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
+class _Residue:
+    """An element of Q[x]/(m) by its coordinates in the power basis 1, x,
+    ..., x^(d-1): the arithmetic `FieldElement` and `Cyclotomic` share.  A
+    subclass supplies the modulus m (`_modulus`), an element of its own ring
+    from coordinates (`_new`, which pads them to length d), and its coercion
+    (`_pair`: both operands as elements of one ring, or (None, None) for an
+    operand it does not take)."""
+
+    __slots__ = ()
+
+    def _coordwise(self, other, op):
+        a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
+        return a._new([op(x, y) for x, y in zip(a.coords, b.coords)])
+
+    def __add__(self, other):
+        return self._coordwise(other, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._coordwise(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._coordwise(other, lambda x, y: y - x)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coords])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._new([c * other for c in self.coords])
+        a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
+        return a._new((UPoly(a.coords) * UPoly(b.coords)
+                       % a._modulus()).coeffs)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """By the extended Euclidean algorithm: s*self + t*m = 1."""
+        g, s, _ = upoly_xgcd(UPoly(self.coords), self._modulus())
+        if g.degree != 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._new((s % self._modulus()).coeffs)
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
+        return a * b.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k: int):
+        """By repeated squaring; a negative k inverts first."""
+        base, out = self, self._new([1])
+        if k < 0:
+            base, k = base.inverse(), -k
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
+        return a.coords == b.coords
+
+    def __hash__(self):
+        # a rational element equals its Fraction, in any ring
+        return hash(self.coords[0]) if self.is_rational() else \
+            hash(self.coords)
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coords)
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coords[1:])
+
+    def mult_matrix(self) -> "RationalMatrix":
+        """The matrix of multiplication by self: column j holds the
+        coordinates of self * x^j."""
+        d = len(self.coords)
+        cols = []
+        cur = UPoly(self.coords)
+        for _ in range(d):
+            cols.append(cur.coeffs + (0,) * (d - len(cur.coeffs)))
+            cur = (cur * UPoly([0, 1])) % self._modulus()
+        return RationalMatrix(list(zip(*cols)))
 
 
 class NumberField:
@@ -548,7 +634,10 @@ class NumberField:
         return f"NumberField({self.min_poly!r})"
 
 
-class FieldElement:
+class FieldElement(_Residue):
+    """An element of a `NumberField`; it combines with elements of the same
+    field and with rationals."""
+
     __slots__ = ("field", "coords")
 
     def __init__(self, field: NumberField, coords):
@@ -556,84 +645,22 @@ class FieldElement:
         self.coords = tuple(Fraction(c) for c in coords)
         assert len(self.coords) == field.degree
 
-    def _same(self, other):
+    def _modulus(self):
+        return self.field.min_poly
+
+    def _new(self, coords):
+        return self.field.element(coords)
+
+    def _pair(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.element([other])
-        if other.field is not self.field:
-            raise ValueError("elements of different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, other.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        return self + (-self._same(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._same(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [a * other for a in self.coords])
-        other = self._same(other)
-        prod = UPoly(self.coords) * UPoly(other.coords)
-        rem = prod % self.field.min_poly
-        return self.field.element(rem.coeffs)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        g, s, _ = upoly_xgcd(UPoly(self.coords), self.field.min_poly)
-        if g.degree != 0:
-            raise ZeroDivisionError("element is zero")
-        inv = (s * UPoly([1 / g.coeffs[0]])) % self.field.min_poly
-        return self.field.element(inv.coeffs)
-
-    def __truediv__(self, other):
-        return self * self._same(other).inverse()
-
-    def __pow__(self, k: int):
-        return _power(self, k, self.field.one())
-
-    def __eq__(self, other):
-        try:
-            other = self._same(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+            return self, self._new([other])
+        if isinstance(other, FieldElement) and other.field is self.field:
+            return self, other
+        return None, None
 
     def trace(self) -> Fraction:
         t = self.field._power_traces
         return sum((c * t[i] for i, c in enumerate(self.coords)), Fraction(0))
-
-    def mult_matrix(self) -> "RationalMatrix":
-        d = self.field.degree
-        cols = []
-        basis_poly = UPoly(self.coords)
-        x = UPoly([0, 1])
-        cur = UPoly([1])
-        for _ in range(d):
-            col = (basis_poly * cur) % self.field.min_poly
-            cs = list(col.coeffs) + [Fraction(0)] * (d - len(col.coeffs))
-            cols.append(cs)
-            cur = (cur * x) % self.field.min_poly
-        return RationalMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
 
     def embedding_interval(self, root_index: int, width) -> tuple[Fraction, Fraction]:
         """Rational interval of width <= `width` around the image of this
@@ -654,7 +681,7 @@ class FieldElement:
 
     def compare_embedding(self, other, root_index: int) -> int:
         """Exact sign of (self - other) under the chosen real embedding."""
-        diff = self - self._same(other)
+        diff = self - other
         if diff.is_zero():
             return 0
         width = Fraction(1, 16)
@@ -694,7 +721,7 @@ def trace_dual_basis(field: NumberField, basis):
     return out
 
 
-def min_poly_of(element: FieldElement) -> UPoly:
+def min_poly_of(element: FieldElement | Cyclotomic) -> UPoly:
     """Monic minimal polynomial via the characteristic polynomial of the
     multiplication matrix, reduced to its squarefree part."""
     cp = char_poly(element.mult_matrix())
@@ -706,60 +733,6 @@ def min_poly_of(element: FieldElement) -> UPoly:
 # ---------------------------------------------------------------------------
 
 CYCLOTOMIC_MAX_ORDER = 24
-
-
-class RootOfUnity:
-    """exp(2*pi*i*k/N), stored as (order N, exponent k mod N)."""
-
-    __slots__ = ("order", "exponent")
-
-    def __init__(self, order: int, exponent: int):
-        if order <= 0:
-            raise ValueError("order must be positive")
-        self.order = order
-        self.exponent = exponent % order
-
-    def __mul__(self, other):
-        n = self.order * other.order // math.gcd(self.order, other.order)
-        k = self.exponent * (n // self.order) + other.exponent * (n // other.order)
-        return RootOfUnity(n, k)
-
-    def inverse(self):
-        return RootOfUnity(self.order, -self.exponent)
-
-    def __pow__(self, k: int):
-        return RootOfUnity(self.order, self.exponent * k)
-
-    def __eq__(self, other):
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        return (self.exponent * other.order - other.exponent * self.order) \
-            % (self.order * other.order) == 0
-
-    def __hash__(self):
-        g = math.gcd(self.exponent, self.order)
-        if self.exponent == 0:
-            return hash((1, 0))
-        return hash((self.order // g, self.exponent // g))
-
-    def multiplicative_order(self) -> int:
-        return self.order // math.gcd(self.order, self.exponent)
-
-    def is_one(self):
-        return self.exponent == 0
-
-    def is_minus_one(self):
-        return 2 * self.exponent == self.order
-
-    def to_cyclotomic(self) -> "Cyclotomic":
-        if self.exponent == 0:
-            return Cyclotomic.from_rational(1)
-        n = self.multiplicative_order()
-        k = self.exponent * n // self.order
-        return Cyclotomic.root_of_unity(n, k)
-
-    def __repr__(self):
-        return f"zeta({self.order})^{self.exponent}"
 
 
 @lru_cache(maxsize=None)
@@ -794,8 +767,9 @@ def cyclotomic_order(p: UPoly) -> int | None:
     return None
 
 
-class Cyclotomic:
-    """Element of Q(zeta_N) in the power basis modulo Phi_N; N <= 24."""
+class Cyclotomic(_Residue):
+    """Element of Q(zeta_N) in the power basis modulo Phi_N; N <= 24.  Two
+    operands of different orders are both lifted to the lcm order."""
 
     __slots__ = ("order", "coords")
 
@@ -820,16 +794,18 @@ class Cyclotomic:
         xk = UPoly([0] * k + [1]) % phi
         return cls(n, xk.coeffs)
 
+    def _modulus(self):
+        return cyclotomic_polynomial(self.order)
+
+    def _new(self, coords):
+        return Cyclotomic(self.order, coords)
+
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
-        if isinstance(other, RootOfUnity):
-            other = other.to_cyclotomic()
+            return self, self._new([other])
         if not isinstance(other, Cyclotomic):
             return None, None
-        if self.order == other.order:
-            return self, other
-        n = self.order * other.order // math.gcd(self.order, other.order)
+        n = math.lcm(self.order, other.order)
         return self.change_order(n), other.change_order(n)
 
     def change_order(self, n: int) -> "Cyclotomic":
@@ -846,71 +822,6 @@ class Cyclotomic:
         acc = acc % phi
         return Cyclotomic(n, acc.coeffs)
 
-    def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coords, b.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coords])
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coords, b.coords)])
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        prod = (UPoly(a.coords) * UPoly(b.coords)) % cyclotomic_polynomial(a.order)
-        return Cyclotomic(a.order, prod.coeffs)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        g, s, _ = upoly_xgcd(UPoly(self.coords), cyclotomic_polynomial(self.order))
-        if g.degree != 0:
-            raise ZeroDivisionError("zero cyclotomic element")
-        inv = (s * UPoly([1 / g.coeffs[0]])) % cyclotomic_polynomial(self.order)
-        return Cyclotomic(self.order, inv.coeffs)
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        return _power(self, k, Cyclotomic.from_rational(1, self.order))
-
-    def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a.coords == b.coords
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(N-1)."""
         z = Cyclotomic.root_of_unity(self.order, self.order - 1)
@@ -923,20 +834,10 @@ class Cyclotomic:
         return self == self.conjugate()
 
     def is_root_of_unity(self):
-        """(True, order) when the value is a root of unity, else (False, None).
-
-        Q(zeta_N) contains exactly the roots of unity of order dividing
-        lcm(2, N), so a single exact power test decides.
-        """
-        if self.is_zero():
-            return False, None
-        m = self.order if self.order % 2 == 0 else 2 * self.order
-        if (self ** m) != Cyclotomic.from_rational(1, self.order):
-            return False, None
-        for d in sorted(_divisors(m)):
-            if (self ** d) == Cyclotomic.from_rational(1, self.order):
-                return True, d
-        return True, m
+        """(True, order) when the value is a root of unity, else (False,
+        None), by Kronecker's test on its minimal polynomial."""
+        order = cyclotomic_order(min_poly_of(self))
+        return order is not None, order
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coords)})"
@@ -1023,25 +924,11 @@ class RationalMatrix:
                                for i, row in enumerate(form)])
 
     def det(self) -> Fraction:
+        """(-1)^n times the constant term of the characteristic polynomial."""
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
-        M = [row[:] for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = -det
-            det *= M[c][c]
-            inv = 1 / M[c][c]
-            for i in range(c + 1, n):
-                if M[i][c] != 0:
-                    f = M[i][c] * inv
-                    M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-        return det
+        c0 = char_poly(self).coeffs[0]
+        return -c0 if self.rows % 2 else c0
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -1059,18 +946,25 @@ def identity_matrix(n: int) -> RationalMatrix:
 
 
 def char_poly(matrix: RationalMatrix) -> UPoly:
-    """Exact characteristic polynomial (Faddeev-LeVerrier)."""
+    """Exact characteristic polynomial by Faddeev-LeVerrier, run in
+    integers: with A = B/d for an integer matrix B, the coefficient c_k of
+    x^(n-k) for B is an integer and c_k/d^k is the one for A."""
     if not matrix.is_square():
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = matrix.rows
+    d = math.lcm(*(x.denominator for row in matrix.entries for x in row))
+    B = [[int(x * d) for x in row] for row in matrix.entries]
+    cols = list(zip(*B))
     coeffs = [Fraction(1)]
-    Mk = identity_matrix(n)
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        Mk = matrix * Mk
-        c = -Mk.trace() / k
-        coeffs.append(c)
+        # Mk is a polynomial in B, so Mk * B = B * Mk
+        Mk = [[sum(map(operator.mul, row, col)) for col in cols]
+              for row in Mk]
+        c = -sum(Mk[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(c, d ** k))
         for i in range(n):
-            Mk.entries[i][i] += c
+            Mk[i][i] += c
     return UPoly(list(reversed(coeffs)))
 
 

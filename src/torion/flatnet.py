@@ -81,7 +81,7 @@ class DualGraph:
     def bridges(self):
         """Separating edges: the blocks made of one non-loop edge."""
         out = []
-        for blk in block_decomposition(self).blocks:
+        for blk in self._blocks[0]:
             t, h = self.edges[blk[0]]
             if len(blk) == 1 and t != h:
                 out.append(blk[0])
@@ -93,9 +93,9 @@ class DualGraph:
         return list(self._tree)
 
     # A DualGraph is not changed after construction, so its spanning tree,
-    # the tree's adjacency and the fundamental circuits are built once and
-    # shared by every tree path, flow, block decomposition and circuit
-    # system; the public methods hand out copies.
+    # the tree's adjacency, the fundamental circuits and the blocks are
+    # built once and shared by every tree path, flow, block decomposition
+    # and circuit system; the public methods hand out copies.
     @cached_property
     def _tree(self):
         parent = {v: v for v in self.vertices}
@@ -159,6 +159,28 @@ class DualGraph:
             out.append((eid, circ))
         return out
 
+    @cached_property
+    def _blocks(self):
+        """(blocks, articulation vertices), as `block_decomposition` states
+        them."""
+        parent = {eid: eid for eid in self.edges}
+        for chord, circ in self._circuits:
+            root = find(parent, chord)
+            for eid in circ:
+                parent[find(parent, eid)] = root
+        members = {}
+        for eid in self.edge_ids():  # a block first appears at its smallest id
+            members.setdefault(find(parent, eid), []).append(eid)
+        blocks = list(members.values())
+        seen = set()
+        arts = set()
+        for blk in blocks:
+            for v in {v for eid in blk for v in self.edges[eid]}:
+                if v in seen:
+                    arts.add(v)
+                seen.add(v)
+        return blocks, sorted(arts)
+
     def __repr__(self):
         return f"DualGraph({self.vertices}, {sorted(self.edges.items())})"
 
@@ -176,23 +198,8 @@ def block_decomposition(g: DualGraph) -> BlockDecomposition:
     and a bridge lies on no circuit, so each is a block of one edge.
     Blocks are ordered by smallest edge id; articulation vertices are the
     vertices that lie in two or more blocks."""
-    parent = {eid: eid for eid in g.edges}
-    for chord, circ in g._circuits:
-        root = find(parent, chord)
-        for eid in circ:
-            parent[find(parent, eid)] = root
-    members = {}
-    for eid in g.edge_ids():  # a block first appears at its smallest id
-        members.setdefault(find(parent, eid), []).append(eid)
-    blocks = list(members.values())
-    seen = set()
-    arts = set()
-    for blk in blocks:
-        for v in {v for eid in blk for v in g.edges[eid]}:
-            if v in seen:
-                arts.add(v)
-            seen.add(v)
-    return BlockDecomposition(blocks, sorted(arts))
+    blocks, arts = g._blocks
+    return BlockDecomposition([list(blk) for blk in blocks], list(arts))
 
 
 @dataclass
@@ -346,7 +353,7 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
     canonical = []
     dof = 0
     nullity = 0
-    for blk in block_decomposition(g).blocks:
+    for blk in g._blocks[0]:
         cols = [pos[e] for e in blk]
         brows = [sub for sub in ([row[c] for c in cols] for row in rows)
                  if any(sub)]

@@ -293,8 +293,7 @@ def mult_relation(rs):
         primes.update(d.finite)
     primes = sorted(primes)
     rows = [[decs[i].finite.get(p, 0) for i in range(n)] for p in primes]
-    kernel = intlat.int_kernel(rows, n) if rows else \
-        [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    kernel = intlat.int_kernel(rows, n)
     if not kernel:
         return None
     best = _minimal_supnorm_in_lattice(kernel)

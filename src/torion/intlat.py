@@ -41,60 +41,25 @@ def hnf(rows):
 
 def int_kernel(rows, n=None):
     """Basis of {x in Z^n : M x = 0} for the integer matrix with the given
-    rows; the kernel of an integer matrix is automatically saturated."""
-    M = [list(r) for r in rows]
+    rows, in Hermite normal form: the rows of hnf([M^T | I_n]) whose M^T
+    part is zero, read in their identity part (Cohen, A Course in
+    Computational Algebraic Number Theory, sec. 2.4).  The kernel of an integer
+    matrix is automatically saturated."""
+    rows = [list(r) for r in rows]
     if n is None:
-        n = len(M[0]) if M else 0
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop_sub(c1, c2, q):
-        for row in M:
-            row[c1] -= q * row[c2]
-        for row in U:
-            row[c1] -= q * row[c2]
-
-    def colswap(c1, c2):
-        for row in M:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in U:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    pr = 0
-    for r in range(len(M)):
-        piv = next((c for c in range(pr, n) if M[r][c] != 0), None)
-        if piv is None:
-            continue
-        colswap(pr, piv)
-        c = pr + 1
-        while c < n:
-            if M[r][c] == 0:
-                c += 1
-                continue
-            if abs(M[r][c]) < abs(M[r][pr]):
-                colswap(pr, c)
-                continue
-            q = M[r][c] // M[r][pr]
-            colop_sub(c, pr, q)
-        pr += 1
-    ker = []
-    for c in range(n):
-        if all(M[r][c] == 0 for r in range(len(M))):
-            ker.append(tuple(U[r][c] for r in range(n)))
-    return ker
+        n = len(rows[0]) if rows else 0
+    m = len(rows)
+    aug = [[row[j] for row in rows] + [int(i == j) for i in range(n)]
+           for j in range(n)]
+    return [h[m:] for h in hnf(aug) if not any(h[:m])]
 
 
 def saturate_rows(rows, n=None):
     """HNF basis of the saturation of the row lattice (the integer points of
-    its Q-span): kernel of the kernel."""
-    rows = [r for r in rows if any(r)]
+    its Q-span): the integer kernel of its Q-kernel."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    if not rows:
-        return tuple()
-    ker = int_kernel(rows, n)
-    if not ker:
-        return hnf([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    return hnf(int_kernel(ker, n))
+    return hnf(int_kernel(echelon_kernel(rows, n), n))
 
 
 def primitive_vector(v):

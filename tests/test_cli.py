@@ -379,6 +379,22 @@ class TestReproduceCommand:
         assert set(doc["results"]) == set(results) | {"target", "pass"}
         assert all(doc["grades"][k] == "exact" for k in results)
 
+    @pytest.mark.parametrize("target", ["lem-so", "lem-so-odd"])
+    def test_budget_run_out_is_undetermined(self, tmp_path, monkeypatch,
+                                            capsys, target):
+        profiles = dict(cli.BUDGET_PROFILES)
+        profiles["tiny"] = Budget(max_pairs=2)
+        monkeypatch.setattr(cli, "BUDGET_PROFILES", profiles)
+        rep = tmp_path / "r.json"
+        assert run(["--report", str(rep), "--budget", "tiny", "reproduce",
+                    target]) == 3
+        err = capsys.readouterr().err
+        assert "undetermined" in err and "MISMATCH" not in err
+        doc = json.loads(rep.read_text())
+        assert doc["results"]["undetermined"] > 0
+        assert doc["grades"]["undetermined"] == "undetermined"
+        assert doc["results"]["pass"] is None
+
 
 class TestInternalError:
     def test_unexpected_exception_exit_4(self, tmp_path, monkeypatch,

@@ -290,7 +290,7 @@ class TestTorsionConfigCheck:
             poles=[ProjPoint(x1), ProjPoint(x2), ProjPoint(u1),
                    ProjPoint(u2)],
             pair_partition=[[0, 1], [2, 3]])
-        verdict, detail = torsion_config_check(cfg, None, 24)
+        verdict, detail = torsion_config_check(cfg, 24)
         assert (verdict, detail) == ("satisfies", None)
 
     def test_span_dimension_violation(self):
@@ -303,7 +303,7 @@ class TestTorsionConfigCheck:
             poles=[ProjPoint(one), ProjPoint(z * z), ProjPoint(-one),
                    ProjPoint(-(z * z))],
             pair_partition=[[0, 1], [2, 3]])
-        verdict, detail = torsion_config_check(cfg, None, 8)
+        verdict, detail = torsion_config_check(cfg, 8)
         assert verdict == "violates" and detail == "ii"
 
     def test_residue_sum_violation(self):
@@ -313,7 +313,7 @@ class TestTorsionConfigCheck:
             zeros=[(0, 1), (ProjPoint.infinity(), 1)],
             poles=[1, -1, 2, -2],
             pair_partition=[[0, 1], [2, 3]])
-        verdict, detail = torsion_config_check(cfg, None, 4)
+        verdict, detail = torsion_config_check(cfg, 4)
         assert verdict == "violates" and detail == "i"
 
     def test_cross_ratio_not_unit(self):
@@ -328,7 +328,7 @@ class TestTorsionConfigCheck:
             poles=[ProjPoint(one), ProjPoint(zx * zx), ProjPoint(u1),
                    ProjPoint(zu * zu * u1)],
             pair_partition=[[0, 1], [2, 3]])
-        verdict, detail = torsion_config_check(cfg, None, 2)
+        verdict, detail = torsion_config_check(cfg, 2)
         # the pole-pair cross-ratios have orders 3 and 8: they do not
         # divide 2
         assert verdict == "violates" and detail == "iii"
@@ -346,8 +346,8 @@ class TestTorsionConfigCheck:
             poles=[ProjPoint(one), ProjPoint(zx * zx), ProjPoint(u1),
                    ProjPoint(zu * zu * u1)],
             pair_partition=[[0, 1], [2, 3]])
-        assert torsion_config_check(cfg, None, 4) == ("satisfies", None)
-        assert torsion_config_check(cfg, None, 2) == ("violates", "iii")
+        assert torsion_config_check(cfg, 4) == ("satisfies", None)
+        assert torsion_config_check(cfg, 2) == ("violates", "iii")
 
 
 class TestRootOfUnityVerdict:

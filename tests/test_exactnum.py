@@ -6,7 +6,7 @@ import pytest
 
 from torion.exactnum import (AlgebraicReal, Cyclotomic, DegreeOutOfRange,
                              DependentBasis, NotQuartic, NotSquare,
-                             RationalMatrix, Reducible, RootOfUnity, UPoly,
+                             RationalMatrix, Reducible, UPoly,
                              _divisors, char_poly, count_real_roots,
                              cyclotomic_order, cyclotomic_polynomial,
                              discriminant, euler_phi, factorize,
@@ -308,25 +308,6 @@ class TestGalois:
         assert discriminant(UPoly([-1, -1, 1])) == 5
 
 
-class TestRootsOfUnity:
-    def test_equality_across_orders(self):
-        assert RootOfUnity(8, 2) == RootOfUnity(4, 1)
-        assert RootOfUnity(6, 3) == RootOfUnity(2, 1)
-
-    def test_product_lcm(self):
-        z = RootOfUnity(4, 1) * RootOfUnity(6, 1)
-        assert z == RootOfUnity(12, 5)
-
-    def test_inverse_and_signs(self):
-        z = RootOfUnity(8, 3)
-        assert (z * z.inverse()).is_one()
-        assert RootOfUnity(2, 1).is_minus_one()
-
-    def test_cyclotomic_embedding(self):
-        z = RootOfUnity(8, 2).to_cyclotomic()
-        assert z == Cyclotomic.root_of_unity(4, 1)
-
-
 class TestCyclotomic:
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == UPoly([-1, 1])
@@ -368,6 +349,40 @@ class TestCyclotomic:
         z = Cyclotomic.root_of_unity(8)
         ok, _ = (z + 1).is_root_of_unity()
         assert not ok
+
+    @staticmethod
+    def _order_by_powering(z):
+        """The least m >= 1 with z^m = 1, or None: a root of unity in
+        Q(zeta_N) has order dividing lcm(2, N)."""
+        if z.is_zero():
+            return None
+        acc = z
+        for m in range(1, math.lcm(2, z.order) + 1):
+            if acc == 1:
+                return m
+            acc = acc * z
+        return None
+
+    def test_root_of_unity_order_matches_powering(self):
+        """Kronecker's test against brute-force powering on every +-zeta_n^k
+        with n <= 24, and on sums of two of them with n <= 8 (in a common
+        Q(zeta_N), N <= 24)."""
+        small = []
+        for n in range(1, 25):
+            for k in range(n):
+                for z in (Cyclotomic.root_of_unity(n, k),
+                          -Cyclotomic.root_of_unity(n, k)):
+                    order = self._order_by_powering(z)
+                    assert order is not None
+                    assert z.is_root_of_unity() == (True, order), (n, k)
+                    if n <= 8:
+                        small.append(z)
+        pairs = [(a, b) for a in small for b in small
+                 if math.lcm(a.order, b.order) <= 24]
+        for a, b in random.Random(5).sample(pairs, 150):
+            s = a + b
+            order = self._order_by_powering(s)
+            assert s.is_root_of_unity() == (order is not None, order), s
 
 
 class TestRationalMatrix:

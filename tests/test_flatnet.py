@@ -77,6 +77,21 @@ class TestBlocks:
         assert d.blocks == [["e1", "e2"], ["e3", "e4"]]
         assert d.articulation_vertices == ["b"]
 
+    def test_decomposition_is_a_copy(self):
+        """The blocks are cached on the graph; what callers get back is
+        theirs to change."""
+        g = DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c")])
+        d = block_decomposition(g)
+        d.blocks[0].append("e9")
+        d.blocks.append(["e8"])
+        d.articulation_vertices.clear()
+        g.bridges().append("e7")
+        again = block_decomposition(g)
+        assert again.blocks == [["e1", "e2"], ["e3"]]
+        assert again.articulation_vertices == ["b"]
+        assert g.bridges() == ["e3"]
+
     def test_loop_is_own_block(self):
         g = DualGraph(["a", "b"],
                       [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "a", "a")])

@@ -1,10 +1,12 @@
 """Tests of intlat: the fraction-free echelon form and its kernel against
-sympy's RREF (skipped when sympy is absent), RationalMatrix rank, kernel and
-inverse, which run on intlat, against sympy, and property tests of the Hermite
-normal form, the integer kernel and row saturation."""
+sympy's RREF (skipped when sympy is absent), RationalMatrix rank, kernel,
+inverse and determinant against sympy, property tests of the Hermite normal
+form, the integer kernel and row saturation, and oracles for the last two:
+the saturated sympy nullspace and the integer points of the row span."""
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,75 @@ def test_saturation_contains_the_rows_with_the_same_span(case):
     sat = saturate_rows(rows, cols)
     assert hnf([list(r) for r in sat] + rows) == sat
     assert len(sat) == len(hnf(rows))
+
+
+def _in_lattice(v, H):
+    """Membership of v in the row lattice of the Hermite normal form H, by
+    clearing the pivots top to bottom."""
+    v = list(v)
+    for row in H:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _nullspace(rows, cols):
+    """sympy's Q-kernel basis, each vector scaled to coprime integers."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(cols)) for i in range(cols)]
+    return [_primitive([Fraction(int(x.p), int(x.q)) for x in v])
+            for v in _sympy().Matrix(rows).nullspace()]
+
+
+@st.composite
+def narrow_int_matrices(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    return cols, [draw(st.lists(entry, min_size=cols, max_size=cols))
+                  for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(narrow_int_matrices())
+def test_saturation_holds_every_integer_point_of_the_span(case):
+    """Every vector of [-3, 3]^n in the Q-row span (orthogonal to sympy's
+    kernel) lies in the saturated lattice."""
+    cols, rows = case
+    sat = saturate_rows(rows, cols)
+    kern = _nullspace(rows, cols)
+    for v in product(range(-3, 4), repeat=cols):
+        if all(sum(a * b for a, b in zip(v, k)) == 0 for k in kern):
+            assert _in_lattice(v, sat), (rows, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_int_kernel_is_the_saturated_nullspace(case):
+    """int_kernel spans the saturation of the lattice of sympy's nullspace:
+    the same Q-span, primitive (its maximal minors have gcd 1) and holding
+    every nullspace vector."""
+    sympy = _sympy()
+    cols, rows = case
+    ker = int_kernel(rows, cols)
+    ref = _nullspace(rows, cols)
+    assert len(ker) == len(ref)
+    if not ker:
+        return
+    assert _q_rank(ker + ref) == len(ref)
+    k = len(ker)
+    minors = [sympy.Matrix([[v[c] for c in cs] for v in ker]).det()
+              for cs in combinations(range(cols), k)]
+    assert math.gcd(*(int(m) for m in minors)) == 1
+    H = hnf(ker)
+    assert all(_in_lattice(v, H) for v in ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_matches_sympy(rows):
+    ref = _sympy().Matrix(rows).det()
+    assert RationalMatrix(rows).det() == Fraction(int(ref.p), int(ref.q))
