@@ -814,13 +814,35 @@ class Cyclotomic(_Residue):
         if n % self.order:
             raise ValueError("new order must be a multiple")
         step = n // self.order
-        phi = cyclotomic_polynomial(n)
-        acc = UPoly([])
-        for i, c in enumerate(self.coords):
-            if c:
-                acc = acc + UPoly([0] * (i * step) + [c])
-        acc = acc % phi
-        return Cyclotomic(n, acc.coeffs)
+        lifted = [0] * (step * len(self.coords))
+        lifted[::step] = self.coords
+        return Cyclotomic(n, (UPoly(lifted) % cyclotomic_polynomial(n)).coeffs)
+
+    def _least_order(self):
+        """(d, coords) of the equal element at the least order d that holds
+        it.  Q(zeta_d) meets Q(zeta_n) in Q(zeta_gcd(d, n)), so d divides
+        every order that holds the element, and the pair is unique."""
+        for d in _divisors(self.order):
+            # columns: zeta_d^j at this order for j < phi(d), then -self
+            cols = [Cyclotomic(d, [0] * j + [1]).change_order(self.order)
+                    .coords for j in range(euler_phi(d))]
+            cols.append([-c for c in self.coords])
+            kernel = RationalMatrix(list(zip(*cols))).kernel()
+            if kernel:
+                return d, tuple(kernel[0][:-1])
+
+    def __eq__(self, other):
+        # operands of different orders compare at their least orders, so no
+        # comparison needs an order above the cap
+        if isinstance(other, Cyclotomic) and other.order != self.order:
+            return self._least_order() == other._least_order()
+        return _Residue.__eq__(self, other)
+
+    def __hash__(self):
+        # equal elements hash alike at any order; a rational one as its
+        # Fraction
+        d, coords = self._least_order()
+        return hash(coords[0]) if d == 1 else hash((d, coords))
 
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(N-1)."""

@@ -17,6 +17,7 @@ import hashlib
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -214,11 +215,7 @@ def enumerate_subspaces_multi(polys, starts):
 def induced_parts(polys, N: ExponentSubgroup):
     """All support parts of all generators under projection by N's basis."""
     E = [list(r) for r in N.basis]
-    parts = []
-    for p in polys:
-        for J, q in substitute_torus(p, E):
-            parts.append((J, q))
-    return parts
+    return [part for p in polys for part in substitute_torus(p, E)]
 
 
 def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
@@ -353,88 +350,66 @@ def _solve_coset_points(ideal: Ideal, n: int, budget: Budget):
 def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
     out = {}
     for e, c in p.terms.items():
-        coef = c
         e2 = list(e)
         for i, v in assignment.items():
             if e[i]:
-                coef = coef * (Fraction(v) ** e[i])
+                c = c * (Fraction(v) ** e[i])
                 e2[i] = 0
         key = tuple(e2)
-        nc = out.get(key, Fraction(0)) + coef
-        if nc:
-            out[key] = nc
-        elif key in out:
-            del out[key]
-    r = MultiPoly(p.n, None, p.laurent)
-    r.terms = out
-    return r
+        out[key] = out.get(key, Fraction(0)) + c
+    return MultiPoly(p.n, out, p.laurent)
 
 
 # ---------------------------------------------------------------------------
 # anchored rank-one tier pipeline
 # ---------------------------------------------------------------------------
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     """Rank-one candidate vectors from anchored pairwise systems (3 variables
     only), anchored at the graded-reverse-lex largest support element.  For
-    each potential friend l1' of the anchor, the first support element l2
-    (descending graded-reverse-lex) whose difference vectors are all
-    independent of anchor - l1' closes the system; every anomalous
-    direction solves one of the resulting 2x2 systems, i.e. is a cross
-    product.  `antipodal` folds E and -E together (primitive, first nonzero
-    entry positive); with antipodal=False both signs are listed."""
+    each potential friend l1' of the anchor, the support elements e on one
+    line parallel to v1 = anchor - l1' share the line key cross(v1, e).  The
+    first element l2 (descending graded-reverse-lex) with a key of its own
+    closes the system; each anomalous direction is E = cross(v1, l2 - l2')
+    = key(l2) - key(l2').  `antipodal` folds E and -E together (primitive,
+    first nonzero entry positive); antipodal=False lists both signs."""
     if poly.n != 3:
         raise ValueError("anchored tier pipeline needs exactly 3 variables")
     sup = sorted(poly.terms,
                  key=lambda e: (sum(e), tuple(-x for x in reversed(e))),
                  reverse=True)
-    anchor = sup[0]
+    a0, a1, a2 = sup[0]
     out = set()
-    for l1p in sup:
-        if l1p == anchor:
-            continue
-        v1 = tuple(a - b for a, b in zip(anchor, l1p))
-        l2 = None
-        for cand in sup:
-            if all(_cross(v1, tuple(a - b for a, b in zip(cand, l2p)))
-                   != (0, 0, 0)
-                   for l2p in sup if l2p != cand):
-                l2 = cand
-                break
-        if l2 is None:
+    for b0, b1, b2 in sup[1:]:
+        u0, u1, u2 = a0 - b0, a1 - b1, a2 - b2
+        keys = [(u1 * z - u2 * y, u2 * x - u0 * z, u0 * y - u1 * x)
+                for x, y, z in sup]
+        counts = Counter(keys)
+        k = next((k for k in keys if counts[k] == 1), None)
+        if k is None:
             raise ValueError("no closing support element exists; the "
                              "anchored pipeline does not apply")
-        for l2p in sup:
-            if l2p == l2:
-                continue
-            E = _cross(v1, tuple(a - b for a, b in zip(l2, l2p)))
-            if antipodal:
-                E = intlat.primitive_vector(E)
-                if E:
-                    out.add(E)
-            else:
-                g = math.gcd(math.gcd(abs(E[0]), abs(E[1])), abs(E[2]))
-                if g:
-                    out.add(tuple(x // g for x in E))
+        k0, k1, k2 = k
+        for x, y, z in keys:
+            E = (k0 - x, k1 - y, k2 - z)
+            g = math.gcd(*E)
+            if g:
+                # E < (0, 0, 0) exactly when its first nonzero entry is < 0
+                if antipodal and E < (0, 0, 0):
+                    g = -g
+                out.add((E[0] // g, E[1] // g, E[2] // g))
     return sorted(out)
 
 
 def tier2_friend_filter(poly: MultiPoly, candidates):
     """Keep the vectors E for which every support element has a friend:
-    grouping the support by the value of <., E> leaves no singleton."""
+    one count of the values <e, E> over the support shows no singleton."""
+    sup = list(poly.terms)
     out = []
     for E in candidates:
-        groups = {}
-        for e in poly.terms:
-            key = sum(a * b for a, b in zip(e, E))
-            groups[key] = groups.get(key, 0) + 1
-        if all(v >= 2 for v in groups.values()):
+        a, b, c = E
+        if 1 not in Counter([a * x + b * y + c * z
+                             for x, y, z in sup]).values():
             out.append(E)
     return out
 

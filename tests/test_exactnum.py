@@ -384,6 +384,37 @@ class TestCyclotomic:
             order = self._order_by_powering(s)
             assert s.is_root_of_unity() == (order is not None, order), s
 
+    def test_hash_agrees_with_equality_across_orders(self):
+        """Every +-zeta_n^k with n <= 24, lifted by change_order to each
+        multiple of n up to 24: equal elements hash alike and collapse in a
+        set.  An element is known by its angle k/n (+1/2 for the minus
+        sign) modulo 1."""
+        by_angle = {}
+        for n in range(1, 25):
+            for k in range(n):
+                for sign in (0, 1):
+                    z = Cyclotomic.root_of_unity(n, k)
+                    z = -z if sign else z
+                    angle = (F(k, n) + F(sign, 2)) % 1
+                    for m in range(n, 25, n):
+                        by_angle.setdefault(angle, []).append(
+                            z.change_order(m))
+        for angle, zs in by_angle.items():
+            assert len({hash(z) for z in zs}) == 1, angle
+            assert all(z == zs[0] for z in zs), angle
+        elements = [z for zs in by_angle.values() for z in zs]
+        assert len(set(elements)) == len(by_angle)
+        assert Cyclotomic.root_of_unity(8, 2) == Cyclotomic.root_of_unity(4, 1)
+        assert len({Cyclotomic.root_of_unity(8, 2),
+                    Cyclotomic.root_of_unity(4, 1)}) == 1
+        # a rational element hashes as its Fraction
+        assert hash(Cyclotomic.root_of_unity(12, 6)) == hash(F(-1))
+        assert Cyclotomic.root_of_unity(12, 6) in {F(-1)}
+        # orders whose lcm exceeds the cap still compare
+        assert Cyclotomic.root_of_unity(16, 2) == \
+            Cyclotomic.root_of_unity(24, 3)
+        assert Cyclotomic.root_of_unity(5) != Cyclotomic.root_of_unity(7)
+
 
 class TestRationalMatrix:
     def test_parse_rank_kernel(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -233,6 +234,113 @@ class TestTierPipeline:
         from torion.intlat import primitive_vector
         assert {primitive_vector(v) for v in signed} == set(folded)
 
+
+
+# Brute-force references for the tier kernels.  Tier 1 searches all of the
+# support for each closing element and takes each cross product and
+# primitive vector afresh; tier 2 sums one generator per support element and
+# candidate.
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _tier1_reference(poly, antipodal=True):
+    from torion.intlat import primitive_vector
+    sup = sorted(poly.terms,
+                 key=lambda e: (sum(e), tuple(-x for x in reversed(e))),
+                 reverse=True)
+    anchor = sup[0]
+    out = set()
+    for l1p in sup:
+        if l1p == anchor:
+            continue
+        v1 = tuple(a - b for a, b in zip(anchor, l1p))
+        l2 = None
+        for cand in sup:
+            if all(_cross(v1, tuple(a - b for a, b in zip(cand, l2p)))
+                   != (0, 0, 0)
+                   for l2p in sup if l2p != cand):
+                l2 = cand
+                break
+        if l2 is None:
+            raise ValueError("no closing support element exists; the "
+                             "anchored pipeline does not apply")
+        for l2p in sup:
+            if l2p == l2:
+                continue
+            E = _cross(v1, tuple(a - b for a, b in zip(l2, l2p)))
+            if antipodal:
+                E = primitive_vector(E)
+                if E:
+                    out.add(E)
+            else:
+                g = math.gcd(math.gcd(abs(E[0]), abs(E[1])), abs(E[2]))
+                if g:
+                    out.add(tuple(x // g for x in E))
+    return sorted(out)
+
+
+def _tier2_reference(poly, candidates):
+    out = []
+    for E in candidates:
+        groups = {}
+        for e in poly.terms:
+            key = sum(a * b for a, b in zip(e, E))
+            groups[key] = groups.get(key, 0) + 1
+        if all(v >= 2 for v in groups.values()):
+            out.append(E)
+    return out
+
+
+def _random_support_poly(rng):
+    size = rng.randint(2, 25)
+    sup = set()
+    while len(sup) < size:
+        sup.add(tuple(rng.randint(0, 5) for _ in range(3)))
+    return MultiPoly(3, {e: 1 for e in sup})
+
+
+class TestTierKernelsDifferential:
+    """The tier kernels equal their brute-force references, in order."""
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    def test_random_supports(self, antipodal):
+        rng = random.Random(20141)
+        raised = 0
+        for _ in range(300):
+            h = _random_support_poly(rng)
+            try:
+                expected = _tier1_reference(h, antipodal)
+            except ValueError as exc:
+                raised += 1
+                with pytest.raises(ValueError) as got:
+                    tier1_candidates(h, antipodal)
+                assert str(got.value) == str(exc)
+                continue
+            assert tier1_candidates(h, antipodal) == expected
+            assert tier2_friend_filter(h, expected) == \
+                _tier2_reference(h, expected)
+        assert 0 < raised < 300
+
+    def test_surface_deg14(self):
+        _, (h,) = read_poly_file(data_text("surface_deg14.poly"))
+        cands = tier1_candidates(h)
+        assert cands == _tier1_reference(h)
+        assert tier2_friend_filter(h, cands) == _tier2_reference(h, cands)
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    def test_no_closing_element(self, antipodal):
+        # every element shares its line parallel to (1, 0, 0) or (0, 1, 0)
+        # with another, so no element closes the system for any l1'
+        h = MultiPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1,
+                          (1, 1, 0): 1})
+        with pytest.raises(ValueError) as exc:
+            _tier1_reference(h, antipodal)
+        with pytest.raises(ValueError) as got:
+            tier1_candidates(h, antipodal)
+        assert str(got.value) == str(exc.value)
 
 class TestSaturatedScan:
     def test_toy_peripheral(self):
