@@ -769,7 +769,8 @@ def cyclotomic_order(p: UPoly) -> int | None:
 
 class Cyclotomic(_Residue):
     """Element of Q(zeta_N) in the power basis modulo Phi_N; N <= 24.  Two
-    operands of different orders are both lifted to the lcm order."""
+    operands of different orders are both lifted to the lcm order, or,
+    when that exceeds 24, to the lcm of their least orders."""
 
     __slots__ = ("order", "coords")
 
@@ -806,6 +807,11 @@ class Cyclotomic(_Residue):
         if not isinstance(other, Cyclotomic):
             return None, None
         n = math.lcm(self.order, other.order)
+        if n > CYCLOTOMIC_MAX_ORDER:
+            # both may lie in a smaller field: lift their least forms
+            self, other = (Cyclotomic(*x._least_order())
+                           for x in (self, other))
+            n = math.lcm(self.order, other.order)
         return self.change_order(n), other.change_order(n)
 
     def change_order(self, n: int) -> "Cyclotomic":

@@ -232,7 +232,10 @@ def _to_int_poly(p: MultiPoly):
     """Integer dict of p / p.content(): coprime integer coefficients with the
     signs of p's (a positive rescaling, so ideals are unchanged)."""
     c = p.content()
-    return {e: int(v / c) for e, v in p.terms.items()}
+    num, den = c.numerator, c.denominator
+    # den is the lcm of the denominators and num divides every numerator
+    return {e: v.numerator // num * (den // v.denominator)
+            for e, v in p.terms.items()}
 
 
 def _normalize(p):

@@ -133,11 +133,13 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if len(self.terms) == 1 and (k >= 0 or self.laurent):
+            # a single term's power is one term: no repeated products
+            (e, c), = self.terms.items()
+            r = MultiPoly(self.n, None, self.laurent)
+            r.terms = {tuple(x * k for x in e): c ** k}
+            return r
         if k < 0:
-            if len(self.terms) == 1 and self.laurent:
-                (e, c), = self.terms.items()
-                inv = MultiPoly(self.n, {tuple(-x for x in e): 1 / c}, True)
-                return inv ** (-k)
             raise ValueError("negative power of a non-unit")
         out = MultiPoly.constant(self.n, 1, self.laurent)
         base = self

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -401,15 +402,51 @@ def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     return sorted(out)
 
 
+_FIELD_FORMATS = {16: "H", 32: "I", 64: "Q"}  # memoryview codes by width
+
+
 def tier2_friend_filter(poly: MultiPoly, candidates):
-    """Keep the vectors E for which every support element has a friend:
-    one count of the values <e, E> over the support shows no singleton."""
+    """Keep the vectors E for which every support element e has a friend,
+    another element with the same value <e, E>; the order is kept.
+
+    Packed kernel: with span = max|coordinate| * max ||E||_1 (so every
+    value lies in [-span, span]) and w the least of 16, 32, 64 with
+    2*span < 2^w, the support's x, y, z coordinates are packed once into
+    ints X, Y, Z with one w-bit field per element, and ONES has a 1 in
+    each field.  For E = (a, b, c) the one combination
+    a*X + b*Y + c*Z + span*ONES is then exactly the sum of
+    (<e_i, E> + span) * 2^(w*i): no field carries into the next.  It is
+    unpacked in C (`int.to_bytes` and `memoryview.cast`).  E is rejected
+    at once when the largest or the smallest value occurs once, since
+    that element has no friend; the rest are counted.
+
+    An empty support keeps every candidate.  Values that need fields
+    wider than 64 bits (2*span >= 2^64) raise ValueError."""
     sup = list(poly.terms)
+    if not sup:
+        return list(candidates)
+    span = max(map(abs, (x for e in sup for x in e))) * max(
+        (abs(a) + abs(b) + abs(c) for a, b, c in candidates), default=0)
+    w = next((w for w in _FIELD_FORMATS if 2 * span < 1 << w), None)
+    if w is None:
+        raise ValueError(f"tier-2 values need 2*span < 2**64 for the "
+                         f"packed kernel, but span = {span}")
+    X = Y = Z = ONES = 0
+    for x, y, z in reversed(sup):
+        X, Y, Z = (X << w) + x, (Y << w) + y, (Z << w) + z
+        ONES = ONES << w | 1
+    offset = span * ONES
+    nbytes = w // 8 * len(sup)
+    fmt = _FIELD_FORMATS[w]
+    order = sys.byteorder
     out = []
     for E in candidates:
         a, b, c = E
-        if 1 not in Counter([a * x + b * y + c * z
-                             for x, y, z in sup]).values():
+        vals = memoryview((a * X + b * Y + c * Z + offset)
+                          .to_bytes(nbytes, order)).cast(fmt).tolist()
+        if vals.count(max(vals)) == 1 or vals.count(min(vals)) == 1:
+            continue
+        if 1 not in Counter(vals).values():
             out.append(E)
     return out
 

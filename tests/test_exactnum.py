@@ -415,6 +415,21 @@ class TestCyclotomic:
             Cyclotomic.root_of_unity(24, 3)
         assert Cyclotomic.root_of_unity(5) != Cyclotomic.root_of_unity(7)
 
+    def test_arithmetic_past_the_lcm_cap(self):
+        """Operands whose orders have an lcm above 24 are lifted to the lcm
+        of their least orders; only a field above the cap raises."""
+        a = Cyclotomic.root_of_unity(16, 2)  # zeta_8
+        b = Cyclotomic.root_of_unity(24, 3)  # zeta_8
+        assert a + b == 2 * Cyclotomic.root_of_unity(8)
+        assert (a + b).order == 8
+        assert a * b == Cyclotomic.root_of_unity(8, 2)
+        assert (a - b).is_zero()
+        # zeta_4 * zeta_3 = zeta_12^7, from orders 16 and 18 (lcm 144)
+        assert Cyclotomic.root_of_unity(16, 4) * \
+            Cyclotomic.root_of_unity(18, 6) == Cyclotomic.root_of_unity(12, 7)
+        with pytest.raises(ValueError, match="order 48 exceeds 24"):
+            Cyclotomic.root_of_unity(16) + Cyclotomic.root_of_unity(24)
+
 
 class TestRationalMatrix:
     def test_parse_rank_kernel(self):

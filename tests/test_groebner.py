@@ -329,6 +329,17 @@ def test_saturation_carries_its_grevlex_basis(case, other, data):
         assert cached == Ideal(n, J.generators).groebner_basis(GREVLEX)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.dictionaries(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    max_size=6).map(lambda t: MultiPoly(n, t))))
+def test_to_int_poly_is_the_content_quotient(p):
+    c = p.content()
+    assert groebner._to_int_poly(p) == \
+        {e: int(v / c) for e, v in p.terms.items()}
+
+
 def test_is_trivial_after_saturation_runs_no_buchberger(monkeypatch):
     S = saturate(mk(2, "x^2*y - x", "y^2 - 1"), parse("y", XY))
     T = saturate(mk(2, "x^2", "x*y"), parse("x", XY))

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from operator import mul
 from fractions import Fraction as F
 
@@ -77,6 +78,25 @@ class TestArith:
     def test_zeroth_power(self):
         assert parse("x + 1", ["x"]) ** 0 == \
             MultiPoly.constant(1, 1)
+
+    @pytest.mark.parametrize("laurent", [False, True])
+    def test_monomial_power_is_the_repeated_product(self, laurent):
+        rng = random.Random(12)
+        lo = -3 if laurent else 0
+        for _ in range(20):
+            e = tuple(rng.randint(lo, 3) for _ in range(3))
+            c = F(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 4))
+            m = MultiPoly(3, {e: c}, laurent)
+            one = MultiPoly.constant(3, 1, laurent)
+            for k in range(9):
+                assert m ** k == reduce(mul, [m] * k, one)
+            if laurent:
+                inv = MultiPoly(3, {tuple(-x for x in e): 1 / c}, True)
+                for k in range(1, 9):
+                    assert m ** -k == reduce(mul, [inv] * k, one)
+            else:
+                with pytest.raises(ValueError, match="non-unit"):
+                    m ** -1
 
     def test_cancellation(self):
         p = parse("x + y", ["x", "y"])

@@ -342,6 +342,66 @@ class TestTierKernelsDifferential:
             tier1_candidates(h, antipodal)
         assert str(got.value) == str(exc.value)
 
+    def test_laurent_supports(self):
+        # negative exponents, with tier-1 and random candidates of both signs
+        rng = random.Random(20142)
+        for _ in range(200):
+            size = rng.randint(2, 25)
+            sup = set()
+            while len(sup) < size:
+                sup.add(tuple(rng.randint(-5, 5) for _ in range(3)))
+            h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+            cands = [tuple(rng.randint(-4, 4) for _ in range(3))
+                     for _ in range(20)]
+            try:
+                cands += tier1_candidates(h, False)
+            except ValueError:
+                pass
+            assert tier2_friend_filter(h, cands) == _tier2_reference(h, cands)
+
+    @pytest.mark.parametrize("scale, width", [(2 ** 14, 32), (2 ** 40, 64)])
+    def test_wide_fields(self, scale, width):
+        # pairs e, e + (1, -1, 0): every E = (k, k, m) gives each element a
+        # friend, so wide candidates are kept as well as rejected
+        rng = random.Random(scale)
+        sup = set()
+        while len(sup) < 30:
+            e = tuple(rng.randint(-9, 9) for _ in range(3))
+            sup.update((e, (e[0] + 1, e[1] - 1, e[2])))
+        h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+        cands = [(scale, scale, -scale + 3), (scale - 1, scale - 1, 7)]
+        cands += [tuple(rng.randint(-scale, scale) for _ in range(3))
+                  for _ in range(40)]
+        span = max(abs(x) for e in sup for x in e) * \
+            max(sum(map(abs, E)) for E in cands)
+        assert 2 ** (width // 2) <= 2 * span < 2 ** width
+        got = tier2_friend_filter(h, cands)
+        assert got == _tier2_reference(h, cands)
+        assert got[:2] == cands[:2]
+
+    def test_empty_inputs(self):
+        h = MultiPoly(3, {(0, 0, 0): 1, (1, 2, 3): 1, (2, 4, 6): 1})
+        assert tier2_friend_filter(h, []) == _tier2_reference(h, []) == []
+        zero = MultiPoly.zero(3)
+        cands = [(1, 0, 0), (0, 1, -1), (5, 3, 2)]
+        assert tier2_friend_filter(zero, cands) == \
+            _tier2_reference(zero, cands) == cands
+
+    def test_count_rejects_with_friends_at_the_extremes(self):
+        # <e, (1, 0, 0)> takes 0 and 2 twice each but 1 once; (0, 0, 1)
+        # gives every element the value 0
+        h = MultiPoly(3, {(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1,
+                          (2, 0, 0): 1, (2, 1, 0): 1})
+        cands = [(1, 0, 0), (0, 0, 1)]
+        assert tier2_friend_filter(h, cands) == \
+            _tier2_reference(h, cands) == [(0, 0, 1)]
+
+    def test_beyond_64_bit_fields(self):
+        h = MultiPoly(3, {(0, 0, 0): 1, (3, 1, 0): 1})
+        with pytest.raises(ValueError, match=r"2\*span < 2\*\*64"):
+            tier2_friend_filter(h, [(1, 2 ** 62, 0)])
+
+
 class TestSaturatedScan:
     def test_toy_peripheral(self):
         # variety x1 x2 = 1; peripheral locus z1 = 1: the candidate
