@@ -422,9 +422,9 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
 
     An empty support keeps every candidate.  Values that need fields
     wider than 64 bits (2*span >= 2^64) raise ValueError."""
-    sup = list(poly.terms)
+    sup, candidates = list(poly.terms), list(candidates)
     if not sup:
-        return list(candidates)
+        return candidates
     span = max(map(abs, (x for e in sup for x in e))) * max(
         (abs(a) + abs(b) + abs(c) for a, b, c in candidates), default=0)
     w = next((w for w in _FIELD_FORMATS if 2 * span < 1 << w), None)

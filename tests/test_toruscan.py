@@ -386,6 +386,10 @@ class TestTierKernelsDifferential:
         cands = [(1, 0, 0), (0, 1, -1), (5, 3, 2)]
         assert tier2_friend_filter(zero, cands) == \
             _tier2_reference(zero, cands) == cands
+        # any iterable: the kernel reads the candidates twice
+        cands.append((3, 0, -1))
+        assert tier2_friend_filter(h, iter(cands)) == \
+            _tier2_reference(h, cands) == [(3, 0, -1)]
 
     def test_count_rejects_with_friends_at_the_extremes(self):
         # <e, (1, 0, 0)> takes 0 and 2 twice each but 1 once; (0, 0, 1)
