@@ -21,9 +21,19 @@ it was checked against); a basis only grows, so the memo picks the reducer
 a linear scan would.  Pair selection uses the sugar strategy with both
 Buchberger criteria.  The minimal basis is interreduced in ascending lead
 order, each member against the members already reduced before it: a tail
-term t of g lies below lead(g), so only leads <= t can divide it.  All
-resource limits are explicit: exceeding one raises ResourceExhausted, which
-carries the GBStats counters reached and which pipelines treat as
+term t of g lies below lead(g), so only leads <= t can divide it.
+
+A lex basis (any permutation) is converted from the grevlex basis, cached
+or computed under the same budget and cached, by FGLM (Faugere, Gianni,
+Lazard and Mora, JSC 16, 1993) when every variable has a pure power among
+the grevlex leads and the quotient has dimension D <= budget.max_degree:
+normal forms come from the one reduction loop and linear dependencies from
+intlat.echelon_kernel.  Every proper divisor of a lex lead is a standard
+monomial, so no lead exceeds degree D and the result fits the budget and
+the fields.  Otherwise lex runs Buchberger.
+
+All resource limits are explicit: exceeding one raises ResourceExhausted,
+which carries the GBStats counters reached and which pipelines treat as
 "undetermined", never as a mathematical answer.
 """
 
@@ -33,10 +43,11 @@ import heapq
 import math
 import operator
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import reduce
 
+from .intlat import echelon_kernel
 from .multipoly import MultiPoly, RingMismatch
 
 
@@ -222,6 +233,21 @@ class _Basis:
         self.leads.append(le)
         self.lcs.append(p[le])
         self.his.append(reduce(operator.or_, p))
+
+
+def _packed_basis(polys, n, order: TermOrder, budget: Budget, extra=()):
+    """The _Packing for order with fields sized from the budget, the reduced
+    basis polys (MultiPolys) and the integer dicts extra, and the _Basis of
+    polys packed by it."""
+    ints = [_to_int_poly(g) for g in polys]
+    pk = _Packing(n, order, max([budget.max_degree] +
+                                [sum(e) for g in ints + list(extra)
+                                 for e in g]))
+    basis = _Basis()
+    for g in ints:
+        g = pk.packed(g)
+        basis.append(g, max(g))
+    return pk, basis
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +493,83 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
 
 
 # ---------------------------------------------------------------------------
+# change of order (FGLM)
+# ---------------------------------------------------------------------------
+
+def _staircase(basis: _Basis, pk: _Packing, n, cap):
+    """The standard monomials (no lead divides them) of the reduced basis,
+    packed, or None when some variable has no pure power among the leads
+    (the ideal is not zero-dimensional) or there are more than cap."""
+    exps = [pk.decode(le) for le in basis.leads]
+    if not all(any(not any(e[:i] + e[i + 1:]) for e in exps)
+               for i in range(n)):
+        return None
+    guard, out = pk.guard, []
+    stack = [(0, 0)]  # a monomial and the least variable it may still gain
+    while stack:
+        m, i = stack.pop()
+        if all((m - le) & guard for le in basis.leads):
+            out.append(m)
+            if len(out) > cap:
+                return None
+            stack.extend((m + pk.units[j], j) for j in range(i, n))
+    return out
+
+
+def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
+    """Reduced basis in the lex order `order` of the zero-dimensional ideal
+    with reduced basis `basis` (packed by pk, any order) and standard
+    monomials `staircase`, in _buchberger's format.  The candidates
+    x_i * s, s a standard monomial of the new order, are taken smallest
+    first.  A candidate divisible by a new lead is skipped.  Otherwise its
+    normal form, the normal form of x_i times that of s, either depends on
+    those of the standard monomials already found, and the relation is a
+    new basis member with lead the candidate, or the candidate is standard
+    too.  Each normal form is kept as (r, scale), r = scale * NF as
+    _reduce_int gives it, so a kernel vector k of the r's is the relation
+    sum k_j scale_j m_j."""
+    target = _Packing(n, order, len(staircase))
+    words, vecs, scales = [], [], []  # the new standard monomials
+    leads, out = [], []
+    heap, seen = [(0, -1, 0)], set()  # (target word, parent, variable)
+    while heap:
+        t, parent, v = heapq.heappop(heap)
+        if t in seen:
+            continue
+        seen.add(t)
+        if any(not (t - le) & target.guard for le in leads):
+            continue
+        if parent < 0:
+            r, scale = _reduce_int({0: 1}, basis, pk)
+        else:
+            r, scale = _reduce_int({m + pk.units[v]: c
+                                    for m, c in vecs[parent].items()},
+                                   basis, pk)
+            scale *= scales[parent]
+        cols = vecs + [r]
+        kernel = echelon_kernel([[col.get(m, 0) for col in cols]
+                                 for m in staircase], len(cols))
+        if not kernel:
+            words.append(t)
+            vecs.append(r)
+            scales.append(scale)
+            for i in range(n):
+                heapq.heappush(heap, (t + target.units[i], len(vecs) - 1, i))
+            continue
+        rel = [(w, k * s) for w, k, s in zip(words + [t], kernel[0],
+                                            scales + [scale]) if k]
+        den = math.lcm(*(a.denominator for _, a in rel))
+        ints = [(w, int(a * den)) for w, a in rel]
+        g = math.gcd(*(a for _, a in ints))
+        if ints[-1][1] < 0:
+            g = -g
+        leads.append(t)
+        out.append((target.decode(t), {target.decode(w): a // g
+                                       for w, a in reversed(ints)}))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public ideal API
 # ---------------------------------------------------------------------------
 
@@ -491,16 +594,28 @@ class Ideal:
         self._stats_cache = {}
 
     def _cache_key(self, order: TermOrder):
-        return (order.kind, order.perm, order.nblock)
+        """Equal orders share a key: an identity permutation is no
+        permutation, and only a block order has a block size."""
+        perm = None if order.perm == tuple(range(self.n)) else order.perm
+        return (order.kind, perm,
+                order.nblock if order.kind == "block" else None)
 
     def groebner_basis(self, order: TermOrder = GREVLEX,
                        budget: Budget = BUDGET_PROFILES["default"]):
+        """Reduced basis in the given order, monic, cached per order.  A lex
+        basis is converted from the grevlex basis by FGLM where the module
+        docstring says; otherwise, and when the grevlex basis runs out of
+        budget, lex runs Buchberger."""
         key = self._cache_key(order)
         if key in self._basis_cache:
             return self._basis_cache[key]
-        raw, stats = _buchberger(self.n, [_to_int_poly(g)
-                                          for g in self.generators],
-                                 order, budget)
+        raw = None
+        if order.kind == "lex":
+            raw, stats = self._convert_from_grevlex(order, budget)
+        if raw is None:
+            raw, stats = _buchberger(self.n, [_to_int_poly(g)
+                                              for g in self.generators],
+                                     order, budget)
         basis = []
         for le, p in raw:
             lc = Fraction(p[le])
@@ -508,14 +623,38 @@ class Ideal:
             q.terms = {e: Fraction(c) / lc for e, c in p.items()}
             basis.append(q)
         self._basis_cache[key] = basis
-        self._stats_cache[key] = stats
+        if stats is not None:
+            self._stats_cache[key] = stats
         return basis
+
+    def _convert_from_grevlex(self, order: TermOrder, budget: Budget):
+        """(basis, stats) by FGLM from the grevlex basis, in _buchberger's
+        format, with the grevlex run's counters and its seconds plus the
+        conversion's (None without a grevlex run here); (None, None) when
+        the conversion does not apply."""
+        try:
+            grevlex = self.groebner_basis(GREVLEX, budget)
+        except ResourceExhausted:
+            return None, None
+        start = time.perf_counter()
+        pk, basis = _packed_basis(grevlex, self.n, GREVLEX, budget)
+        staircase = _staircase(basis, pk, self.n, budget.max_degree)
+        if staircase is None:
+            return None, None
+        raw = _fglm(basis, pk, staircase, self.n, order)
+        stats = self.stats(GREVLEX)
+        if stats is not None:
+            stats = replace(stats, seconds=round(
+                stats.seconds + time.perf_counter() - start, 6))
+        return raw, stats
 
     def stats(self, order: TermOrder = GREVLEX) -> GBStats | None:
         """Counters of the Buchberger run behind the cached basis in this
         order; None when no run here produced it (not computed yet, or
         handed over by the saturation or intersection that made this
-        ideal)."""
+        ideal).  A lex basis converted from the grevlex basis by FGLM
+        carries the grevlex run's counters, with seconds covering that run
+        and the conversion; None when the grevlex basis was handed over."""
         return self._stats_cache.get(self._cache_key(order))
 
     def __repr__(self):
@@ -529,16 +668,11 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
         raise RingMismatch("arity mismatch")
     if p.laurent:
         p = p.strip_monomial_content().as_polynomial()
-    polys = [_to_int_poly(g) for g in I.groebner_basis(order, budget)]
-    polys.append(_to_int_poly(p))
-    pk = _Packing(I.n, order, max([budget.max_degree] +
-                                  [sum(e) for g in polys for e in g]))
-    basis = _Basis()
-    for g in polys[:-1]:
-        g = pk.packed(g)
-        basis.append(g, max(g))
+    q = _to_int_poly(p)
+    pk, basis = _packed_basis(I.groebner_basis(order, budget), I.n, order,
+                              budget, [q])
     try:
-        rem, scale = _reduce_int(pk.packed(polys[-1]), basis, pk)
+        rem, scale = _reduce_int(pk.packed(q), basis, pk)
     except _FieldOverflow:
         raise ResourceExhausted("max_degree",
                                 f"{budget.max_degree}, field overflow",
@@ -555,6 +689,9 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     via a lex basis with the eliminated variables largest (method 'block'
     swaps in a grevlex-block elimination order: same elimination ideal,
     usually far cheaper on large inputs)."""
+    if method not in ("lex", "block"):
+        raise ValueError(f"unknown elimination method {method!r}: "
+                         "expected 'lex' or 'block'")
     keep = set(keep)
     eliminated = [i for i in range(I.n) if i not in keep]
     if method == "block":

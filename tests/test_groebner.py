@@ -109,6 +109,25 @@ class TestEliminate:
         for g in J.generators:
             assert all(e[1] == 0 and e[2] == 0 for e in g.terms)
 
+    def test_unknown_method_raises(self):
+        I = mk(2, "x - y^2", "y - 2")
+        with pytest.raises(ValueError, match="'lex' or 'block'"):
+            eliminate(I, [0], method="blok")
+
+    def test_identity_permutation_shares_the_lex_cache(self,
+                                                        buchberger_orders):
+        """eliminate(I, [1]) in two variables asks for lex with the
+        identity permutation: the basis already cached for plain lex."""
+        I = mk(2, "x*y - 1", "x^2 - y")
+        lex = I.groebner_basis(TermOrder("lex"))
+        runs = list(buchberger_orders)
+        assert eliminate(I, [1]).generators == \
+            [g for g in lex if all(e[0] == 0 for e in g.terms)]
+        assert I.groebner_basis(TermOrder("lex", perm=(0, 1))) is lex
+        assert I.groebner_basis(TermOrder("grevlex", perm=(0, 1),
+                                          nblock=2)) is I.groebner_basis()
+        assert buchberger_orders == runs
+
 
 class TestSaturate:
     def test_examples(self):
@@ -212,6 +231,53 @@ class TestBudgets:
         again = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
         again.groebner_basis()
         assert again.stats() == stats  # seconds are not compared
+
+    def test_converted_lex_carries_the_grevlex_counters(self):
+        I = mk(3, "x1^2 - x2", "x2^2 - x3", "x3^2 - x1*x2 - 1")
+        I.groebner_basis(TermOrder("lex"))
+        stats = I.stats(TermOrder("lex"))
+        assert stats == I.stats()
+        assert stats.seconds >= I.stats().seconds
+
+    def test_handed_over_grevlex_converts_without_counters(
+            self, buchberger_orders):
+        S = saturate(mk(2, "x^2*y - x", "y^2 - 1"), parse("y", XY))
+        runs = list(buchberger_orders)
+        assert [g.to_string(XY) for g in S.groebner_basis(
+            TermOrder("lex"))] == ["y^2 - 1", "x^2 - x*y"]
+        assert buchberger_orders == runs
+        assert S.stats(TermOrder("lex")) is None
+
+    def test_positive_dimensional_lex_runs_buchberger(self,
+                                                      buchberger_orders):
+        I = mk(3, "x1^2 - x2*x3", "x2^2 - x1*x3")
+        I.groebner_basis(TermOrder("lex"))
+        assert buchberger_orders == ["grevlex", "lex"]
+        assert I.stats(TermOrder("lex")) != I.stats()
+        for g in I.generators:
+            assert normal_form(g, I, TermOrder("lex")).is_zero()
+
+    @pytest.mark.parametrize("max_degree, runs", [
+        (8, ["grevlex", "lex"]), (9, ["grevlex"]), (60, ["grevlex"])])
+    def test_quotient_dimension_above_the_degree_budget_runs_buchberger(
+            self, buchberger_orders, max_degree, runs):
+        """x^3 - 1, y^3 - 1 have 9 standard monomials: FGLM only from
+        max_degree 9 on; both ways give the same basis."""
+        I = mk(2, "x^3 - 1", "y^3 - 1")
+        basis = I.groebner_basis(TermOrder("lex"),
+                                 Budget(max_degree=max_degree))
+        assert [g.to_string(XY) for g in basis] == ["y^3 - 1", "x^3 - 1"]
+        assert buchberger_orders == runs
+
+    def test_lex_runs_buchberger_when_grevlex_runs_out(self,
+                                                       buchberger_orders):
+        """x - y^2, y^3 - 1 is a lex basis already (coprime leads), while
+        grevlex needs a second pair."""
+        I = mk(2, "x - y^2", "y^3 - 1")
+        basis = I.groebner_basis(TermOrder("lex"), Budget(max_pairs=1))
+        assert [g.to_string(XY) for g in basis] == ["y^3 - 1", "-y^2 + x"]
+        assert buchberger_orders == ["grevlex", "lex"]
+        assert I.stats() is None
 
     def test_profiles_exist(self):
         assert set(BUDGET_PROFILES) == {"default", "extended", "stretch"}

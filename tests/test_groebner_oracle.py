@@ -1,13 +1,16 @@
 """Differential test of the Buchberger engine against sympy's Gröbner bases
-on random small ideals from fixed seeds: reduced bases, block elimination
-and normal forms (skipped when sympy is absent)."""
+on random small ideals from fixed seeds: reduced bases, block elimination,
+normal forms and lex bases converted from grevlex by FGLM (skipped when
+sympy is absent)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from torion.groebner import GREVLEX, Ideal, TermOrder, eliminate, normal_form
+from torion import groebner
+from torion.groebner import (BUDGET_PROFILES, GREVLEX, Ideal, TermOrder,
+                             elimination_order, eliminate, normal_form)
 from torion.multipoly import MultiPoly
 
 sympy = pytest.importorskip("sympy")
@@ -113,3 +116,86 @@ def test_normal_form_matches_sympy_reduced(seed, kind):
         expected = {e: Fraction(int(c.p), int(c.q))
                     for e, c in ref.as_dict().items()}
         assert normal_form(p, I, order).terms == expected
+
+
+def random_zero_dim_ideal(seed):
+    """2-4 variables, n generators of degree <= 2 (<= 3 in two variables)
+    with 3-6 terms, drawn again until the grevlex basis has a pure power of
+    every variable and is not the unit ideal."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    degree = 3 if n == 2 else 2
+    while True:
+        gens = [random_poly(rng, n, 6, degree) for _ in range(n)]
+        if any(len(g.terms) < 3 for g in gens):
+            continue
+        basis = Ideal(n, gens).groebner_basis()
+        leads = [max(g.terms, key=GREVLEX.key) for g in basis]
+        if all(any(0 < sum(e) == e[i] for e in leads) for i in range(n)):
+            return n, gens
+
+
+def sympy_lex(n, gens, perm):
+    """sympy's reduced lex basis with the variables compared in the order
+    perm, each member made monic, as MultiPolys."""
+    syms = sympy.symbols(f"x0:{n}")
+    polys = [_to_sympy(g, syms).as_expr() for g in gens]
+    out = []
+    for q in sympy.groebner(polys, *[syms[i] for i in perm],
+                            order="lex").polys:
+        lc = Fraction(int(q.LC().p), int(q.LC().q))
+        terms = {}
+        for e, c in q.as_dict().items():
+            x = [0] * n
+            for i, k in zip(perm, e):
+                x[i] = k
+            terms[tuple(x)] = Fraction(int(c.p), int(c.q)) / lc
+        out.append(MultiPoly(n, terms))
+    return out
+
+
+def lex_perms(n):
+    return [tuple(range(n)), tuple(reversed(range(n))),
+            elimination_order(n, [n - 1]).perm]
+
+
+# the kernel itself, kept before a test replaces it by a spy
+BUCHBERGER = groebner._buchberger
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fglm_matches_lex_buchberger_and_sympy(seed, buchberger_orders):
+    """Lex bases of zero-dimensional ideals come from the grevlex basis by
+    FGLM, so only grevlex runs Buchberger, and they equal lex Buchberger's
+    (member for member, in its order) and sympy's, for three variable
+    orders; the lex counters are the grevlex run's."""
+    n, gens = random_zero_dim_ideal(seed)
+    buchberger_orders.clear()
+    I = Ideal(n, gens)
+    ints = [groebner._to_int_poly(g) for g in gens]
+    for perm in lex_perms(n):
+        order = TermOrder("lex", perm=perm)
+        ours = I.groebner_basis(order)
+        raw, _ = BUCHBERGER(n, ints, order, BUDGET_PROFILES["default"])
+        assert [g.terms for g in ours] == \
+            [{e: Fraction(c, p[le]) for e, c in p.items()} for le, p in raw]
+        assert _as_set(ours) == _as_set(sympy_lex(n, gens, perm))
+        assert I.stats(order) == I.stats(GREVLEX)
+    assert buchberger_orders == ["grevlex"]
+
+
+def test_fglm_unit_ideal(buchberger_orders):
+    """The unit ideal converts too: its lex basis is 1 in every order."""
+    gens = [MultiPoly(3, {(1, 1, 0): 1, (0, 0, 0): -1}),
+            MultiPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}),
+            MultiPoly(3, {(0, 0, 1): 1})]
+    I = Ideal(3, gens)
+    ints = [groebner._to_int_poly(g) for g in gens]
+    for perm in lex_perms(3):
+        order = TermOrder("lex", perm=perm)
+        ours = I.groebner_basis(order)
+        raw, _ = BUCHBERGER(3, ints, order, BUDGET_PROFILES["default"])
+        assert [g.terms for g in ours] == [{(0, 0, 0): 1}] == \
+            [{e: Fraction(c, p[le]) for e, c in p.items()} for le, p in raw]
+        assert _as_set(ours) == _as_set(sympy_lex(3, gens, perm))
+    assert buchberger_orders == ["grevlex"]
