@@ -336,7 +336,7 @@ def cmd_network(args, report: Report) -> int:
         return 0 if all_ok else 1
     if args.enumerate:
         N, v1, v2 = args.enumerate
-        flows = flatnet.enumerate_currents(g, int(N), (v1, v2))
+        flows = flatnet.enumerate_currents(g, N, (v1, v2))
         listing = [sorted(f.currents.items()) for f in flows]
         report.set("count", len(flows), grade="exact")
         report.set("flows", listing)
@@ -389,8 +389,8 @@ IDEAL_OP_NEEDS = {"member": "poly", "saturate": "poly", "eliminate": "keep"}
 
 
 def _check_args(ap, args):
-    """Argument combinations argparse cannot express; each failure exits 2
-    with a message naming the missing argument."""
+    """Arguments argparse cannot check or convert; each failure exits 2
+    with a message naming the missing or malformed argument."""
     if args.command == "ideal":
         need = IDEAL_OP_NEEDS.get(args.op)
         if need and getattr(args, need) is None:
@@ -398,6 +398,12 @@ def _check_args(ap, args):
     elif args.command == "height" and args.coords is None and \
             args.minpoly is None:
         ap.error("height needs --affine COORDS or --minpoly POLY")
+    elif args.command == "network" and args.enumerate:
+        try:
+            args.enumerate[0] = int(args.enumerate[0])
+        except ValueError:
+            ap.error(f"--enumerate N: {args.enumerate[0]!r} is not an "
+                     f"integer")
 
 
 def build_parser():

@@ -181,6 +181,15 @@ class DualGraph:
                 seen.add(v)
         return blocks, sorted(arts)
 
+    @cached_property
+    def _block_circuits(self):
+        """Per block, in `_blocks` order: its circuits in global order, each
+        as (circuit, [(column in the block, edge id, sign)])."""
+        col = {e: i for blk in self._blocks[0] for i, e in enumerate(blk)}
+        return [[(circ, [(col[e], e, s) for e, s in circ.items()])
+                 for chord, circ in self._circuits if chord in blk]
+                for blk in self._blocks[0]]
+
     def __repr__(self):
         return f"DualGraph({self.vertices}, {sorted(self.edges.items())})"
 
@@ -256,16 +265,26 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
     if (2 * N + 1) ** len(circuits) > cap:
         raise BudgetExceeded("current enumeration cap")
     ids = g.edge_ids()
+    tree = g._tree
     path = g.tree_path(v2, v1)
-    # per edge: the particular current and the edge's entry in each circuit
-    columns = [(N * path.get(e, 0), [circ.get(e, 0) for _, circ in circuits])
-               for e in ids]
+    # per tree edge: the particular current and its nonzero circuit entries
+    # (a chord's current is its own c_j); w is the tree currents, then c
+    tree_rows = [(N * path.get(e, 0), [(j, circ[e]) for j, (_, circ)
+                                       in enumerate(circuits) if e in circ])
+                 for e in tree]
+    order = tree + [chord for chord, _ in circuits]
+    take = [order.index(e) for e in ids]
     flows = []
     for c in product(range(-N, N + 1), repeat=len(circuits)):
-        w = tuple(base + sum(cj * s for cj, s in zip(c, col))
-                  for base, col in columns)
-        if all(-N <= x <= N for x in w):
-            flows.append(w)
+        w = []
+        for base, terms in tree_rows:
+            x = base + sum(c[j] * s for j, s in terms)
+            if not -N <= x <= N:
+                break
+            w.append(x)
+        else:
+            w.extend(c)
+            flows.append(tuple(w[i] for i in take))
     flows.sort()
     div = {v: 0 for v in g.vertices}
     div[v1] = N
@@ -289,23 +308,6 @@ class ModuliOutcome:
     degrees_of_freedom: int | None = None
     witness_circuit: dict | None = None
     nullity: int | None = None
-
-
-def _circuit_rows(g: DualGraph, constraints):
-    """One integer row per (fundamental circuit, current assignment): the
-    relation sum_e sigma_e w_e m_e = 0 on the edge-modulus unknowns."""
-    ids = g.edge_ids()
-    pos = {eid: i for i, eid in enumerate(ids)}
-    rows = []
-    tags = []
-    for chord, circ in g._circuits:
-        for ci, ca in enumerate(constraints):
-            row = [0] * len(ids)
-            for eid, s in circ.items():
-                row[pos[eid]] = s * ca.currents.get(eid, 0)
-            rows.append(row)
-            tags.append((chord, ci, circ))
-    return ids, rows, tags
 
 
 def _positive_combination_exists(kernel_basis, n):
@@ -343,25 +345,39 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
     underdetermined (extra degrees of freedom), infeasible (positivity
     impossible, with a witness circuit).  Every fundamental circuit lies in
     one block, so the nullity of the whole system is the sum of the block
-    kernel dimensions."""
+    kernel dimensions.  Each (circuit, constraint) pair gives a row
+    sum_e sigma_e w_e m_e = 0; one whose nonzero coefficients share a sign
+    certifies infeasibility exactly and is the witness.  A block with no
+    such row goes to elimination and Fourier-Motzkin, and the witness of a
+    failure there is its first nonzero row (a copy, as circuits are
+    shared)."""
     for ca in constraints:
         if not kirchhoff_check(g, ca):
             raise ValueError("constraint fails the current law")
-    ids, rows, tags = _circuit_rows(g, constraints)
-    pos = {eid: i for i, eid in enumerate(ids)}
+    currents = [ca.currents for ca in constraints]
     values = {}
     canonical = []
     dof = 0
     nullity = 0
-    for blk in g._blocks[0]:
-        cols = [pos[e] for e in blk]
-        brows = [sub for sub in ([row[c] for c in cols] for row in rows)
-                 if any(sub)]
-        kern = intlat.echelon_kernel(brows, len(cols))
-        if len(kern) == 0 or \
-                not _positive_combination_exists(kern, len(cols)):
-            witness = _find_witness(rows, tags, cols)
-            return ModuliOutcome("infeasible", witness_circuit=witness)
+    for blk, circuits in zip(g._blocks[0], g._block_circuits):
+        rows = []
+        first = None
+        for circ, entries in circuits:
+            for cur in currents:
+                row = [0] * len(blk)
+                for col, eid, s in entries:
+                    row[col] = s * cur.get(eid, 0)
+                lo, hi = min(row), max(row)
+                if lo == hi == 0:
+                    continue
+                if lo >= 0 or hi <= 0:  # one-signed
+                    return ModuliOutcome("infeasible",
+                                         witness_circuit=dict(circ))
+                rows.append(row)
+                first = first or circ
+        kern = intlat.echelon_kernel(rows, len(blk))
+        if not kern or not _positive_combination_exists(kern, len(blk)):
+            return ModuliOutcome("infeasible", witness_circuit=dict(first))
         nullity += len(kern)
         if len(kern) > 1:
             dof += len(kern) - 1
@@ -378,23 +394,6 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
     return ModuliOutcome("unique-per-block",
                          moduli=ModuliVector(values, canonical),
                          nullity=nullity)
-
-
-def _find_witness(rows, tags, cols):
-    """A circuit relation participating in the contradiction on the block
-    with columns `cols`: prefer one whose nonzero coefficients share a sign
-    (it pins some modulus to zero).  The circuit is a copy: the graph's
-    own circuits are shared."""
-    fallback = None
-    for row, (chord, ci, circ) in zip(rows, tags):
-        sub = [row[c] for c in cols]
-        if not any(sub):
-            continue
-        fallback = fallback or circ
-        nz = [x for x in sub if x != 0]
-        if all(x > 0 for x in nz) or all(x < 0 for x in nz):
-            return dict(circ)
-    return None if fallback is None else dict(fallback)
 
 
 def moduli_height_audit(block_moduli, N: int):

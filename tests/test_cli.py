@@ -71,6 +71,10 @@ class TestArgumentErrors:
         (["cross-ratio", "--check", "residues", "--config",
           InputFile("pole 1\nzero a x\n")],
          "arg4, line 2: 'x' is not an integer"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"),
+          "--enumerate", "x", "a", "b"],
+         "--enumerate N: 'x' is not an integer"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

@@ -4,9 +4,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from torion import flatnet, intlat
 from torion.exactnum import RationalMatrix, UPoly, number_field
 from torion.flatnet import (BudgetExceeded, CurrentAssignment, Disconnected,
-                            DualGraph, SingularP, UnknownEdge, UnknownVertex,
+                            DualGraph, ModuliOutcome, ModuliVector,
+                            SingularP, UnknownEdge, UnknownVertex,
                             block_decomposition, enumerate_currents,
                             kirchhoff_check, moduli_height_audit,
                             parse_network, small_graph_catalog,
@@ -20,6 +22,31 @@ def theta():
 
 def banana2():
     return DualGraph(["a", "b"], [("e1", "b", "a"), ("e2", "b", "a")])
+
+
+def two_triangles():
+    """A triangle with a doubled edge, and with two doubled edges."""
+    return [DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                       ("e4", "a", "b")]),
+            DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                       ("e4", "a", "b"), ("e5", "b", "c")])]
+
+
+def bananas_with_loop():
+    """Two bananas sharing a vertex, with a loop."""
+    return DualGraph(["a", "b", "c"],
+                     [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
+                      ("e4", "b", "c"), ("e5", "a", "a")])
+
+
+def audit_catalog():
+    """The eight graphs of the criterion-8 network audit: banana graphs
+    with 2..5 edges, two bananas sharing a vertex, the two triangles and
+    the shared-vertex bananas with a loop."""
+    return small_graph_catalog()[:5] + two_triangles() + \
+        [bananas_with_loop()]
 
 
 class TestGraph:
@@ -240,12 +267,11 @@ class TestEnumerate:
 
     def test_brute_force_oracle(self):
         """The flows are, in order, the points of the box [-N, N]^|E| that
-        satisfy the current law with divisor N(v1 - v2)."""
+        satisfy the current law with divisor N(v1 - v2).  Only tree
+        currents are computed and bounded; a chord carries its own
+        coordinate."""
         graphs = small_graph_catalog() + [
-            # two bananas sharing a vertex, with a loop
-            DualGraph(["a", "b", "c"],
-                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
-                       ("e4", "b", "c"), ("e5", "a", "a")]),
+            two_triangles()[1], bananas_with_loop(),
             # a banana with a bridge to a pendant vertex
             DualGraph(["a", "b", "c"],
                       [("e1", "a", "b"), ("e2", "b", "a"), ("e3", "b", "c")]),
@@ -257,7 +283,7 @@ class TestEnumerate:
         for g in graphs:
             ids = g.edge_ids()
             for v1, v2 in permutations(g.vertices, 2):
-                for N in (1, 2):
+                for N in (1, 2, 3):
                     div = {v: 0 for v in g.vertices}
                     div[v1], div[v2] = N, -N
                     expect = [w for w in product(range(-N, N + 1),
@@ -267,7 +293,26 @@ class TestEnumerate:
                     flows = enumerate_currents(g, N, (v1, v2))
                     assert [tuple(f.currents[e] for e in ids)
                             for f in flows] == expect, (g, v1, v2, N)
-                    assert all(f.divisor == div for f in flows)
+                    assert all(f.divisor == div and list(f.currents) == ids
+                               for f in flows)
+
+    def test_budget_exceeded_before_any_work(self, monkeypatch):
+        """(2N+1)^b1 above `cap` raises before a single chord vector is
+        produced; at the cap the enumeration runs."""
+        g = theta()  # b1 = 2: 9 chord vectors at N = 1, 25 at N = 2
+        assert len(enumerate_currents(g, 1, ("a", "b"), cap=9)) == 6
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(flatnet, "product", no_work)
+        monkeypatch.setattr(DualGraph, "tree_path", no_work)
+        with pytest.raises(BudgetExceeded):
+            enumerate_currents(g, 1, ("a", "b"), cap=8)
+        with pytest.raises(BudgetExceeded):
+            enumerate_currents(g, 2, ("a", "b"), cap=24)
+        with pytest.raises(AssertionError):
+            enumerate_currents(g, 2, ("a", "b"), cap=25)
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -291,7 +336,8 @@ class TestSolveModuli:
         out = solve_moduli(theta(), [CurrentAssignment(
             {"a": 3, "b": -3}, {"e1": 3, "e2": 0, "e3": 0})])
         assert out.kind == "infeasible"
-        assert out.witness_circuit is not None
+        # the row of circuit e2 - e1 is (-3, 0, 0): one-signed
+        assert list(out.witness_circuit.items()) == [("e2", 1), ("e1", -1)]
 
     def test_returned_circuits_are_copies(self):
         """The graph's circuits are built once and shared; mutating a
@@ -509,3 +555,130 @@ class TestBlockNullity:
                         assert out.nullity == len(ids) - rank
                         checked += 1
         assert checked > 0
+
+
+def _reference_circuit_rows(g, constraints):
+    """One full-width integer row per (fundamental circuit, constraint)."""
+    ids = g.edge_ids()
+    pos = {eid: i for i, eid in enumerate(ids)}
+    rows = []
+    tags = []
+    for chord, circ in g.fundamental_circuits():
+        for ci, ca in enumerate(constraints):
+            row = [0] * len(ids)
+            for eid, s in circ.items():
+                row[pos[eid]] = s * ca.currents.get(eid, 0)
+            rows.append(row)
+            tags.append((chord, ci, circ))
+    return ids, rows, tags
+
+
+def _reference_find_witness(rows, tags, cols):
+    """The first row on `cols` whose nonzero entries share a sign, else the
+    first nonzero row."""
+    fallback = None
+    for row, (chord, ci, circ) in zip(rows, tags):
+        sub = [row[c] for c in cols]
+        if not any(sub):
+            continue
+        fallback = fallback or circ
+        nz = [x for x in sub if x != 0]
+        if all(x > 0 for x in nz) or all(x < 0 for x in nz):
+            return dict(circ)
+    return None if fallback is None else dict(fallback)
+
+
+def reference_solve_moduli(g, constraints):
+    """solve_moduli as it was before the sign check came first: eliminate
+    every block over full-width rows, test positivity by Fourier-Motzkin,
+    and look for a witness only after a block fails."""
+    for ca in constraints:
+        if not kirchhoff_check(g, ca):
+            raise ValueError("constraint fails the current law")
+    ids, rows, tags = _reference_circuit_rows(g, constraints)
+    pos = {eid: i for i, eid in enumerate(ids)}
+    values = {}
+    canonical = []
+    dof = 0
+    nullity = 0
+    for blk in block_decomposition(g).blocks:
+        cols = [pos[e] for e in blk]
+        brows = [sub for sub in ([row[c] for c in cols] for row in rows)
+                 if any(sub)]
+        kern = intlat.echelon_kernel(brows, len(cols))
+        if len(kern) == 0 or \
+                not flatnet._positive_combination_exists(kern, len(cols)):
+            witness = _reference_find_witness(rows, tags, cols)
+            return ModuliOutcome("infeasible", witness_circuit=witness)
+        nullity += len(kern)
+        if len(kern) > 1:
+            dof += len(kern) - 1
+            continue
+        vec = kern[0]
+        if vec[0] < 0:
+            vec = tuple(-x for x in vec)
+        for e, v in zip(blk, vec):
+            values[e] = F(v)
+        canonical.append((list(blk), vec))
+    if dof > 0:
+        return ModuliOutcome("underdetermined", degrees_of_freedom=dof,
+                             nullity=nullity)
+    return ModuliOutcome("unique-per-block",
+                         moduli=ModuliVector(values, canonical),
+                         nullity=nullity)
+
+
+def assert_same_outcome(got, want, context):
+    """Every ModuliOutcome field equal (moduli compares the values and the
+    block_canonical rays)."""
+    for field in ("kind", "moduli", "degrees_of_freedom", "nullity",
+                  "witness_circuit"):
+        assert getattr(got, field) == getattr(want, field), (field, context)
+    if want.witness_circuit is not None:  # printed by the CLI: same order
+        assert list(got.witness_circuit.items()) == \
+            list(want.witness_circuit.items()), context
+
+
+class TestSignCheckFirst:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_elimination_first_reference(self, seed):
+        """On the network-audit catalog with shuffled edge lists, every
+        vertex pair and N <= 4, single flows and whole families give the
+        elimination-first reference's outcome, field for field."""
+        rng = random.Random(seed)
+        kinds = dict.fromkeys(("unique-per-block", "underdetermined",
+                               "infeasible"), 0)
+        for base in audit_catalog():
+            edges = [(e, t, h) for e, (t, h) in base.edges.items()]
+            if seed:
+                rng.shuffle(edges)
+            g = DualGraph(base.vertices, edges)
+            for v1, v2 in combinations(g.vertices, 2):
+                for N in (1, 2, 3, 4):
+                    flows = enumerate_currents(g, N, (v1, v2))
+                    for fam in [[f] for f in flows] + \
+                            ([flows] if flows else []):
+                        want = reference_solve_moduli(g, fam)
+                        got = solve_moduli(g, fam)
+                        assert_same_outcome(got, want,
+                                            (g, v1, v2, N, len(fam)))
+                        kinds[want.kind] += 1
+        # the network-audit golden counts: every outcome kind is exercised
+        assert kinds == {"unique-per-block": 39, "underdetermined": 44,
+                         "infeasible": 9286}
+
+    def test_fallback_witness_without_one_signed_row(self):
+        """Two theta flows that admit no common positive moduli although
+        every circuit row has both signs: the witness is the first nonzero
+        row, as before."""
+        g = theta()
+        fam = [CurrentAssignment({"a": 3, "b": -3},
+                                 {"e1": 1, "e2": 1, "e3": 1}),
+               CurrentAssignment({"a": 4, "b": -4},
+                                 {"e1": 1, "e2": 2, "e3": 1})]
+        _, rows, _ = _reference_circuit_rows(g, fam)
+        assert all(min(r) < 0 < max(r) for r in rows)
+        out = solve_moduli(g, fam)
+        assert out.kind == "infeasible"
+        assert list(out.witness_circuit.items()) == [("e2", 1), ("e1", -1)]
+        assert_same_outcome(out, reference_solve_moduli(g, fam), fam)
