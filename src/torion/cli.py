@@ -149,6 +149,8 @@ def cmd_ideal(args, report: Report) -> int:
 
 def cmd_torus_scan(args, report: Report) -> int:
     variables, polys = _read_polys(args.polys)
+    if not polys:
+        raise ValueError(f"{args.polys}: no polynomials")
     peripheral = _read_polys(args.saturate)[1] if args.saturate else []
     conditions = _read_polys(args.conditions)[1] if args.conditions else []
     starts = None if args.subspace == "identity" else \

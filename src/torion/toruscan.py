@@ -26,7 +26,7 @@ from . import intlat
 from .groebner import (BUDGET_PROFILES, Budget, Ideal, ResourceExhausted,
                        TermOrder, is_trivial, saturate_by_ideal,
                        saturate_many)
-from .multipoly import MultiPoly, substitute_torus
+from .multipoly import MultiPoly, RingMismatch, substitute_torus
 
 
 class ExponentSubgroup:
@@ -159,15 +159,10 @@ def _support_difference_hyperplanes(polys):
     return sorted(out)
 
 
-def _intersect_hyperplane(rows, w):
-    """Canonical echelon rows of (row space) intersected with w-perp, or
-    None if the space already lies inside the hyperplane.  With g_i the
-    pairing of row i with w and g_p != 0, the rows g_p*row_i - g_i*row_p
-    (i != p) span the intersection and stay integral."""
-    g = [sum(map(operator.mul, row, w)) for row in rows]
-    p = next((i for i, x in enumerate(g) if x), None)
-    if p is None:
-        return None
+def _intersect_hyperplane(rows, g):
+    """Canonical echelon rows of the row space cut by the hyperplane on which
+    the rows pair to g != 0: g_p*row_i - g_i*row_p (i != p) span it."""
+    p = next(i for i, x in enumerate(g) if x)
     gp, rp = g[p], rows[p]
     out = [[gp * x - gi * y for x, y in zip(row, rp)] if gi else row
            for i, (row, gi) in enumerate(zip(rows, g)) if i != p]
@@ -187,8 +182,16 @@ def enumerate_subspaces(polys, M: ExponentSubgroup):
 def enumerate_subspaces_multi(polys, starts):
     """Union of the closures of the start subgroups, explored once: the rule
     acts on each subspace alone, so one shared set of seen subspaces (keyed
-    by their canonical integer echelon rows) gives the union."""
+    by their canonical integer echelon rows) gives the union.  S meet w-perp
+    depends only on the line through g = (<row_i, w>)_i, so each S pairs its
+    rows with all hyperplanes at once (`_packed_pairing`) and runs one
+    echelon per distinct primitive g.  Polynomials and starts of different
+    arity raise RingMismatch."""
+    if len({p.n for p in polys} | {M.n for M in starts}) > 1:
+        raise RingMismatch("polynomials and start subgroups differ in arity")
     hyperplanes = _support_difference_hyperplanes(polys)
+    wmax = max((abs(x) for w in hyperplanes for x in w), default=0)
+    half = 0  # packed anew only when a subspace needs wider fields
     seen = set()
     queue = []
     for M in starts:
@@ -199,9 +202,15 @@ def enumerate_subspaces_multi(polys, starts):
     for S in queue:
         if len(S) <= 1:
             continue
-        for w in hyperplanes:
-            N = _intersect_hyperplane(S, w)
-            if N and N not in seen:
+        span = wmax * max(sum(map(abs, row)) for row in S)
+        if span >= half:
+            pairing, half = _packed_pairing(hyperplanes, len(S[0]), span)
+        lines = dict.fromkeys(intlat.primitive_vector([x - half for x in g])
+                              for g in dict.fromkeys(zip(*map(pairing, S))))
+        lines.pop(None, None)  # S lies inside these hyperplanes
+        for g in lines:
+            N = _intersect_hyperplane(S, g)
+            if N not in seen:
                 seen.add(N)
                 queue.append(N)
     out = [ExponentSubgroup(S, starts[0].n) for S in seen]
@@ -220,7 +229,13 @@ def induced_parts(polys, N: ExponentSubgroup):
 
 
 def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
-    return any(len(q.terms) == 1 for _, q in induced_parts(polys, N))
+    """Whether some part in `induced_parts(polys, N)` has one term: some
+    projection E.e of a generator's support element occurs once."""
+    if any(p.n != N.n for p in polys):
+        raise RingMismatch(f"subgroup arity {N.n} != polynomial arity")
+    return any(1 in Counter(tuple(sum(map(operator.mul, row, e))
+                                  for row in N.basis)
+                            for e in p.terms).values() for p in polys)
 
 
 def coefficient_variety(polys, N: ExponentSubgroup,
@@ -402,23 +417,43 @@ def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     return sorted(out)
 
 
-_FIELD_FORMATS = {16: "H", 32: "I", 64: "Q"}  # memoryview codes by width
+def _packed_pairing(points, n, span):
+    """(pairing, half): pairing(v) = [<p, v> + half for p in points] when
+    every |<p, v>| <= span, where half = 2^(w-1) > span for the least such
+    w of 16, 32, 64, 128 and so on.  The n coordinate columns of the points
+    are packed into ints once, one w-bit field per point; one combination
+    of them plus half in each field holds every value with no carry.  It is
+    unpacked in C: `memoryview.cast`, or `int.from_bytes` past 64 bits."""
+    w = 16
+    while span >> (w - 1):
+        w *= 2
+    columns, ones = [0] * n, 0
+    for p in reversed(points):
+        columns = [(c << w) + x for c, x in zip(columns, p)]
+        ones = ones << w | 1
+    offset, step, order = ones << (w - 1), w // 8, sys.byteorder
+    nbytes = step * len(points)
+    fmt = {16: "H", 32: "I", 64: "Q"}.get(w)  # memoryview codes by width
+
+    def pairing(v):
+        data = (sum(map(operator.mul, v, columns)) + offset).to_bytes(
+            nbytes, order)
+        if fmt:
+            return memoryview(data).cast(fmt).tolist()
+        return [int.from_bytes(data[i:i + step], order)
+                for i in range(0, nbytes, step)]
+    return pairing, 1 << (w - 1)
 
 
 def tier2_friend_filter(poly: MultiPoly, candidates):
     """Keep the vectors E for which every support element e has a friend,
     another element with the same value <e, E>; the order is kept.
 
-    Packed kernel: with span = max|coordinate| * max ||E||_1 (so every
-    value lies in [-span, span]) and w the least of 16, 32, 64 with
-    2*span < 2^w, the support's x, y, z coordinates are packed once into
-    ints X, Y, Z with one w-bit field per element, and ONES has a 1 in
-    each field.  For E = (a, b, c) the one combination
-    a*X + b*Y + c*Z + span*ONES is then exactly the sum of
-    (<e_i, E> + span) * 2^(w*i): no field carries into the next.  It is
-    unpacked in C (`int.to_bytes` and `memoryview.cast`).  E is rejected
-    at once when the largest or the smallest value occurs once, since
-    that element has no friend; the rest are counted.
+    Packed kernel: with span = max|coordinate| * max ||E||_1, every value
+    lies in [-span, span], and `_packed_pairing` gives all values <e, E> of
+    one candidate from one integer combination.  E is rejected at once when
+    the largest or the smallest value occurs once, since that element has
+    no friend; the rest are counted.
 
     An empty support keeps every candidate.  Values that need fields
     wider than 64 bits (2*span >= 2^64) raise ValueError."""
@@ -427,23 +462,13 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
         return candidates
     span = max(map(abs, (x for e in sup for x in e))) * max(
         (abs(a) + abs(b) + abs(c) for a, b, c in candidates), default=0)
-    w = next((w for w in _FIELD_FORMATS if 2 * span < 1 << w), None)
-    if w is None:
+    if 2 * span >> 64:
         raise ValueError(f"tier-2 values need 2*span < 2**64 for the "
                          f"packed kernel, but span = {span}")
-    X = Y = Z = ONES = 0
-    for x, y, z in reversed(sup):
-        X, Y, Z = (X << w) + x, (Y << w) + y, (Z << w) + z
-        ONES = ONES << w | 1
-    offset = span * ONES
-    nbytes = w // 8 * len(sup)
-    fmt = _FIELD_FORMATS[w]
-    order = sys.byteorder
+    pairing = _packed_pairing(sup, 3, span)[0]
     out = []
     for E in candidates:
-        a, b, c = E
-        vals = memoryview((a * X + b * Y + c * Z + offset)
-                          .to_bytes(nbytes, order)).cast(fmt).tolist()
+        vals = pairing(E)
         if vals.count(max(vals)) == 1 or vals.count(min(vals)) == 1:
             continue
         if 1 not in Counter(vals).values():

@@ -75,6 +75,8 @@ class TestArgumentErrors:
           InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"),
           "--enumerate", "x", "a", "b"],
          "--enumerate N: 'x' is not an integer"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\n")],
+         "arg2: no polynomials"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

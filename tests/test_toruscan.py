@@ -5,14 +5,15 @@ from itertools import product
 
 import pytest
 
+from torion import intlat, toruscan
 from torion.groebner import Budget
-from torion.multipoly import MultiPoly, data_text, parse, read_poly_file, \
-    substitute_torus
+from torion.multipoly import MultiPoly, RingMismatch, data_text, parse, \
+    read_poly_file, substitute_torus
 from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
                              coefficient_variety, coset_lines_for_report,
                              enumerate_subspaces, enumerate_subspaces_multi,
-                             has_singleton_part, scan, tier1_candidates,
-                             tier2_friend_filter)
+                             has_singleton_part, induced_parts, scan,
+                             tier1_candidates, tier2_friend_filter)
 from torion.toruscan import _rational_roots_of_univariate
 
 XYZ = ["x", "y", "z"]
@@ -507,3 +508,195 @@ class TestMultiStart:
         assert sorted(S.key() for S in multi) == sorted(union)
         assert len(multi) < sum(len(enumerate_subspaces(polys, M))
                                 for M in starts)
+
+
+def _intersect_reference(rows, w):
+    """The pairwise intersection the packed enumeration replaced: one
+    echelon per hyperplane w."""
+    g = [sum(a * b for a, b in zip(row, w)) for row in rows]
+    p = next((i for i, x in enumerate(g) if x), None)
+    if p is None:
+        return None
+    gp, rp = g[p], rows[p]
+    out = [[gp * x - gi * y for x, y in zip(row, rp)] if gi else row
+           for i, (row, gi) in enumerate(zip(rows, g)) if i != p]
+    return intlat.echelon(out)[0]
+
+
+def _hyperplanes_reference(polys):
+    out = set()
+    for p in polys:
+        sup = p.support()
+        for i in range(len(sup)):
+            for j in range(i + 1, len(sup)):
+                w = intlat.primitive_vector(
+                    tuple(a - b for a, b in zip(sup[i], sup[j])))
+                if w:
+                    out.add(w)
+    return sorted(out)
+
+
+def _enumerate_reference(polys, starts):
+    hyperplanes = _hyperplanes_reference(polys)
+    seen = set()
+    queue = []
+    for M in starts:
+        S = intlat.echelon(M.basis)[0]
+        if S not in seen:
+            seen.add(S)
+            queue.append(S)
+    for S in queue:
+        if len(S) <= 1:
+            continue
+        for w in hyperplanes:
+            N = _intersect_reference(S, w)
+            if N and N not in seen:
+                seen.add(N)
+                queue.append(N)
+    out = [ExponentSubgroup(S, starts[0].n) for S in seen]
+    out.sort(key=lambda s: (-s.rank, s.basis))
+    return out
+
+
+def _random_laurent_system(rng, n, scale=1):
+    """1-3 Laurent polynomials in n variables; exponents in [-3, 3], or
+    near +-scale when scale > 1, so that the pairings need wide fields."""
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        while len(terms) < rng.randint(2, 5):
+            e = tuple(rng.randint(-3, 3) + scale * rng.randint(-1, 1)
+                      for _ in range(n))
+            terms[e] = F(rng.choice([-2, -1, 1, 3]))
+        polys.append(MultiPoly(n, terms, laurent=True))
+    return polys
+
+
+def _random_starts(rng, n, scale=1):
+    starts = []
+    for _ in range(rng.randint(1, 3)):
+        rows = []
+        for _ in range(rng.randint(1, n)):
+            row = [0] * n
+            while not any(row):
+                row = [rng.randint(-2, 2) * scale + rng.randint(-2, 2)
+                       for _ in range(n)]
+            rows.append(row)
+        starts.append(ExponentSubgroup(rows, n))
+    return starts
+
+
+def _singleton_reference(polys, N):
+    return any(len(q.terms) == 1 for _, q in induced_parts(polys, N))
+
+
+class TestEnumerationDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_laurent_systems(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 4
+        polys = _random_laurent_system(rng, n)
+        starts = _random_starts(rng, n)
+        if seed % 3 == 0:
+            starts.append(ExponentSubgroup.full(n))
+        got = enumerate_subspaces_multi(polys, starts)
+        expected = _enumerate_reference(polys, starts)
+        assert [S.basis for S in got] == [S.basis for S in expected]
+        for S in got:
+            assert has_singleton_part(polys, S) == \
+                _singleton_reference(polys, S)
+
+    @pytest.mark.parametrize("scale", [2 ** 20, 2 ** 40, 2 ** 70, 2 ** 200])
+    def test_wide_entries(self, scale):
+        # scale 2**70 and 2**200 need fields of 128 and 256 bits or more
+        rng = random.Random(scale)
+        n = 3
+        polys = _random_laurent_system(rng, n, scale)
+        starts = _random_starts(rng, n, scale) + [ExponentSubgroup.full(n)]
+        got = enumerate_subspaces_multi(polys, starts)
+        expected = _enumerate_reference(polys, starts)
+        assert [S.basis for S in got] == [S.basis for S in expected]
+        assert len(got) > len(starts)
+        for S in got:
+            assert has_singleton_part(polys, S) == \
+                _singleton_reference(polys, S)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_echelon_per_pairing_direction(self, seed, monkeypatch):
+        # every subspace S of rank >= 2 is intersected once with each line
+        # {primitive g(w)} of pairing vectors g(w) = (<row_i, w>)_i != 0
+        rng = random.Random(100 + seed)
+        n = 3 + seed % 3
+        polys = _random_laurent_system(rng, n)
+        starts = [ExponentSubgroup.full(n)] + _random_starts(rng, n)
+        calls = {}
+        original = toruscan._intersect_hyperplane
+
+        def record(rows, g):
+            calls.setdefault(rows, []).append(tuple(g))
+            return original(rows, g)
+        monkeypatch.setattr(toruscan, "_intersect_hyperplane", record)
+        got = enumerate_subspaces_multi(polys, starts)
+        hyperplanes = _hyperplanes_reference(polys)
+        wide = {intlat.echelon(S.basis)[0] for S in got if S.rank >= 2}
+        assert set(calls) <= wide
+        for S in wide:
+            gs = calls.get(S, [])
+            lines = {intlat.primitive_vector(
+                [sum(a * b for a, b in zip(row, w)) for row in S])
+                for w in hyperplanes} - {None}
+            assert len(gs) == len(set(gs)) == len(lines)
+            assert set(gs) == lines
+
+    @pytest.mark.parametrize("w, span", [(16, 0), (16, 2 ** 15 - 1),
+                                         (32, 2 ** 15), (64, 2 ** 63 - 1),
+                                         (128, 2 ** 63), (256, 2 ** 200)])
+    def test_packed_pairing_widths(self, w, span):
+        rng = random.Random(span)
+        points = [(span, 0), (0, -span), (-span, 0)]
+        points += [tuple(rng.randint(-span, span) for _ in range(2))
+                   for _ in range(20)]
+        vectors = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
+        pairing, half = toruscan._packed_pairing(points, 2, span)
+        assert half == 2 ** (w - 1)
+        for v in vectors:
+            assert pairing(v) == [v[0] * a + v[1] * b + half
+                                  for a, b in points]
+        assert toruscan._packed_pairing([], 2, span)[0]((1, 1)) == []
+
+    def test_has_singleton_part_random_subgroups(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            polys = _random_laurent_system(rng, n)
+            for N in _random_starts(rng, n):
+                assert has_singleton_part(polys, N) == \
+                    _singleton_reference(polys, N)
+
+
+class TestArityMismatch:
+    def test_polynomial_and_start(self):
+        polys = [parse("x + y + 1", ["x", "y"])]
+        with pytest.raises(RingMismatch):
+            enumerate_subspaces_multi(polys, [ExponentSubgroup.full(3)])
+        with pytest.raises(RingMismatch):
+            enumerate_subspaces(polys, ExponentSubgroup.full(3))
+        with pytest.raises(RingMismatch):
+            scan(polys, ExponentSubgroup.full(3))
+
+    def test_mixed_polynomials(self):
+        polys = [parse("x + y + 1", ["x", "y"]),
+                 parse("x*y*z - 2", XYZ)]
+        with pytest.raises(RingMismatch):
+            enumerate_subspaces_multi(polys, [ExponentSubgroup.full(3)])
+
+    def test_mixed_starts(self):
+        polys = [parse("x*y*z - 2 + x", XYZ)]
+        starts = [ExponentSubgroup.full(3), ExponentSubgroup.full(2)]
+        with pytest.raises(RingMismatch):
+            enumerate_subspaces_multi(polys, starts)
+
+    def test_has_singleton_part(self):
+        polys = [parse("x + y + 1", ["x", "y"])]
+        with pytest.raises(RingMismatch):
+            has_singleton_part(polys, ExponentSubgroup([[1, 0, 1]]))
