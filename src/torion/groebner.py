@@ -104,12 +104,12 @@ def _lex_key(e):
 class TermOrder:
     """Monomial order: 'lex' or 'grevlex', after an optional variable
     permutation (perm[i] = source index of the i-th compared variable).
-    'block1' is the single-variable elimination order used by saturation;
     'block' with nblock=k compares the first k (permuted) variables by
-    grevlex, then the rest (a general elimination order)."""
+    grevlex, then the rest (an elimination order; with k = 1 it is the
+    one saturation uses)."""
 
     def __init__(self, kind: str = "grevlex", perm=None, nblock: int = 1):
-        if kind not in ("lex", "grevlex", "block1", "block"):
+        if kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown order {kind!r}")
         self.kind = kind
         self.perm = tuple(perm) if perm is not None else None
@@ -122,8 +122,6 @@ class TermOrder:
             e = tuple(e[i] for i in self.perm)
         if self.kind == "lex":
             return _lex_key(e)
-        if self.kind == "block1":
-            return (e[0], _grevlex_key(e[1:]))
         if self.kind == "block":
             k = self.nblock
             return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
@@ -134,6 +132,7 @@ class TermOrder:
 
 
 GREVLEX = TermOrder("grevlex")
+_BLOCK1 = TermOrder("block", nblock=1)  # eliminates the first variable
 
 
 def elimination_order(n: int, eliminate) -> TermOrder:
@@ -178,8 +177,8 @@ class _Packing:
             rows = [[v] for v in vs]
         elif order.kind == "grevlex":
             rows = _grevlex_fields(vs)
-        else:  # block1 is the block order with one variable in block one
-            k = 1 if order.kind == "block1" else order.nblock
+        else:
+            k = order.nblock
             rows = _grevlex_fields(vs[:k]) + _grevlex_fields(vs[k:])
         rows += [[i] for i in range(n)]
         w = (4 * max(degree, 1)).bit_length()
@@ -573,6 +572,12 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
 # public ideal API
 # ---------------------------------------------------------------------------
 
+def _polynomial(f: MultiPoly) -> MultiPoly:
+    """A Laurent f as an ordinary polynomial, free of monomial content (a
+    monomial unit apart, so its zero set on the torus is unchanged)."""
+    return f.strip_monomial_content().as_polynomial() if f.laurent else f
+
+
 class Ideal:
     """Ideal of Q[x_1..x_n], given by generators.  Laurent generators are
     normalized to ordinary polynomials times a monomial unit on entry
@@ -585,10 +590,8 @@ class Ideal:
         for g in generators:
             if g.n != n:
                 raise RingMismatch("generator arity mismatch")
-            if g.laurent:
-                g = g.strip_monomial_content().as_polynomial()
             if not g.is_zero():
-                gens.append(g)
+                gens.append(_polynomial(g))
         self.generators = gens
         self._basis_cache = {}
         self._stats_cache = {}
@@ -666,8 +669,7 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
     """Remainder of p modulo the reduced basis; zero iff p is a member."""
     if p.n != I.n:
         raise RingMismatch("arity mismatch")
-    if p.laurent:
-        p = p.strip_monomial_content().as_polynomial()
+    p = _polynomial(p)
     q = _to_int_poly(p)
     pk, basis = _packed_basis(I.groebner_basis(order, budget), I.n, order,
                               budget, [q])
@@ -713,12 +715,12 @@ def _append_variable(p: MultiPoly) -> MultiPoly:
 
 def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
     """J intersected with the subring without the first variable, read off
-    the reduced block1 basis.  Its members free of the first variable are
-    the reduced basis of that intersection in the order block1 induces
-    there, which is grevlex, so the result carries them as its grevlex
-    basis."""
+    the reduced basis in the block order with the first variable alone in
+    its block.  Its members free of the first variable are the reduced
+    basis of that intersection in the order the block order induces there,
+    which is grevlex, so the result carries them as its grevlex basis."""
     out = []
-    for g in J.groebner_basis(TermOrder("block1"), budget):
+    for g in J.groebner_basis(_BLOCK1, budget):
         if all(e[0] == 0 for e in g.terms):
             q = MultiPoly(J.n - 1, None, False)
             q.terms = {e[1:]: c for e, c in g.terms.items()}
@@ -734,14 +736,11 @@ def saturate(I: Ideal, f: MultiPoly,
     and eliminate y (single-block elimination order)."""
     if f.is_zero():
         raise ValueError("saturation by zero")
-    if f.laurent:
-        f = f.strip_monomial_content().as_polynomial()
-    lifted = [_append_variable(g) for g in I.generators]
     rel = MultiPoly.constant(I.n + 1, 1)
     yf = MultiPoly(I.n + 1, None, False)
-    yf.terms = {(1,) + e: c for e, c in f.terms.items()}
-    rel = rel - yf
-    J = Ideal(I.n + 1, lifted + [rel])
+    yf.terms = {(1,) + e: c for e, c in _polynomial(f).terms.items()}
+    J = Ideal(I.n + 1, [_append_variable(g) for g in I.generators] +
+              [rel - yf])
     return _eliminate_first(J, budget)
 
 
@@ -772,21 +771,23 @@ def intersect(I: Ideal, J: Ideal,
 
 def saturate_by_ideal(I: Ideal, generators,
                       budget: Budget = BUDGET_PROFILES["default"]) -> Ideal:
-    """I : J^infinity for J = (generators): the intersection of the
-    saturations by the individual generators (this removes exactly the
-    components contained in V(J))."""
+    """I : J^infinity for J = (g_0, ..., g_k), the nonzero generators, by
+    one saturation in one extra variable t: with h = sum_j t^j g_j,
+
+        I : J^infinity = (I[t] : h^infinity) intersected with Q[x].
+
+    Proof: take a primary decomposition of I; h lies in p[t] exactly when
+    every g_j lies in p, so saturating I[t] by h drops the same primary
+    components as saturating I by J (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, sec. 4.4)."""
     gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return I
-    result = None
-    for f in gens:
-        S = saturate(I, f, budget)
-        result = S if result is None else intersect(result, S, budget)
-        # early exit: the running intersection is already the zero ideal,
-        # and intersecting it with further saturations keeps it zero
-        if result is not None and not result.generators:
-            break
-    return result if result is not None else I
+    if len(gens) < 2:
+        return saturate(I, gens[0], budget) if gens else I
+    h = MultiPoly(I.n + 1, None, False)
+    h.terms = {(j,) + e: c for j, g in enumerate(gens)
+               for e, c in _polynomial(g).terms.items()}
+    lifted = Ideal(I.n + 1, [_append_variable(g) for g in I.generators])
+    return _eliminate_first(saturate(lifted, h, budget), budget)
 
 
 def is_trivial(I: Ideal, budget: Budget = BUDGET_PROFILES["default"]) -> bool:

@@ -455,16 +455,12 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
     the largest or the smallest value occurs once, since that element has
     no friend; the rest are counted.
 
-    An empty support keeps every candidate.  Values that need fields
-    wider than 64 bits (2*span >= 2^64) raise ValueError."""
+    An empty support keeps every candidate."""
     sup, candidates = list(poly.terms), list(candidates)
     if not sup:
         return candidates
     span = max(map(abs, (x for e in sup for x in e))) * max(
         (abs(a) + abs(b) + abs(c) for a, b, c in candidates), default=0)
-    if 2 * span >> 64:
-        raise ValueError(f"tier-2 values need 2*span < 2**64 for the "
-                         f"packed kernel, but span = {span}")
     pairing = _packed_pairing(sup, 3, span)[0]
     out = []
     for E in candidates:
@@ -532,6 +528,8 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     ordered by canonical subgroup key).  tier_mode replicates the anchored
     rank-one pipeline for a single 3-variable hypersurface and records the
     tier counters."""
+    if not polys:
+        raise ValueError("scan needs at least one polynomial")
     options = options or ScanOptions()
     peripheral, conditions = tuple(peripheral), tuple(conditions)
     if any(p.is_zero() for p in peripheral):

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from torion import groebner
 from torion.groebner import (BUDGET_PROFILES, GREVLEX, Budget, GBStats,
                              Ideal, ResourceExhausted, TermOrder, eliminate,
-                             intersect, is_trivial,
-                             normal_form, saturate, saturate_many)
+                             intersect, is_trivial, normal_form, saturate,
+                             saturate_by_ideal, saturate_many)
 from torion.multipoly import MultiPoly, parse
 
 XY = ["x", "y"]
@@ -165,6 +165,51 @@ class TestSaturate:
         assert is_trivial(S)
 
 
+def _saturate_by_ideal_reference(I, generators):
+    """I : (generators)^infinity as the intersection of the saturations by
+    the individual nonzero generators."""
+    result = I
+    for k, f in enumerate(g for g in generators if not g.is_zero()):
+        S = saturate(I, f)
+        result = S if k == 0 else intersect(result, S)
+    return result
+
+
+class TestSaturateByIdeal:
+    # (x + y - 2) * (x - 2, y): the line x + y = 2 and the point (2, 0) on
+    # it, where the sum of the generators x - 2 and y vanishes on both
+    I = mk(2, "x^2 + x*y - 4*x - 2*y + 4", "x*y + y^2 - 2*y")
+
+    def test_removes_the_components_inside_the_locus(self):
+        S = saturate_by_ideal(self.I, [parse("x - 2", XY), parse("y", XY)])
+        assert S.groebner_basis() == [parse("x + y - 2", XY)]
+
+    def test_constant_generator(self):
+        S = saturate_by_ideal(self.I, [parse("x - 2", XY), parse("3", XY)])
+        assert S.groebner_basis() == self.I.groebner_basis()
+
+    def test_laurent_generator(self):
+        # x^-1*y^-1*(x - 2) is x - 2 up to a monomial unit
+        g = MultiPoly(2, {(0, -1): 1, (-1, -1): -2}, laurent=True)
+        S = saturate_by_ideal(self.I, [g, parse("y", XY)])
+        assert S.groebner_basis() == [parse("x + y - 2", XY)]
+
+    def test_zero_generators(self):
+        zero = MultiPoly.zero(2)
+        assert saturate_by_ideal(self.I, []) is self.I
+        assert saturate_by_ideal(self.I, [zero, zero]) is self.I
+
+    def test_one_saturation_and_no_intersection(self, monkeypatch):
+        calls = []
+        real = groebner.saturate
+        monkeypatch.setattr(groebner, "saturate",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(groebner, "intersect", None)
+        saturate_by_ideal(self.I, [parse("x - 2", XY), MultiPoly.zero(2),
+                                   parse("y", XY), parse("x + y", XY)])
+        assert len(calls) == 1
+
+
 class TestBudgets:
     def test_resource_exhausted(self):
         I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
@@ -312,11 +357,14 @@ def small_ideals(draw, max_gens=3):
     """2-3 variables, generators of degree <= 3 with coefficients in
     [-3, 3]."""
     n = draw(st.integers(2, 3))
+    return n, draw(st.lists(small_polys(n), min_size=1, max_size=max_gens))
+
+
+def small_polys(n):
     mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
         lambda e: sum(e) <= 3).map(tuple)
-    poly = st.dictionaries(mono, st.integers(-3, 3), min_size=1,
+    return st.dictionaries(mono, st.integers(-3, 3), min_size=1,
                            max_size=3).map(lambda t: MultiPoly(n, t))
-    return n, draw(st.lists(poly, min_size=1, max_size=max_gens))
 
 
 def draw_order(data, n):
@@ -337,7 +385,7 @@ def test_packing_is_the_order(data):
     """Packed words compare as order.key does, add as exponents do, and the
     guard test is the componentwise <=, for every order kind and perm."""
     n = data.draw(st.integers(1, 5))
-    kind = data.draw(st.sampled_from(["lex", "grevlex", "block1", "block"]))
+    kind = data.draw(st.sampled_from(["lex", "grevlex", "block"]))
     perm = data.draw(st.none() | st.permutations(range(n)))
     order = TermOrder(kind, perm=perm, nblock=data.draw(st.integers(1, n)))
     exps = st.lists(st.integers(0, 40), min_size=n, max_size=n).map(tuple)
@@ -380,19 +428,40 @@ def test_basis_is_reduced_and_generates(case, data):
 @settings(max_examples=100, deadline=None)
 @given(small_ideals(), small_ideals(max_gens=2), st.data())
 def test_saturation_carries_its_grevlex_basis(case, other, data):
-    """saturate and intersect hand back the grevlex basis of their result,
-    equal to a fresh computation from the result's generators."""
+    """saturate, saturate_by_ideal and intersect hand back the grevlex basis
+    of their result, equal to a fresh computation from the result's
+    generators."""
     n, gens = case
     f = data.draw(st.sampled_from(
         [MultiPoly.variable(n, i) for i in range(n)] +
         [g for g in other[1] if other[0] == n and not g.is_zero()]))
     I = Ideal(n, gens)
-    results = [saturate(I, f)]
+    results = [saturate(I, f),
+               saturate_by_ideal(I, [f, MultiPoly.variable(n, n - 1)])]
     if other[0] == n:
         results.append(intersect(I, Ideal(n, other[1])))
     for J in results:
         cached = J._basis_cache[J._cache_key(GREVLEX)]
         assert cached == Ideal(n, J.generators).groebner_basis(GREVLEX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.data())
+def test_saturate_by_ideal_is_the_intersection_of_saturations(case, data):
+    """One saturation in an extra variable gives the ideal that the
+    intersection of the per-generator saturations gives.  Half the time I
+    also gets the hypersurface of a combination of the generators as a
+    component: a saturation by that combination alone would drop it."""
+    n, gens = case
+    J = data.draw(st.lists(small_polys(n), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        c = data.draw(st.lists(st.sampled_from([1, -1, 2]),
+                               min_size=len(J), max_size=len(J)))
+        mix = sum((k * g for k, g in zip(c, J)), MultiPoly.zero(n))
+        gens = [g * mix for g in gens]
+    I = Ideal(n, gens)
+    assert saturate_by_ideal(I, J).groebner_basis() == \
+        _saturate_by_ideal_reference(I, J).groebner_basis()
 
 
 @settings(max_examples=300, deadline=None)

@@ -402,9 +402,12 @@ class TestTierKernelsDifferential:
             _tier2_reference(h, cands) == [(0, 0, 1)]
 
     def test_beyond_64_bit_fields(self):
+        # 2*span = 6 * (2^64 + 5) needs 128-bit fields, unpacked by
+        # int.from_bytes; the second candidate gives both elements value 0
         h = MultiPoly(3, {(0, 0, 0): 1, (3, 1, 0): 1})
-        with pytest.raises(ValueError, match=r"2\*span < 2\*\*64"):
-            tier2_friend_filter(h, [(1, 2 ** 62, 0)])
+        cands = [(1, 2 ** 62, 0), (2 ** 62, -3 * 2 ** 62, 5)]
+        assert tier2_friend_filter(h, cands) == \
+            _tier2_reference(h, cands) == cands[1:]
 
 
 class TestSaturatedScan:
@@ -475,6 +478,12 @@ class TestSaturatedScan:
         with pytest.raises(ValueError):
             scan([parse("x*y - 1", ["x", "y"])],
                  peripheral=[MultiPoly.constant(2, 0)])
+
+    @pytest.mark.parametrize("tier_mode", [False, True])
+    def test_rejects_no_polynomials(self, tier_mode):
+        with pytest.raises(ValueError,
+                           match="scan needs at least one polynomial"):
+            scan([], options=ScanOptions(tier_mode=tier_mode))
 
 
 class TestMultiStart:
