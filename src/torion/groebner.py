@@ -19,9 +19,16 @@ it reduces by keeps a memo from a monomial to the index of its first
 divisor among the leads (for a monomial no lead divides, the basis length
 it was checked against); a basis only grows, so the memo picks the reducer
 a linear scan would.  Pair selection uses the sugar strategy with both
-Buchberger criteria.  The minimal basis is interreduced in ascending lead
-order, each member against the members already reduced before it: a tail
-term t of g lies below lead(g), so only leads <= t can divide it.
+Buchberger criteria, and the inputs are queue entries too (Giovini, Mora,
+Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): each
+waits with its degree as sugar, ahead of the S-pairs with the same sugar and
+lcm degree.  A popped input whose lead no member's lead divides joins the
+basis as it is; any other is reduced like an S-polynomial, dropped at zero,
+and a constant ends the run with the unit ideal.  A member is paired with
+the others when it joins, so an ideal that reaches 1 early never pairs its
+late inputs.  The minimal basis is interreduced in ascending lead order,
+each member against the members already reduced before it: a tail term t of
+g lies below lead(g), so only leads <= t can divide it.
 
 A lex basis (any permutation) is converted from the grevlex basis, cached
 or computed under the same budget and cached, by FGLM (Faugere, Gianni,
@@ -54,12 +61,13 @@ from .multipoly import MultiPoly, RingMismatch
 @dataclass
 class GBStats:
     """How far one Buchberger computation got."""
-    pairs: int = 0            # pairs popped from the queue
+    pairs: int = 0            # S-pairs popped from the queue (not inputs)
     coprime_skips: int = 0    # pairs skipped by the coprime-leads criterion
     chain_skips: int = 0      # pairs skipped by the chain criterion
     reductions: int = 0       # S-polynomials reduced
     zero_reductions: int = 0  # of those, the ones that reduced to zero
-    basis_size: int = 0       # members so far, before minimalization
+    basis_size: int = 0       # members so far (inputs that joined and
+                              # S-pair remainders), before minimalization
     max_degree: int = 0       # largest lead degree added
     max_coeff_bits: int = 0   # largest coefficient added, in bits
     seconds: float = field(default=0.0, compare=False)  # wall time, to 1 us
@@ -128,7 +136,8 @@ class TermOrder:
         return _grevlex_key(e)
 
     def __repr__(self):
-        return f"TermOrder({self.kind!r}, perm={self.perm})"
+        nblock = f", nblock={self.nblock}" if self.kind == "block" else ""
+        return f"TermOrder({self.kind!r}, perm={self.perm}{nblock})"
 
 
 GREVLEX = TermOrder("grevlex")
@@ -383,7 +392,7 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
     G = _Basis()
     exps, sugars = [], []  # lead exponents and sugar of each member
 
-    def push(p, sug=None):
+    def push(p, sug):
         le = max(p)
         lexp = pk.decode(le)
         deg = sum(lexp)
@@ -394,7 +403,7 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
             raise exhausted("max_degree")
         G.append(p, le)
         exps.append(lexp)
-        sugars.append(sug if sug is not None else deg)
+        sugars.append(sug)
         stats.basis_size = len(G.polys)
         if len(G.polys) > budget.max_basis:
             raise exhausted("max_basis")
@@ -409,54 +418,65 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
         return (max(si, sj), l, i, j)
 
     try:
+        # an input is the entry (its degree as sugar, its lead's degree, -1,
+        # its index): ahead of the S-pairs (sugar, lcm degree, i, j) with
+        # the same first two keys
+        inputs, pq = [], []
         for g in gens:
-            g = _normalize(pk.packed(g))
-            if g:
-                push(g)
-        if not G.polys:
-            return [], stop()
-        leads, guard = G.leads, pk.guard
-        pq = [pair_entry(i, j) for i in range(len(leads)) for j in range(i)]
+            p = _normalize(pk.packed(g))
+            if p:
+                pq.append((max(map(sum, g)), sum(pk.decode(max(p))), -1,
+                           len(inputs)))
+                inputs.append(p)
         heapq.heapify(pq)
+        leads, guard = G.leads, pk.guard
         done = set()
         while pq:
-            if stats.pairs >= budget.max_pairs:
-                raise exhausted("max_pairs")
             sug, _, i, j = heapq.heappop(pq)
-            stats.pairs += 1
-            if (i, j) in done:
-                continue
-            done.add((i, j))
-            li, lj = leads[i], leads[j]
-            l = pk.encode(lcm_of(i, j))
-            if l == li + lj:
-                stats.coprime_skips += 1
-                continue
-            skip = False
-            for k, lk in enumerate(leads):
-                if k in (i, j):
+            if i < 0:
+                nf = inputs[j]
+                le = max(nf)
+                if any(not (le - lk) & guard for lk in leads):
+                    nf = _reduce_int(nf, G, pk)[0]
+                    if not nf:
+                        continue
+            else:
+                if stats.pairs >= budget.max_pairs:
+                    raise exhausted("max_pairs")
+                stats.pairs += 1
+                if (i, j) in done:
                     continue
-                if not (l - lk) & guard:
-                    if (max(i, k), min(i, k)) in done and \
-                            (max(j, k), min(j, k)) in done:
-                        skip = True
-                        break
-            if skip:
-                stats.chain_skips += 1
-                continue
-            ci, cj = G.lcs[i], G.lcs[j]
-            d = math.gcd(ci, cj)
-            cl = ci // d * cj
-            qi, qj = l - li, l - lj
-            pk.check_shift(G.polys[i], G.his[i], qi)
-            pk.check_shift(G.polys[j], G.his[j], qj)
-            sp = {m + qi: c * (cl // ci) for m, c in G.polys[i].items()}
-            _sub_shifted(sp, G.polys[j], qj, cl // cj)
-            stats.reductions += 1
-            nf, _ = _reduce_int(sp, G, pk)
-            if not nf:
-                stats.zero_reductions += 1
-                continue
+                done.add((i, j))
+                li, lj = leads[i], leads[j]
+                l = pk.encode(lcm_of(i, j))
+                if l == li + lj:
+                    stats.coprime_skips += 1
+                    continue
+                skip = False
+                for k, lk in enumerate(leads):
+                    if k in (i, j):
+                        continue
+                    if not (l - lk) & guard:
+                        if (max(i, k), min(i, k)) in done and \
+                                (max(j, k), min(j, k)) in done:
+                            skip = True
+                            break
+                if skip:
+                    stats.chain_skips += 1
+                    continue
+                ci, cj = G.lcs[i], G.lcs[j]
+                d = math.gcd(ci, cj)
+                cl = ci // d * cj
+                qi, qj = l - li, l - lj
+                pk.check_shift(G.polys[i], G.his[i], qi)
+                pk.check_shift(G.polys[j], G.his[j], qj)
+                sp = {m + qi: c * (cl // ci) for m, c in G.polys[i].items()}
+                _sub_shifted(sp, G.polys[j], qj, cl // cj)
+                stats.reductions += 1
+                nf, _ = _reduce_int(sp, G, pk)
+                if not nf:
+                    stats.zero_reductions += 1
+                    continue
             if not max(nf):
                 zero = (0,) * n
                 return [(zero, {zero: 1})], stop()  # unit ideal
@@ -725,35 +745,44 @@ def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
             q = MultiPoly(J.n - 1, None, False)
             q.terms = {e[1:]: c for e, c in g.terms.items()}
             out.append(q)
-    result = Ideal(J.n - 1, out)
-    result._basis_cache[result._cache_key(GREVLEX)] = list(out)
+    return _presented_by_basis(J.n - 1, out)
+
+
+def _presented_by_basis(n: int, basis) -> Ideal:
+    """The ideal with reduced grevlex basis `basis`, generated by it and
+    carrying it as its cached grevlex basis."""
+    result = Ideal(n, basis)
+    result._basis_cache[result._cache_key(GREVLEX)] = list(basis)
     return result
 
 
 def saturate(I: Ideal, f: MultiPoly,
              budget: Budget = BUDGET_PROFILES["default"]) -> Ideal:
     """I : f^infinity by the extra-variable method: adjoin y, add 1 - y*f,
-    and eliminate y (single-block elimination order)."""
+    and eliminate y (single-block elimination order).  I enters by its
+    cached reduced grevlex basis when it has one, else by its generators."""
     if f.is_zero():
         raise ValueError("saturation by zero")
+    gens = I._basis_cache.get(I._cache_key(GREVLEX), I.generators)
     rel = MultiPoly.constant(I.n + 1, 1)
     yf = MultiPoly(I.n + 1, None, False)
     yf.terms = {(1,) + e: c for e, c in _polynomial(f).terms.items()}
-    J = Ideal(I.n + 1, [_append_variable(g) for g in I.generators] +
-              [rel - yf])
+    J = Ideal(I.n + 1, [_append_variable(g) for g in gens] + [rel - yf])
     return _eliminate_first(J, budget)
 
 
 def saturate_many(I: Ideal, polys,
                   budget: Budget = BUDGET_PROFILES["default"]) -> Ideal:
     """Successive saturation; saturating by a product equals saturating by
-    each factor in turn."""
+    each factor in turn.  The unit test runs before each saturation, so a
+    unit ideal is never saturated; the result is presented by its reduced
+    grevlex basis (the unit ideal by 1)."""
     J = I
     for f in polys:
-        J = saturate(J, f, budget)
         if is_trivial(J, budget):
-            return J
-    return J
+            break
+        J = saturate(J, f, budget)
+    return _presented_by_basis(J.n, J.groebner_basis(GREVLEX, budget))
 
 
 def intersect(I: Ideal, J: Ideal,

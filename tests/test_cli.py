@@ -38,6 +38,13 @@ class TestIdealCommand:
         out = capsys.readouterr().out
         assert out.strip().endswith("0")
 
+    def test_saturate_unit_ideal_prints_1(self, tmp_path, capsys):
+        f = tmp_path / "unit.poly"
+        f.write_text("# vars: x y\nx*y - 1\nx - 2\ny - 3\n")
+        assert run(["ideal", "--op", "saturate", "--polys", str(f),
+                    "--poly", "x"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_parse_error_exit_2(self, tmp_path):
         f = tmp_path / "bad.poly"
         f.write_text("# vars: x\nx^^2\n")
@@ -77,6 +84,8 @@ class TestArgumentErrors:
          "--enumerate N: 'x' is not an integer"),
         (["torus-scan", "--polys", InputFile("# vars: x y z\n")],
          "arg2: no polynomials"),
+        (["torus-scan", "--polys", InputFile("# vars: x y\nx + y\nx - y\n"),
+          "--tier-mode"], "error: tier mode expects a single hypersurface"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

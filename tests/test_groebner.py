@@ -64,6 +64,53 @@ class TestBasis:
             assert got.terms == expect
 
 
+class TestTermOrder:
+    def test_repr_names_the_block_size(self):
+        assert repr(TermOrder("block", nblock=2)) == \
+            "TermOrder('block', perm=None, nblock=2)"
+        assert repr(TermOrder("block", perm=(1, 0, 2), nblock=1)) == \
+            "TermOrder('block', perm=(1, 0, 2), nblock=1)"
+        assert repr(TermOrder("grevlex", nblock=2)) == \
+            "TermOrder('grevlex', perm=None)"
+
+
+class TestInputsInTheQueue:
+    def test_unit_before_any_pair(self):
+        """x - 1 and x - 2 have the least sugar, so they pop first and the
+        second reduces to a constant: the thirty higher-degree generators
+        never join and no S-pair is popped."""
+        higher = [f"x^{2 + k % 6}*y^{k // 6} + {k}*y - 1" for k in range(30)]
+        I = mk(2, "x - 1", "x - 2", *higher)
+        assert is_trivial(I)
+        stats = I.stats()
+        assert stats.pairs == stats.reductions == 0
+        assert stats.basis_size == 1
+
+    def test_reducible_input_is_dropped_or_reduced(self):
+        """x - 1 joins first; x^2 - 1 and x^2*y - y then reduce to zero
+        and are dropped, and y^2 + x joins with its tail x, which the final
+        interreduction turns into 1."""
+        I = mk(2, "x^2*y - y", "x - 1", "x^2 - 1", "y^2 + x")
+        assert [g.to_string(XY) for g in I.groebner_basis()] == \
+            ["x - 1", "y^2 + 1"]
+
+    def test_max_pairs_counts_pairs_only(self):
+        """Inputs take none of the pair budget: the unit example needs no
+        pair at all, and a basis that pops P pairs fits max_pairs = P."""
+        higher = [f"x^{k + 2} - y" for k in range(5)]
+        assert is_trivial(mk(2, "x - 1", "x - 2", *higher),
+                          Budget(max_pairs=0))
+        texts = ("x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        I = mk(3, *texts)
+        basis = I.groebner_basis()
+        pairs = I.stats().pairs
+        assert mk(3, *texts).groebner_basis(
+            budget=Budget(max_pairs=pairs)) == basis
+        with pytest.raises(ResourceExhausted) as info:
+            mk(3, *texts).groebner_basis(budget=Budget(max_pairs=pairs - 1))
+        assert info.value.stats.pairs == pairs - 1
+
+
 class TestNormalForm:
     def test_examples(self):
         assert normal_form(parse("x^2", XY), mk(2, "x")).is_zero()
@@ -163,6 +210,55 @@ class TestSaturate:
         I = mk(2, "x^2*y^3")
         S = saturate_many(I, [parse("x", XY), parse("y", XY)])
         assert is_trivial(S)
+
+    def test_saturate_many_of_a_unit_ideal_is_presented_by_1(
+            self, monkeypatch):
+        """(x*y - 1, x - 2, y - 3) is the unit ideal before any saturation:
+        no saturation runs and the result's generators are [1]."""
+        monkeypatch.setattr(groebner, "saturate", None)
+        S = saturate_many(mk(2, "x*y - 1", "x - 2", "y - 3"),
+                          [parse("x", XY), parse("y", XY)])
+        assert [g.to_string(XY) for g in S.generators] == ["1"]
+        assert S.groebner_basis() == S.generators
+
+    def test_saturate_many_is_presented_by_its_grevlex_basis(self):
+        I = mk(2, "x^3*y - x^2", "x*y^2 - y", "x^2 - x*y")
+        S = saturate_many(I, [parse("y", XY)])
+        assert S.generators == Ideal(2, S.generators).groebner_basis()
+        assert S.generators == saturate(I, parse("y", XY)).generators
+        assert saturate_many(I, []).generators == I.groebner_basis()
+
+    def test_saturate_starts_from_the_cached_basis(self, monkeypatch):
+        """Three generators, a two-member basis: the saturation gets the
+        basis and 1 - y*f, three inputs."""
+        I = mk(2, "x^2*y - x", "y^2 - 1", "x^2*y^3 - x*y^2")
+        raw = saturate(I, parse("y", XY)).groebner_basis()
+        assert len(I.groebner_basis()) == 2
+        sizes = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger",
+                            lambda n, gens, *a: sizes.append(len(gens))
+                            or run(n, gens, *a))
+        assert saturate(I, parse("y", XY)).groebner_basis() == raw
+        assert sizes == [3]
+
+    def test_saturate_many_out_of_budget_raises(self):
+        I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
+        with pytest.raises(ResourceExhausted):
+            saturate_many(I, [parse("x1", ["x1", "x2", "x3"])],
+                          Budget(max_pairs=1))
+
+
+def _saturate_many_reference(I, polys):
+    """Successive saturation as saturate_many ran it before the unit test
+    came first: each saturation from the raw generators, the unit test
+    after each one."""
+    J = I
+    for f in polys:
+        J = saturate(Ideal(J.n, J.generators), f)
+        if is_trivial(J):
+            break
+    return J
 
 
 def _saturate_by_ideal_reference(I, generators):
@@ -484,3 +580,64 @@ def test_is_trivial_after_saturation_runs_no_buchberger(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger", forbidden)
     assert not is_trivial(S)
     assert is_trivial(T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(max_gens=4), st.data())
+def test_basis_ignores_order_repeats_and_scale(case, data):
+    """Shuffled, duplicated and rescaled generators give the same reduced
+    basis in every order kind."""
+    n, gens = case
+    order = draw_order(data, n)
+    expect = Ideal(n, gens).groebner_basis(order)
+    gens = gens + data.draw(st.lists(st.sampled_from(gens), max_size=3))
+    gens = data.draw(st.permutations(gens))
+    scales = st.sampled_from([F(-1), F(2), F(-3), F(1, 2), F(-5, 3)])
+    gens = [g * data.draw(scales) for g in gens]
+    assert Ideal(n, gens).groebner_basis(order) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(), st.data())
+def test_saturate_from_the_cached_basis_is_from_the_generators(case, data):
+    n, gens = case
+    f = data.draw(st.sampled_from([MultiPoly.variable(n, i)
+                                   for i in range(n)]) |
+                  small_polys(n).filter(lambda p: not p.is_zero()))
+    raw = saturate(Ideal(n, gens), f)
+    I = Ideal(n, gens)
+    I.groebner_basis()
+    assert saturate(I, f).groebner_basis() == raw.groebner_basis()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(), st.data())
+def test_saturate_many_is_the_old_loop(case, data):
+    n, gens = case
+    polys = data.draw(st.lists(
+        st.sampled_from([MultiPoly.variable(n, i) for i in range(n)]) |
+        small_polys(n).filter(lambda p: not p.is_zero()), max_size=3))
+    I = Ideal(n, gens)
+    assert saturate_many(I, polys).groebner_basis() == \
+        _saturate_many_reference(I, polys).groebner_basis()
+
+
+def test_saturate_many_is_the_old_loop_on_m010_candidates():
+    """The coordinate saturations of the first eight M_{0,10} candidates
+    without a singleton part (rank two, a few ms each)."""
+    from torion import toruscan
+    from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                   crossratio_m3, m010_system)
+    polys = m010_system()
+    starts = [toruscan.ExponentSubgroup(m, 9) for m in
+              (crossratio_m1(), crossratio_m2(), crossratio_m3())]
+    subs = [N for N in toruscan.enumerate_subspaces_multi(polys, starts)
+            if not toruscan.has_singleton_part(polys, N)]
+    n = polys[0].n
+    for N in subs[:8]:
+        gens = [q for _, q in toruscan.induced_parts(polys, N)]
+        I = Ideal(n, [g.strip_monomial_content() for g in gens])
+        used = sorted(set().union(*[g.variables_used() for g in gens]))
+        xs = [MultiPoly.variable(n, i) for i in used]
+        assert saturate_many(I, xs).generators == \
+            _saturate_many_reference(I, xs).groebner_basis()

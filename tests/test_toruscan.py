@@ -76,6 +76,15 @@ class TestCoefficientVariety:
         # at least one part is a monomial, syntactically
         assert any(len(q.terms) == 1 for _, q in cand.parts)
 
+    def test_trivial_candidate_is_saturated_to_1(self):
+        # parts x - 1 and (x - 2)*y: a1 = 1 and a1 = 2 on the torus, a unit
+        # ideal before any saturation
+        h = parse("x - 1 + x*y - 2*y", ["x", "y"])
+        cand = coefficient_variety([h], ExponentSubgroup([[0, 1]]))
+        assert cand.status == "trivial-ideal"
+        assert [g.to_string(["a1", "a2"])
+                for g in cand.saturated_generators] == ["1"]
+
     def test_whole_variety_is_subgroup(self):
         h = parse("x*y - 1", ["x", "y"])
         cand = coefficient_variety([h], ExponentSubgroup([[1, -1]]))
