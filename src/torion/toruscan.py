@@ -14,6 +14,7 @@ unit-ideal test after clearing coordinate-hyperplane components.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 import sys
@@ -391,6 +392,9 @@ def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     first nonzero entry positive); antipodal=False lists both signs."""
     if poly.n != 3:
         raise ValueError("anchored tier pipeline needs exactly 3 variables")
+    if poly.is_zero():
+        raise ValueError("anchored tier pipeline needs a nonempty support; "
+                         "the polynomial is 0")
     sup = sorted(poly.terms,
                  key=lambda e: (sum(e), tuple(-x for x in reversed(e))),
                  reverse=True)
@@ -445,6 +449,16 @@ def _packed_pairing(points, n, span):
     return pairing, 1 << (w - 1)
 
 
+def _newton_corners(points):
+    """The points that are no midpoint of two others, a superset of the
+    vertices of their convex hull.  In base b > 4 * max|coordinate|, the
+    packed sum of two points is the sum of their packed ints."""
+    b = 4 * max((abs(x) for p in points for x in p), default=0) + 1
+    keys = [(x * b + y) * b + z for x, y, z in points]
+    sums = {u + v for u, v in itertools.combinations(keys, 2)}
+    return [p for p, k in zip(points, keys) if 2 * k not in sums]
+
+
 def tier2_friend_filter(poly: MultiPoly, candidates):
     """Keep the vectors E for which every support element e has a friend,
     another element with the same value <e, E>; the order is kept.
@@ -452,22 +466,32 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
     Packed kernel: with span = max|coordinate| * max ||E||_1, every value
     lies in [-span, span], and `_packed_pairing` gives all values <e, E> of
     one candidate from one integer combination.  E is rejected at once when
-    the largest or the smallest value occurs once, since that element has
-    no friend; the rest are counted.
+    its largest or smallest value is taken once on the corner set C
+    (`_newton_corners`): the elements that attain an extreme form a face of
+    the Newton polytope, one element exactly when the face is a vertex, and
+    a larger face has two vertices, both in C.  The rest are counted.
 
-    An empty support keeps every candidate."""
+    Needs 3 variables and 3-entry candidates.  An empty support keeps every
+    candidate."""
+    if poly.n != 3:
+        raise ValueError("anchored tier pipeline needs exactly 3 variables")
     sup, candidates = list(poly.terms), list(candidates)
+    for E in candidates:
+        if len(E) != 3:
+            raise ValueError(f"candidate {E} has {len(E)} entries, "
+                             f"expected 3")
     if not sup:
         return candidates
     span = max(map(abs, (x for e in sup for x in e))) * max(
         (abs(a) + abs(b) + abs(c) for a, b, c in candidates), default=0)
     pairing = _packed_pairing(sup, 3, span)[0]
+    corners = _packed_pairing(_newton_corners(sup), 3, span)[0]
     out = []
     for E in candidates:
-        vals = pairing(E)
+        vals = corners(E)
         if vals.count(max(vals)) == 1 or vals.count(min(vals)) == 1:
             continue
-        if 1 not in Counter(vals).values():
+        if 1 not in Counter(pairing(E)).values():
             out.append(E)
     return out
 

@@ -86,6 +86,9 @@ class TestArgumentErrors:
          "arg2: no polynomials"),
         (["torus-scan", "--polys", InputFile("# vars: x y\nx + y\nx - y\n"),
           "--tier-mode"], "error: tier mode expects a single hypersurface"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\n0\n"),
+          "--tier-mode"], "error: anchored tier pipeline needs a nonempty "
+         "support"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

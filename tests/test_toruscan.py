@@ -1,9 +1,11 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torion import intlat, toruscan
 from torion.groebner import Budget
@@ -417,6 +419,134 @@ class TestTierKernelsDifferential:
         cands = [(1, 2 ** 62, 0), (2 ** 62, -3 * 2 ** 62, 5)]
         assert tier2_friend_filter(h, cands) == \
             _tier2_reference(h, cands) == cands[1:]
+
+
+def _box(a, b, c, shift=(0, 0, 0)):
+    return [(x + shift[0], y + shift[1], z + shift[2])
+            for x in range(a + 1) for y in range(b + 1) for z in range(c + 1)]
+
+
+def _simplex(d, shift=(0, 0, 0)):
+    return [e for e in _box(d, d, d, shift)
+            if sum(e) - sum(shift) <= d]
+
+
+def _thinned(points, rng, keep):
+    return [e for e in points if rng.random() < keep]
+
+
+# supports with many lattice points on the edges and facets of their Newton
+# polytopes, so that many directions take an extreme on a whole edge or facet
+_CORNER_SUPPORTS = {
+    "box": _box(3, 2, 2),
+    "cube": _box(2, 2, 2),
+    "slab": _box(4, 3, 0),
+    "rod": _box(5, 0, 0),
+    "laurent-box": _box(4, 2, 3, (-2, -1, -3)),
+    "simplex": _simplex(4),
+    "laurent-simplex": _simplex(3, (-1, -2, 0)),
+    "thin-box": _thinned(_box(4, 4, 3), random.Random(1), 0.6),
+    "thin-simplex": _thinned(_simplex(5), random.Random(2), 0.7),
+    "thin-laurent-box": _thinned(_box(4, 4, 4, (-2, -2, -2)),
+                                 random.Random(3), 0.5),
+    "collinear": [(k, 2 * k, -k) for k in (-3, -1, 0, 1, 2, 5)],
+    "coplanar": [(x, y, 3 - x - y) for x in range(-1, 4)
+                 for y in range(3) if (x + y) % 3],
+    "coplanar-skew": [(x, y, x - 2 * y) for x in range(4) for y in range(3)],
+    "one-point": [(2, -1, 3)],
+    "two-points": [(0, 0, 0), (2, 4, -2)],
+}
+
+_SMALL_DIRECTIONS = [E for E in product(range(-2, 3), repeat=3)
+                     if E != (0, 0, 0)]
+
+
+class TestNewtonCorners:
+    """Tier 2 decides the extremes on `_newton_corners`; it equals its
+    reference on supports whose extremes are often taken on whole edges
+    and facets."""
+
+    @pytest.mark.parametrize("name", sorted(_CORNER_SUPPORTS))
+    def test_differential(self, name):
+        sup = _CORNER_SUPPORTS[name]
+        h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+        cands = list(_SMALL_DIRECTIONS)
+        try:
+            cands += tier1_candidates(h, False)
+        except ValueError:
+            pass
+        got = tier2_friend_filter(h, cands)
+        assert got == _tier2_reference(h, cands)
+        if len(sup) > 1:
+            assert got, "no direction kept: the extremes go untested"
+
+    def test_differential_keeps_and_rejects(self):
+        kept = rejected = 0
+        for sup in _CORNER_SUPPORTS.values():
+            h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+            got = tier2_friend_filter(h, _SMALL_DIRECTIONS)
+            kept += len(got)
+            rejected += len(_SMALL_DIRECTIONS) - len(got)
+        assert kept > 200 and rejected > 200
+
+    @pytest.mark.parametrize("sup, vertices", [
+        (_box(3, 2, 2), set(product((0, 3), (0, 2), (0, 2)))),
+        (_box(4, 3, 0), set(product((0, 4), (0, 3), (0,)))),
+        (_simplex(4), {(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)}),
+        (_CORNER_SUPPORTS["collinear"], {(-3, -6, 3), (5, 10, -5)}),
+        ([(2, -1, 3)], {(2, -1, 3)}),
+        ([(0, 0, 0), (2, 4, -2)], {(0, 0, 0), (2, 4, -2)}),
+    ])
+    def test_full_supports_give_the_vertices(self, sup, vertices):
+        corners = toruscan._newton_corners(sup)
+        assert set(corners) == vertices
+        assert corners == [e for e in sup if e in vertices]
+
+    def test_surface_deg14_has_12_corners(self):
+        _, (h,) = read_poly_file(data_text("surface_deg14.poly"))
+        assert len(h.terms) == 199
+        assert len(toruscan._newton_corners(list(h.terms))) == 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(sup=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1,
+                       max_size=30),
+           E=st.one_of(st.tuples(*[st.integers(-2, 2)] * 3),
+                       st.tuples(*[st.integers(-40, 40)] * 3)))
+    def test_extremes_agree_with_the_support(self, sup, E):
+        sup = sorted(sup)
+        corners = toruscan._newton_corners(sup)
+        assert set(corners) <= set(sup)
+        on_sup = [sum(map(operator.mul, e, E)) for e in sup]
+        on_corners = [sum(map(operator.mul, e, E)) for e in corners]
+        for extreme in (max, min):
+            m = extreme(on_sup)
+            assert extreme(on_corners) == m
+            assert (on_corners.count(m) == 1) == (on_sup.count(m) == 1)
+
+
+class TestTierInputChecks:
+    def test_tier1_zero_polynomial(self):
+        with pytest.raises(ValueError, match="nonempty support"):
+            tier1_candidates(MultiPoly.zero(3))
+        with pytest.raises(ValueError, match="nonempty support"):
+            scan([MultiPoly.zero(3)], options=ScanOptions(tier_mode=True))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tier2_support_arity(self, n):
+        h = MultiPoly(n, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1})
+        with pytest.raises(ValueError, match="needs exactly 3 variables"):
+            tier2_friend_filter(h, [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(ValueError, match="needs exactly 3 variables"):
+            tier2_friend_filter(MultiPoly.zero(n), [])
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), ()])
+    def test_tier2_candidate_arity(self, bad):
+        h = MultiPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1})
+        message = f"candidate {bad} has {len(bad)} entries, expected 3"
+        for poly in (h, MultiPoly.zero(3)):
+            with pytest.raises(ValueError) as exc:
+                tier2_friend_filter(poly, [(0, 0, 1), bad])
+            assert str(exc.value) == message
 
 
 class TestSaturatedScan:
