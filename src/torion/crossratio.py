@@ -11,7 +11,7 @@ the graph's tree paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
@@ -160,6 +160,30 @@ class StableFormConfig:
                         f"{pts[i][1]} equals {pts[j][1]}")
 
 
+def _z_product(one, roots):
+    """Coefficients, lowest first, of prod (z - r) over the roots, in the
+    ring of `one`."""
+    coeffs = [one]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [a - r * b for a, b in
+                                     zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    return coeffs
+
+
+def _at(coeffs, x):
+    """Horner evaluation of coefficients (lowest first) at x."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _pole_denominator(one, poles, i):
+    """prod_{l != i} (x_i - x_l): Res_{x_i} of N(z) dz / prod (z - x_l) is
+    N(x_i) over it."""
+    return _at(_z_product(one, poles[:i] + poles[i + 1:]), poles[i])
+
+
 def residues(cfg: StableFormConfig):
     """Exact residues of  prod (z - z_i)^{m_i} dz / prod (z - x_j)  at the
     poles (finite zeros contribute factors; a zero at infinity only lowers
@@ -169,25 +193,12 @@ def residues(cfg: StableFormConfig):
         if x.is_infinity():
             raise UnsupportedNormalization(
                 "move poles away from infinity first")
-    out = []
-    for i, x in enumerate(cfg.poles):
-        a = x.affine()
-        num = None
-        for z, m in cfg.zeros:
-            if z.is_infinity():
-                continue
-            fm = (a - z.affine()) ** m
-            num = fm if num is None else num * fm
-        if num is None:
-            num = Fraction(1)
-        den = None
-        for j, y in enumerate(cfg.poles):
-            if j == i:
-                continue
-            d = a - y.affine()
-            den = d if den is None else den * d
-        out.append(num * _invert(den) if den is not None else num)
-    return out
+    one = Fraction(1)
+    xs = [x.affine() for x in cfg.poles]
+    N = _z_product(one, [z.affine() for z, m in cfg.zeros
+                         if not z.is_infinity() for _ in range(m)])
+    return [_at(N, a) * _invert(_pole_denominator(one, xs, i))
+            for i, a in enumerate(xs)]
 
 
 def zero_order_consistent(cfg: StableFormConfig) -> bool:
@@ -199,13 +210,10 @@ def zero_order_consistent(cfg: StableFormConfig) -> bool:
     if not all(isinstance(r, Fraction) for r in rs):
         raise ValueError("zero-order check needs rational coordinates")
     n = len(cfg.poles)
+    xs = [x.affine() for x in cfg.poles]
     acc = [Fraction(0)] * n
     for i, r in enumerate(rs):
-        prod = UPoly([1])
-        for j, x in enumerate(cfg.poles):
-            if j != i:
-                prod = prod * UPoly([-x.affine(), 1])
-        for k, c in enumerate(prod.coeffs):
+        for k, c in enumerate(_z_product(Fraction(1), xs[:i] + xs[i + 1:])):
             acc[k] += r * c
     numerator = UPoly(acc)
     inf_order = 0
@@ -229,154 +237,79 @@ def partition_residue_sums(cfg: StableFormConfig):
 # ---------------------------------------------------------------------------
 # symbolic condition generators
 # ---------------------------------------------------------------------------
+#
+# Poles and finite zeros are polynomials in n variables; a zero is a pair
+# (position, order) and the position 'inf' marks a zero at infinity, which
+# only lowers the degree of the numerator N(z) = prod (z - z_k)^{m_k}.
 
-@dataclass
-class SymbolicStableForm:
-    """Symbolic configuration: poles and zero positions are polynomials in a
-    declared variable ring, residues may be symbolic too (zero-order kind).
-    `zero area` entries use 'inf' for a zero at infinity."""
-    variables: list
-    poles: list  # [MultiPoly]
-    zeros: list = field(default_factory=list)  # [(MultiPoly | 'inf', mult)]
-    pairs: list = field(default_factory=list)  # ordered pole-index pairs
-    residue_symbols: list | None = None  # [MultiPoly], parallel to poles
-    omit_redundant_pair: bool = False
-
-    @property
-    def n(self):
-        return len(self.variables)
+def _numerator(one, zeros):
+    return _z_product(one, [z for z, m in zeros if not isinstance(z, str)
+                            for _ in range(m)])
 
 
-def _sym_const(cfgn, c):
-    return MultiPoly.constant(cfgn, c)
+def opposite_residue_conditions(n, poles, zeros, pairs):
+    """For each pole pair (i, j), the numerator of Res_i + Res_j of
+    N(z) dz / prod (z - x_l), cleared of numeric content: with
+    P_k = prod_{l != i,j} (x_k - x_l) it is N(x_i) P_j - N(x_j) P_i."""
+    one = MultiPoly.constant(n, 1)
+    N = _numerator(one, zeros)
+    conds = []
+    for i, j in pairs:
+        rest = _z_product(one, [x for l, x in enumerate(poles)
+                                if l not in (i, j)])
+        cond = _at(N, poles[i]) * _at(rest, poles[j]) - \
+            _at(N, poles[j]) * _at(rest, poles[i])
+        conds.append(cond.primitive_part())
+    return conds
 
 
-def _numerator_poly_z(cfg: SymbolicStableForm):
-    """Coefficients (in z) of the numerator N(z) = prod (z - z_i)^{m_i} as
-    polynomials in the symbol ring."""
-    n = cfg.n
-    coeffs = [_sym_const(n, 1)]
-    for z, m in cfg.zeros:
-        if isinstance(z, str) and z == "inf":
+def zero_order_conditions(n, poles, residues, zeros):
+    """With the residues given, the numerator sum_i rho_i prod_{l != i}
+    (z - x_l) of sum_i rho_i / (z - x_i) must vanish to the prescribed
+    order at each zero (0 and infinity supported): its low coefficients,
+    respectively its top ones down to degree (number of poles) - 2 - m.
+    Each condition is made primitive with a positive leading term; repeats
+    are dropped."""
+    npoles = len(poles)
+    one = MultiPoly.constant(n, 1)
+    prods = [_z_product(one, poles[:i] + poles[i + 1:])
+             for i in range(npoles)]
+    coeffs = [sum((rho * p[t] for rho, p in zip(residues, prods)),
+                  MultiPoly.zero(n)) for t in range(npoles)]
+    conds = []
+    for z, m in zeros:
+        if isinstance(z, str):
+            # the very top coefficient may vanish identically
+            conds += [coeffs[t] for t in range(npoles - 1 - m, npoles)]
+        elif ProjPoint._is_zero(z):
+            conds += coeffs[:m]
+        else:
+            raise UnsupportedNormalization(
+                "finite zero-order conditions are implemented at 0")
+    out = []
+    for c in conds:
+        if c.is_zero():
             continue
-        for _ in range(m):
-            new = [_sym_const(n, 0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] = new[i + 1] + c
-                new[i] = new[i] - c * z
-            coeffs = new
-    return coeffs
+        c = c.strip_monomial_content().primitive_part()
+        lead = max(c.terms, key=lambda e: (sum(e), e))
+        if c.terms[lead] < 0:
+            c = -c
+        if c not in out:
+            out.append(c)
+    return out
 
 
-def _eval_poly_z(coeffs, point: MultiPoly):
-    acc = _sym_const(point.n, 0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
-def stable_form_conditions(kind: str, cfg: SymbolicStableForm):
-    """Exact polynomial conditions for a symbolic stable form.
-
-    kind 'opposite-residue': for each configured pair (i, j), the numerator
-    of Res_i + Res_j; with residues of N(z) dz / prod(z - x_l) this is
-    N(x_i) * prod_{l != i,j} (x_j - x_l)  -  N(x_j) * prod_{l != i,j} (x_i - x_l),
-    cleared of numeric content.  The last pair is dropped when the
-    configuration marks it redundant (residue theorem).
-
-    kind 'zero-order': residues are the declared symbols and the conditions
-    state that the numerator of  sum_i rho_i / (z - x_i)  vanishes to the
-    prescribed orders at the configured zeros (0 and infinity supported).
-
-    kind 'partition-residue-sum': per part, the numerator of the residue
-    sum.
-    """
-    n = cfg.n
-    if kind == "opposite-residue":
-        N = _numerator_poly_z(cfg)
-        conds = []
-        pairs = list(cfg.pairs)
-        if cfg.omit_redundant_pair and len(pairs) > 1:
-            pairs = pairs[:-1]
-        for (i, j) in pairs:
-            xi, xj = cfg.poles[i], cfg.poles[j]
-            Ai = _sym_const(n, 1)
-            Aj = _sym_const(n, 1)
-            for l, xl in enumerate(cfg.poles):
-                if l in (i, j):
-                    continue
-                Ai = Ai * (xi - xl)
-                Aj = Aj * (xj - xl)
-            cond = _eval_poly_z(N, xi) * Aj - _eval_poly_z(N, xj) * Ai
-            conds.append(cond.primitive_part())
-        return conds
-    if kind == "zero-order":
-        if cfg.residue_symbols is None:
-            raise UnsupportedNormalization("zero-order needs residue symbols")
-        # numerator of sum rho_i / (z - x_i): sum rho_i prod_{l != i}(z - x_l)
-        npoles = len(cfg.poles)
-        coeffs = [_sym_const(n, 0)] * npoles
-        for i, rho in enumerate(cfg.residue_symbols):
-            prod = [_sym_const(n, 1)]
-            for l, xl in enumerate(cfg.poles):
-                if l == i:
-                    continue
-                new = [_sym_const(n, 0)] * (len(prod) + 1)
-                for t, c in enumerate(prod):
-                    new[t + 1] = new[t + 1] + c
-                    new[t] = new[t] - c * xl
-                prod = new
-            for t in range(len(prod)):
-                coeffs[t] = coeffs[t] + rho * prod[t]
-        conds = []
-        for z, m in cfg.zeros:
-            if isinstance(z, str) and z == "inf":
-                # order m at infinity: top coefficients vanish down to
-                # degree (npoles - 2 - m); the very top may vanish identically
-                for t in range(npoles - 1 - m, npoles):
-                    if t < len(coeffs) and not coeffs[t].is_zero():
-                        conds.append(coeffs[t])
-            else:
-                if not (isinstance(z, MultiPoly) and z.is_zero()) and \
-                        not (isinstance(z, (int, Fraction)) and z == 0):
-                    raise UnsupportedNormalization(
-                        "finite zero-order conditions are implemented at 0")
-                for t in range(m):
-                    if not coeffs[t].is_zero():
-                        conds.append(coeffs[t])
-        out = []
-        for c in conds:
-            c = c.strip_monomial_content().primitive_part()
-            lead = max(c.terms, key=lambda e: (sum(e), e))
-            if c.terms[lead] < 0:
-                c = -c
-            if c not in out:
-                out.append(c)
-        return out
-    if kind == "partition-residue-sum":
-        # numerator of  sum_{i in part} N(x_i) / prod_{l != i} (x_i - x_l)
-        # over the common denominator prod_{i in part} prod_{l != i}(x_i-x_l)
-        N = _numerator_poly_z(cfg)
-
-        def pole_denominator(i):
-            out = _sym_const(n, 1)
-            for l, xl in enumerate(cfg.poles):
-                if l != i:
-                    out = out * (cfg.poles[i] - xl)
-            return out
-
-        conds = []
-        for part in cfg.pairs:
-            total = _sym_const(n, 0)
-            for i in part:
-                term = _eval_poly_z(N, cfg.poles[i])
-                for i2 in part:
-                    if i2 != i:
-                        term = term * pole_denominator(i2)
-                total = total + term
-            conds.append(total.primitive_part())
-        return conds
-    raise UnsupportedNormalization(f"unknown kind {kind!r}")
+def partition_residue_conditions(n, poles, zeros, parts):
+    """Per part, the numerator of  sum_{i in part} N(x_i) / prod_{l != i}
+    (x_i - x_l)  over the common denominator, the product of the part's
+    pole denominators."""
+    one = MultiPoly.constant(n, 1)
+    N = _numerator(one, zeros)
+    dens = [_pole_denominator(one, poles, i) for i in range(len(poles))]
+    return [sum((math.prod((dens[k] for k in part if k != i),
+                           start=_at(N, poles[i])) for i in part),
+                MultiPoly.zero(n)).primitive_part()
+            for part in parts]
 
 
 # canned normalizations -------------------------------------------------------
@@ -388,14 +321,9 @@ def odd4_stability_conditions():
     variables = ["x1", "y1", "x2", "y2"]
     v = {nm: MultiPoly.variable(4, i) for i, nm in enumerate(variables)}
     one = MultiPoly.constant(4, 1)
-    cfg = SymbolicStableForm(
-        variables=variables,
-        poles=[v["x1"], v["y1"], v["x2"], v["y2"], one, -one],
-        zeros=[("inf", 4)],
-        pairs=[(0, 1), (2, 3), (4, 5)],
-        omit_redundant_pair=True,
-    )
-    return stable_form_conditions("opposite-residue", cfg)
+    return opposite_residue_conditions(
+        4, [v["x1"], v["y1"], v["x2"], v["y2"], one, -one], [("inf", 4)],
+        [(0, 1), (2, 3)])
 
 
 def stability_surface_generators():
@@ -418,14 +346,10 @@ def hyp4_zero_order_conditions():
     variables = ["r1", "r2", "r3", "x1", "x2", "x3"]
     r = [MultiPoly.variable(6, i) for i in range(3)]
     x = [MultiPoly.variable(6, i + 3) for i in range(3)]
-    cfg = SymbolicStableForm(
-        variables=variables,
-        poles=[x[0], -x[0], x[1], -x[1], x[2], -x[2]],
-        zeros=[(MultiPoly.constant(6, 0), 4), ("inf", 0)],
-        pairs=[(0, 1), (2, 3), (4, 5)],
-        residue_symbols=[r[0], -r[0], r[1], -r[1], r[2], -r[2]],
-    )
-    return variables, stable_form_conditions("zero-order", cfg)
+    return variables, zero_order_conditions(
+        6, [x[0], -x[0], x[1], -x[1], x[2], -x[2]],
+        [r[0], -r[0], r[1], -r[1], r[2], -r[2]],
+        [(MultiPoly.constant(6, 0), 4), ("inf", 0)])
 
 
 def s22_opposite_residue_conditions():
@@ -435,13 +359,9 @@ def s22_opposite_residue_conditions():
     variables = ["x1", "x2", "x3", "z1", "z2", "z3"]
     x = [MultiPoly.variable(6, i) for i in range(3)]
     z = [MultiPoly.variable(6, i + 3) for i in range(3)]
-    cfg = SymbolicStableForm(
-        variables=variables,
-        poles=[x[0], x[1], x[2], z[0] * x[0], z[1] * x[1], z[2] * x[2]],
-        zeros=[(MultiPoly.constant(6, 0), 2), ("inf", 2)],
-        pairs=[(3, 0), (4, 1), (5, 2)],
-    )
-    conds = stable_form_conditions("opposite-residue", cfg)
+    conds = opposite_residue_conditions(
+        6, [x[0], x[1], x[2], z[0] * x[0], z[1] * x[1], z[2] * x[2]],
+        [(MultiPoly.constant(6, 0), 2), ("inf", 2)], [(3, 0), (4, 1), (5, 2)])
     return variables, [c.strip_monomial_content() for c in conds]
 
 
@@ -453,13 +373,9 @@ def residue21_condition():
     x1 = MultiPoly.variable(5, 0)
     ze = MultiPoly.variable(5, 1)
     us = [MultiPoly.variable(5, i + 2) for i in range(3)]
-    cfg = SymbolicStableForm(
-        variables=variables,
-        poles=[ze * x1, x1, us[0], us[1], us[2]],
-        zeros=[(MultiPoly.constant(5, 0), 2), ("inf", 1)],
-        pairs=[(0, 1)],
-    )
-    conds = stable_form_conditions("opposite-residue", cfg)
+    conds = opposite_residue_conditions(
+        5, [ze * x1, x1, us[0], us[1], us[2]],
+        [(MultiPoly.constant(5, 0), 2), ("inf", 1)], [(0, 1)])
     return variables, [c.strip_monomial_content().primitive_part()
                        for c in conds]
 
@@ -475,14 +391,9 @@ def torsion_fiber_equations():
     z = [MultiPoly.constant(6, 1)] + \
         [MultiPoly.variable(6, i + 3) for i in range(3)]
     r4 = -(r[0] + r[1] + r[2])
-    cfg = SymbolicStableForm(
-        variables=variables,
-        poles=z,
-        zeros=[(MultiPoly.constant(6, 0), 1), ("inf", 1)],
-        pairs=[],
-        residue_symbols=[r[0], r[1], r[2], r4],
-    )
-    return variables, stable_form_conditions("zero-order", cfg)
+    return variables, zero_order_conditions(
+        6, z, [r[0], r[1], r[2], r4],
+        [(MultiPoly.constant(6, 0), 1), ("inf", 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +470,8 @@ def torsion_config_check(cfg: StableFormConfig, N: int):
     iii) every cross-ratio [z_a, z_b, x_i1, x_i2] with i1, i2 in one part is
         a root of unity of order dividing N (decided exactly).
     Returns ('satisfies', details) or ('violates', condition_id)."""
+    if N < 1:
+        raise ValueError(f"torsion bound N = {N} is below 1")
     rs = residues(cfg)
     n = len(cfg.poles)
     for part, s in zip(cfg.pair_partition, partition_residue_sums(cfg)):
@@ -658,16 +571,6 @@ def crmin_inverse(values, n_pairs, n_extra):
     return pairs, zs
 
 
-def crmin_transform(direction: str, data):
-    if direction == "forward":
-        xy_pairs, extra = data
-        return crmin_forward(xy_pairs, extra)
-    if direction == "inverse":
-        values, n_pairs, n_extra = data
-        return crmin_inverse(values, n_pairs, n_extra)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
 M010_VARIABLES = ["t21", "t31", "t41", "t22", "t32", "t42",
                   "t23", "t33", "t43"]
 
@@ -750,14 +653,10 @@ def m010_opposite_residue_conditions():
     0, 1, z4, infinity and poles x_i, y_i."""
     seven = ["x1", "y1", "x2", "y2", "x3", "y3", "z4"]
     v = {nm: MultiPoly.variable(7, i) for i, nm in enumerate(seven)}
-    cfg = SymbolicStableForm(
-        variables=seven,
-        poles=[v["x1"], v["y1"], v["x2"], v["y2"], v["x3"], v["y3"]],
-        zeros=[(MultiPoly.constant(7, 0), 1), (MultiPoly.constant(7, 1), 1),
-               (v["z4"], 1), ("inf", 1)],
-        pairs=[(0, 1), (2, 3), (4, 5)],
-    )
-    conds = stable_form_conditions("opposite-residue", cfg)
+    conds = opposite_residue_conditions(
+        7, [v["x1"], v["y1"], v["x2"], v["y2"], v["x3"], v["y3"]],
+        [(MultiPoly.constant(7, 0), 1), (MultiPoly.constant(7, 1), 1),
+         (v["z4"], 1), ("inf", 1)], [(0, 1), (2, 3), (4, 5)])
     coords = _m010_inverse_coordinates()
     nums = [coords[nm][0] for nm in seven]
     dens = [coords[nm][1] for nm in seven]

@@ -49,6 +49,8 @@ def rational(text) -> Fraction:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{text!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------

@@ -501,10 +501,14 @@ def parse_network(text: str):
             vertices.append(parts[0])
         elif kind == "edge":
             edges.append(tuple(parts))
-        elif kind == "current":
-            currents[parts[0]] = int(parts[1])
-        elif kind == "source":
-            sources[parts[0]] = int(parts[1])
         else:
-            moduli[parts[0]] = rational(parts[1])
+            try:
+                value = rational(parts[1]) if kind == "modulus" \
+                    else int(parts[1])
+            except ValueError as exc:
+                why = exc if kind == "modulus" else \
+                    f"{parts[1]!r} is not an integer"
+                raise ValueError(f"line {lineno}: {why}") from None
+            {"current": currents, "source": sources,
+             "modulus": moduli}[kind][parts[0]] = value
     return DualGraph(vertices, edges), currents, sources, moduli

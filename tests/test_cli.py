@@ -89,6 +89,16 @@ class TestArgumentErrors:
         (["torus-scan", "--polys", InputFile("# vars: x y z\n0\n"),
           "--tier-mode"], "error: anchored tier pipeline needs a nonempty "
          "support"),
+        (["cross-ratio", "--check", "torsion", "--torsion-order", "0",
+          "--config", InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\n"
+                                "pole 2\npole -2\npart 0 1\npart 2 3\n")],
+         "error: torsion bound N = 0 is below 1"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\ncurrent e1 x\n"),
+          "--check-kirchhoff"], "line 4: 'x' is not an integer"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nmodulus e1 abc\n"),
+          "--check-kirchhoff"], "line 4: 'abc' is not a rational number"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

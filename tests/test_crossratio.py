@@ -5,18 +5,18 @@ import pytest
 
 from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                DecoratedTree, DomainViolation, InvalidTree,
-                               ProjPoint, StableFormConfig, SymbolicStableForm,
+                               ProjPoint, StableFormConfig,
                                check_config_cre, check_cre, cre_exponents,
                                cross_ratio,
                                crossratio_m1, crossratio_m2, crossratio_m3,
-                               crmin_forward, crmin_inverse, crmin_transform,
+                               crmin_forward, crmin_inverse,
                                degeneration_exponent, degeneration_matrix,
                                hyp4_zero_order_conditions, m010_system,
                                m010_point_from_configuration, mobius_apply,
-                               odd4_stability_conditions, residues,
+                               odd4_stability_conditions,
+                               partition_residue_conditions, residues,
                                residue21_condition,
                                s22_opposite_residue_conditions,
-                               stable_form_conditions,
                                stability_surface_generators,
                                standard_degeneration_trees,
                                torsion_config_check, torsion_fiber_equations,
@@ -190,11 +190,8 @@ class TestConditionGenerators:
         # must vanish identically in the symbols
         xs = [MultiPoly.variable(2, 0), -MultiPoly.variable(2, 0),
               MultiPoly.variable(2, 1), -MultiPoly.variable(2, 1)]
-        cfg = SymbolicStableForm(
-            variables=["x", "u"], poles=xs,
-            zeros=[(MultiPoly.constant(2, 0), 2)],
-            pairs=[[0, 1], [2, 3]])
-        conds = stable_form_conditions("partition-residue-sum", cfg)
+        conds = partition_residue_conditions(
+            2, xs, [(MultiPoly.constant(2, 0), 2)], [[0, 1], [2, 3]])
         assert all(c.is_zero() for c in conds)
 
 
@@ -274,24 +271,35 @@ class TestCre:
                 check_config_cre(cfg, (1, 0, -1))
 
 
+def _ratio_of_sines_config():
+    # two-part type (4; 1, 1) data: x2 = zx^2 x1, u2 = zu^2 u1 with
+    # u1 = -zx/zu; residues then cancel in pairs exactly
+    zx = Cyclotomic.root_of_unity(3)
+    zu = Cyclotomic.root_of_unity(8)
+    one = Cyclotomic.from_rational(1)
+    x1 = one
+    x2 = zx * zx
+    u1 = -(zx * zu.inverse())
+    u2 = zu * zu * u1
+    return StableFormConfig(
+        zeros=[(ProjPoint(0), 1), (ProjPoint.infinity(), 1)],
+        poles=[ProjPoint(x1), ProjPoint(x2), ProjPoint(u1), ProjPoint(u2)],
+        pair_partition=[[0, 1], [2, 3]])
+
+
 class TestTorsionConfigCheck:
     def test_ratio_of_sines_configuration(self):
-        # two-part type (4; 1, 1) data: x2 = zx^2 x1, u2 = zu^2 u1 with
-        # u1 = -zx/zu; residues then cancel in pairs exactly
-        zx = Cyclotomic.root_of_unity(3)
-        zu = Cyclotomic.root_of_unity(8)
-        one = Cyclotomic.from_rational(1)
-        x1 = one
-        x2 = zx * zx
-        u1 = -(zx * zu.inverse())
-        u2 = zu * zu * u1
-        cfg = StableFormConfig(
-            zeros=[(ProjPoint(0), 1), (ProjPoint.infinity(), 1)],
-            poles=[ProjPoint(x1), ProjPoint(x2), ProjPoint(u1),
-                   ProjPoint(u2)],
-            pair_partition=[[0, 1], [2, 3]])
-        verdict, detail = torsion_config_check(cfg, 24)
+        verdict, detail = torsion_config_check(_ratio_of_sines_config(), 24)
         assert (verdict, detail) == ("satisfies", None)
+
+    def test_torsion_bound_below_one(self):
+        # the pole-pair cross-ratios have orders 3 and 8, so N = 2 fails
+        # condition iii; a bound N <= 0 is no bound and is rejected
+        cfg = _ratio_of_sines_config()
+        assert torsion_config_check(cfg, 2) == ("violates", "iii")
+        for N in (0, -24):
+            with pytest.raises(ValueError, match=f"N = {N} is below 1"):
+                torsion_config_check(cfg, N)
 
     def test_span_dimension_violation(self):
         # equal roots of unity in the two parts make every residue ratio
@@ -400,10 +408,6 @@ class TestCrmin:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             crmin_inverse({(2, 1): F(1, 2), (3, 1): F(1, 2)}, 1, 0)
-
-    def test_transform_dispatch(self):
-        vals = crmin_transform("forward", ([(F(2), F(3))], []))
-        assert vals[(2, 1)] == F(2, 3)
 
 
 class TestM010System:
