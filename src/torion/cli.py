@@ -17,6 +17,7 @@ import json
 import sys
 import time
 import traceback
+from itertools import groupby
 
 from . import __version__
 from .exactnum import UPoly, rational
@@ -39,13 +40,19 @@ REPORT_SCHEMA = 1
 
 def _read_polys(path):
     """Read a polynomial file; a missing path raises FileNotFoundError
-    naming it."""
+    naming it, and a bad line an error naming the path and the line."""
     with open(path) as fh:
-        return read_poly_file(fh.read())
+        text = fh.read()
+    try:
+        return read_poly_file(text)
+    except ValueError as exc:
+        exc.args = (f"{path}, {exc}",)
+        raise
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _digest(path) -> str:
+    with open(path) as fh:
+        return hashlib.sha256(fh.read().encode()).hexdigest()[:16]
 
 
 class Report:
@@ -79,6 +86,103 @@ class Report:
 
 def _budget(args):
     return BUDGET_PROFILES[args.budget]
+
+
+# ---------------------------------------------------------------------------
+# input files: each line 'kind field...', or a row of fields; '#' starts a
+# comment.  Every error names the file and the line.
+# ---------------------------------------------------------------------------
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
+_point = crossratio.ProjPoint.of  # 'inf', 'oo' or a rational
+
+
+def _convert(tag, convert, text):
+    """convert(text); its ValueError is re-raised with the tag in front."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        exc.args = (f"{tag}: {exc}",)
+        raise
+
+
+def _records(path):
+    """(tag, fields) for each line of path: tag is '<path>, line N', fields
+    the words before any '#'."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield f"{path}, line {lineno}", line.split("#")[0].split()
+
+
+def _directives(path, table):
+    """(kind, values) for each non-blank line 'kind field...' of path.
+    table[kind] lists one converter per field; a trailing ... applies the
+    converter before it to any further fields."""
+    for tag, fields in _records(path):
+        if not fields:
+            continue
+        kind, *fields = fields
+        if kind not in table:
+            raise ValueError(f"{tag}: unknown directive {kind!r}")
+        converters = table[kind]
+        more = converters[-1] is ...
+        need = len(converters) - more
+        if len(fields) < need or len(fields) > need and not more:
+            least = "at least " if more else ""
+            raise ValueError(f"{tag}: {kind} takes {least}{need} field(s)")
+        yield kind, [_convert(tag, converters[min(i, need - 1)], field)
+                     for i, field in enumerate(fields)]
+
+
+def _read_subspaces(path, n):
+    """Blocks of integer rows separated by blank lines."""
+    blocks = []
+    for nonblank, lines in groupby(_records(path), lambda rec: bool(rec[1])):
+        if nonblank:
+            blocks.append([[_convert(tag, _integer, field) for field in fields]
+                           for tag, fields in lines])
+    if not blocks:
+        raise ValueError(f"no subspace rows in {path}")
+    return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
+
+
+def _read_config(path) -> crossratio.StableFormConfig:
+    """'zero <point> <order>', 'pole <point>' and 'part <pole index>...'
+    lines."""
+    found = {"zero": [], "pole": [], "part": []}
+    for kind, values in _directives(path, {"zero": [_point, _integer],
+                                           "pole": [_point],
+                                           "part": [_integer, ...]}):
+        found[kind].append(values)
+    return crossratio.StableFormConfig(
+        found["zero"], [p for p, in found["pole"]], found["part"])
+
+
+def _read_network(path):
+    """'vertex <id>', 'edge <id> <tail> <head>', 'current <edge> <int>',
+    'source <vertex> <int>' and 'modulus <edge> <rational>' lines: returns
+    (DualGraph, currents, sources, moduli), the last three dicts."""
+    vertices = []
+    edges = []
+    values = {"current": {}, "source": {}, "modulus": {}}
+    for kind, fields in _directives(path, {
+            "vertex": [str], "edge": [str, str, str],
+            "current": [str, _integer], "source": [str, _integer],
+            "modulus": [str, rational]}):
+        if kind == "vertex":
+            vertices.append(fields[0])
+        elif kind == "edge":
+            edges.append(tuple(fields))
+        else:
+            values[kind][fields[0]] = fields[1]
+    return (flatnet.DualGraph(vertices, edges), values["current"],
+            values["source"], values["modulus"])
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +286,6 @@ def cmd_torus_scan(args, report: Report) -> int:
     return 0
 
 
-def _int_field(tok, path, lineno):
-    """tok as an integer; a bad one raises ValueError naming the file and
-    the line."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"{path}, line {lineno}: {tok!r} is not an "
-                         f"integer") from None
-
-
-def _read_subspaces(path, n):
-    """Blocks of integer rows separated by blank lines."""
-    blocks = []
-    cur = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#")[0].strip()
-            if not line:
-                if cur:
-                    blocks.append(cur)
-                    cur = []
-                continue
-            cur.append([_int_field(tok, path, lineno)
-                        for tok in line.split()])
-    if cur:
-        blocks.append(cur)
-    if not blocks:
-        raise ValueError(f"no subspace rows in {path}")
-    return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
-
-
 def cmd_cross_ratio(args, report: Report) -> int:
     cfg = _read_config(args.config)
     if args.check == "torsion":
@@ -230,7 +303,8 @@ def cmd_cross_ratio(args, report: Report) -> int:
     if args.check == "cre":
         if not args.exponents:
             raise ValueError("--check cre needs --exponents a,b,c")
-        exps = tuple(int(t) for t in args.exponents.split(","))
+        exps = tuple(_convert("--exponents", _integer, t)
+                     for t in args.exponents.split(","))
         value, (grade, order) = crossratio.check_config_cre(cfg, exps)
         report.set("value", str(value), grade="exact")
         report.set("root_of_unity",
@@ -247,56 +321,34 @@ def cmd_cross_ratio(args, report: Report) -> int:
     raise ValueError(f"unknown check {args.check!r}")
 
 
-# the fields of each config directive; a part lists one or more indices
-CONFIG_FIELDS = {"zero": 2, "pole": 1, "part": 1}
-
-
-def _read_config(path) -> crossratio.StableFormConfig:
-    """A malformed line raises ValueError naming the file and its line
-    number."""
-    zeros = []
-    poles = []
-    parts = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            kind, *fields = line.split()
-            if kind not in CONFIG_FIELDS:
-                raise ValueError(f"{path}, line {lineno}: unknown directive "
-                                 f"{kind!r}")
-            need = CONFIG_FIELDS[kind]
-            if len(fields) < need or (kind != "part" and len(fields) > need):
-                least = "at least " if kind == "part" else ""
-                raise ValueError(f"{path}, line {lineno}: {kind} takes "
-                                 f"{least}{need} field(s)")
-            if kind == "zero":
-                zeros.append((fields[0],
-                              _int_field(fields[1], path, lineno)))
-            elif kind == "pole":
-                poles.append(fields[0])
-            else:
-                parts.append([_int_field(t, path, lineno) for t in fields])
-    return crossratio.StableFormConfig(zeros, poles, parts)
-
-
 def cmd_network(args, report: Report) -> int:
-    with open(args.graph) as fh:
-        text = fh.read()
-    g, currents, sources, moduli = flatnet.parse_network(text)
-    report.set_input("graph", _digest(text))
+    g, currents, sources, moduli = _read_network(args.graph)
+    report.set_input("graph", _digest(args.graph))
+    if args.trace_matrix:
+        tm = flatnet.trace_matrix(g, moduli)
+        rows = [[str(x) for x in row] for row in tm.matrix.entries]
+        report.set("edge_order", tm.edge_ids, grade="exact")
+        report.set("trace_matrix", rows, grade="exact")
+        print(json.dumps(rows))
+        return 0
+    if args.enumerate:
+        N, v1, v2 = args.enumerate
+        flows = flatnet.enumerate_currents(
+            g, _convert("--enumerate N", _integer, N), (v1, v2))
+        listing = [sorted(f.currents.items()) for f in flows]
+        report.set("count", len(flows), grade="exact")
+        report.set("flows", listing)
+        print(len(flows))
+        return 0
+    ca = flatnet.CurrentAssignment({v: sources.get(v, 0) for v in g.vertices},
+                                   currents)
     if args.check_kirchhoff:
-        div = {v: sources.get(v, 0) for v in g.vertices}
-        ca = flatnet.CurrentAssignment(div, currents)
         ok = flatnet.kirchhoff_check(g, ca)
         report.set("kirchhoff", ok, grade="exact")
         print("kirchhoff holds" if ok else "kirchhoff fails")
         return 0 if ok else 1
+    out = flatnet.solve_moduli(g, [ca])
     if args.solve_moduli:
-        div = {v: sources.get(v, 0) for v in g.vertices}
-        ca = flatnet.CurrentAssignment(div, currents)
-        out = flatnet.solve_moduli(g, [ca])
         report.set("outcome", out.kind, grade="exact")
         if out.kind == "unique-per-block":
             blocks = [(blk, [str(x) for x in tup])
@@ -311,41 +363,21 @@ def cmd_network(args, report: Report) -> int:
         report.set("witness", out.witness_circuit)
         print("infeasible; witness circuit:", out.witness_circuit)
         return 1
-    if args.trace_matrix:
-        tm = flatnet.trace_matrix(g, moduli)
-        rows = [[str(x) for x in row] for row in tm.matrix.entries]
-        report.set("edge_order", tm.edge_ids, grade="exact")
-        report.set("trace_matrix", rows, grade="exact")
-        print(json.dumps(rows))
-        return 0
-    if args.audit is not None:
-        div = {v: sources.get(v, 0) for v in g.vertices}
-        ca = flatnet.CurrentAssignment(div, currents)
-        out = flatnet.solve_moduli(g, [ca])
-        if out.kind != "unique-per-block":
-            print(out.kind)
-            return 1
-        all_ok = True
-        margins = []
-        for blk, tup in out.moduli.block_canonical:
-            ok, margin, bound = flatnet.moduli_height_audit(tup, args.audit)
-            remark = f"remark-level bound not asserted (block {blk})"
-            margins.append({"block": blk, "ok": ok, "margin": margin,
-                            "bound_integer": bound, "note": remark})
-            all_ok = all_ok and ok
-        report.set("audit", margins, grade="exact")
-        print("audit pass" if all_ok else "audit FAIL")
-        return 0 if all_ok else 1
-    if args.enumerate:
-        N, v1, v2 = args.enumerate
-        flows = flatnet.enumerate_currents(g, N, (v1, v2))
-        listing = [sorted(f.currents.items()) for f in flows]
-        report.set("count", len(flows), grade="exact")
-        report.set("flows", listing)
-        print(len(flows))
-        return 0
-    print("nothing to do", file=sys.stderr)
-    return 2
+    # --audit N
+    if out.kind != "unique-per-block":
+        print(out.kind)
+        return 1
+    all_ok = True
+    margins = []
+    for blk, tup in out.moduli.block_canonical:
+        ok, margin, bound = flatnet.moduli_height_audit(tup, args.audit)
+        remark = f"remark-level bound not asserted (block {blk})"
+        margins.append({"block": blk, "ok": ok, "margin": margin,
+                        "bound_integer": bound, "note": remark})
+        all_ok = all_ok and ok
+    report.set("audit", margins, grade="exact")
+    print("audit pass" if all_ok else "audit FAIL")
+    return 0 if all_ok else 1
 
 
 def cmd_reproduce(args, report: Report) -> int:
@@ -400,12 +432,6 @@ def _check_args(ap, args):
     elif args.command == "height" and args.coords is None and \
             args.minpoly is None:
         ap.error("height needs --affine COORDS or --minpoly POLY")
-    elif args.command == "network" and args.enumerate:
-        try:
-            args.enumerate[0] = int(args.enumerate[0])
-        except ValueError:
-            ap.error(f"--enumerate N: {args.enumerate[0]!r} is not an "
-                     f"integer")
 
 
 def build_parser():
@@ -458,12 +484,12 @@ def build_parser():
 
     p = sub.add_parser("network", help="electrical-network computations")
     p.add_argument("--graph", required=True)
-    p.add_argument("--check-kirchhoff", action="store_true")
-    p.add_argument("--solve-moduli", action="store_true")
-    p.add_argument("--trace-matrix", action="store_true")
-    p.add_argument("--audit", type=int, default=None)
-    p.add_argument("--enumerate", nargs=3, metavar=("N", "V1", "V2"),
-                   default=None)
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--check-kirchhoff", action="store_true")
+    op.add_argument("--solve-moduli", action="store_true")
+    op.add_argument("--trace-matrix", action="store_true")
+    op.add_argument("--audit", type=int, metavar="N")
+    op.add_argument("--enumerate", nargs=3, metavar=("N", "V1", "V2"))
     p.set_defaults(fn=cmd_network)
 
     p = sub.add_parser("reproduce", help="golden-value reproduction runs")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
-    UPoly, cyclotomic_order, min_poly_of, trace_dual_basis
+    UPoly, cyclotomic_order, min_poly_of, rational, trace_dual_basis
 from .flatnet import Disconnected, DualGraph, UnknownVertex
 from .multipoly import MultiPoly
 from . import intlat
@@ -56,8 +56,8 @@ class ProjPoint:
     def __init__(self, u, v=1):
         if isinstance(u, ProjPoint):
             u, v = u.u, u.v
-        self.u = Fraction(u) if isinstance(u, (int, str)) else u
-        self.v = Fraction(v) if isinstance(v, (int, str)) else v
+        self.u = rational(u) if isinstance(u, (int, str)) else u
+        self.v = rational(v) if isinstance(v, (int, str)) else v
         if self._is_zero(self.u) and self._is_zero(self.v):
             raise ValueError("(0 : 0) is not a projective point")
 
@@ -75,8 +75,6 @@ class ProjPoint:
             return value
         if isinstance(value, str) and value.strip() in ("inf", "oo"):
             return cls.infinity()
-        if isinstance(value, str):
-            return cls(Fraction(value))
         return cls(value)
 
     def is_infinity(self):

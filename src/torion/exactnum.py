@@ -41,10 +41,10 @@ class NotQuartic(ValueError):
 
 
 def rational(text) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction; malformed text and a zero
-    denominator both raise ValueError."""
-    if isinstance(text, Fraction):
-        return text
+    """Parse 'p/q' or 'p' into a Fraction (an int or a Fraction is taken as
+    it is); malformed text and a zero denominator both raise ValueError."""
+    if isinstance(text, (int, Fraction)):
+        return Fraction(text)
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
@@ -884,16 +884,6 @@ class RationalMatrix:
         self.cols = len(self.entries[0]) if self.rows else 0
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def parse(cls, text: str) -> "RationalMatrix":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([rational(tok) for tok in line.split()])
-        return cls(rows)
 
     def is_square(self):
         return self.rows == self.cols

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import product
 
 from . import intlat
-from .exactnum import RationalMatrix, rational
+from .exactnum import RationalMatrix
 
 
 class Disconnected(ValueError):
@@ -468,47 +468,3 @@ def small_graph_catalog(max_edges=5):
          ("e4", "a", "b")]))
     return out
 
-
-# ---------------------------------------------------------------------------
-# file format: 'vertex', 'edge', 'current', 'source', 'modulus' lines
-# ---------------------------------------------------------------------------
-
-# the number of fields each directive takes after its keyword
-NETWORK_FIELDS = {"vertex": 1, "edge": 3, "current": 2, "source": 2,
-                  "modulus": 2}
-
-
-def parse_network(text: str):
-    """Parse a network file: returns (DualGraph, currents dict,
-    sources dict, moduli dict).  A malformed line raises ValueError naming
-    its line number."""
-    vertices = []
-    edges = []
-    currents = {}
-    sources = {}
-    moduli = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
-        kind, *parts = line.split()
-        if kind not in NETWORK_FIELDS:
-            raise ValueError(f"line {lineno}: unknown directive {kind!r}")
-        if len(parts) != NETWORK_FIELDS[kind]:
-            raise ValueError(f"line {lineno}: {kind} takes "
-                             f"{NETWORK_FIELDS[kind]} fields")
-        if kind == "vertex":
-            vertices.append(parts[0])
-        elif kind == "edge":
-            edges.append(tuple(parts))
-        else:
-            try:
-                value = rational(parts[1]) if kind == "modulus" \
-                    else int(parts[1])
-            except ValueError as exc:
-                why = exc if kind == "modulus" else \
-                    f"{parts[1]!r} is not an integer"
-                raise ValueError(f"line {lineno}: {why}") from None
-            {"current": currents, "source": sources,
-             "modulus": moduli}[kind][parts[0]] = value
-    return DualGraph(vertices, edges), currents, sources, moduli

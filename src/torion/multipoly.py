@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exactnum import rational
+
 
 class PolySyntaxError(ValueError):
     def __init__(self, message, position):
@@ -360,12 +362,13 @@ class _Tokenizer:
                     k += 1
                 if k == j + 1:
                     raise PolySyntaxError("malformed rational", j)
-                tok = self.text[self.pos:k]
-                self.pos = k
-                return Fraction(tok), start
-            tok = self.text[self.pos:j]
+                j = k
+            tok = self.text[start:j]
             self.pos = j
-            return Fraction(tok), start
+            try:
+                return rational(tok), start
+            except ValueError as exc:
+                raise PolySyntaxError(str(exc), start) from None
         if ch.isalpha() or ch == "_":
             j = self.pos
             while j < len(self.text) and (self.text[j].isalnum() or
@@ -522,7 +525,7 @@ def read_poly_file(text, laurent=False):
     [MultiPoly])."""
     variables = None
     polys = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -532,8 +535,12 @@ def read_poly_file(text, laurent=False):
                 variables = body[len("vars:"):].split()
             continue
         if variables is None:
-            raise ValueError("missing '# vars:' header")
-        polys.append(parse(line, variables, laurent))
+            raise ValueError(f"line {lineno}: missing '# vars:' header")
+        try:
+            polys.append(parse(line, variables, laurent))
+        except ValueError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     return variables, polys
 
 

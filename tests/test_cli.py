@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -76,7 +77,7 @@ class TestArgumentErrors:
           "--subspace", InputFile("1 0 0\n\n1 a 0\n")],
          "arg4, line 3: 'a' is not an integer"),
         (["cross-ratio", "--check", "residues", "--config",
-          InputFile("pole 1\nzero a x\n")],
+          InputFile("pole 1\nzero 0 x\n")],
          "arg4, line 2: 'x' is not an integer"),
         (["network", "--graph",
           InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"),
@@ -99,6 +100,35 @@ class TestArgumentErrors:
         (["network", "--graph",
           InputFile("vertex a\nvertex b\nedge e1 b a\nmodulus e1 abc\n"),
           "--check-kirchhoff"], "line 4: 'abc' is not a rational number"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("pole 1\nzero a 1\n")],
+         "arg4, line 2: 'a' is not a rational number"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("zero abc 1\n")],
+         "arg4, line 1: 'abc' is not a rational number"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("zero 0 1\nzero inf 1\npole 1/0\n")],
+         "arg4, line 3: zero denominator in '1/0'"),
+        (["cross-ratio", "--check", "cre", "--exponents", "1,a,2",
+          "--config", InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\n"
+                                "pole 2\npole -2\npart 0 1\npart 2 3\n")],
+         "error: --exponents: 'a' is not an integer"),
+        (["torus-scan", "--polys", InputFile("# vars: x y\nx + y\nx + 1/0\n")],
+         "arg2, line 3: zero denominator in '1/0' (at position 4)"),
+        (["ideal", "--op", "member", "--poly", "x + 1/0"],
+         "error: zero denominator in '1/0' (at position 4)"),
+        (["height", "--minpoly", "x^2 - 1/0"],
+         "error: zero denominator in '1/0' (at position 6)"),
+        (["torus-scan", "--polys", InputFile("# vars: x y\nx + y\nx + $y\n")],
+         "arg2, line 3: unexpected character '$' (at position 4)"),
+        (["torus-scan", "--polys", InputFile("\nx + y\n")],
+         "arg2, line 2: missing '# vars:' header"),
+        (["network", "--graph", InputFile("vertex a\n")],
+         "one of the arguments --check-kirchhoff --solve-moduli "
+         "--trace-matrix --audit --enumerate is required"),
+        (["network", "--graph", InputFile("vertex a\n"), "--solve-moduli",
+          "--trace-matrix"],
+         "argument --trace-matrix: not allowed with argument --solve-moduli"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":
@@ -267,7 +297,7 @@ class TestNetworkCommand:
 
     @pytest.mark.parametrize("text, argv, message", [
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b\n",
-         ["--solve-moduli"], "line 4: edge takes 3 fields"),
+         ["--solve-moduli"], "line 4: edge takes 3 field(s)"),
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nmodulus e1 1\n",
          ["--trace-matrix"], "no modulus for edges ['e2']"),
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nmodulus e1 1/0\n",
@@ -298,6 +328,27 @@ class TestNetworkCommand:
         assert "undetermined" in capsys.readouterr().err
         assert json.loads(rep.read_text())["grades"]["undetermined"] == \
             "undetermined"
+
+
+class TestNetworkFile:
+    def test_parse(self, tmp_path):
+        path = tmp_path / "two.net"
+        path.write_text("""
+        vertex a
+        vertex b
+        edge e1 b a
+        edge e2 b a
+        source a 3
+        source b -3
+        current e1 2
+        current e2 1
+        modulus e1 1/2
+        """)
+        g, currents, sources, moduli = cli._read_network(path)
+        assert g.edge_ids() == ["e1", "e2"]
+        assert currents == {"e1": 2, "e2": 1}
+        assert sources == {"a": 3, "b": -3}
+        assert moduli == {"e1": F(1, 2)}
 
 
 class TestCrossRatioCommand:

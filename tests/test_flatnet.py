@@ -11,7 +11,7 @@ from torion.flatnet import (BudgetExceeded, CurrentAssignment, Disconnected,
                             SingularP, UnknownEdge, UnknownVertex,
                             block_decomposition, enumerate_currents,
                             kirchhoff_check, moduli_height_audit,
-                            parse_network, small_graph_catalog,
+                            small_graph_catalog,
                             solve_moduli, trace_matrix)
 
 
@@ -510,26 +510,6 @@ class TestTraceMatrix:
         g = banana2()
         with pytest.raises(SingularP):
             trace_matrix(g, {"e1": F(1), "e2": F(-1)})
-
-
-class TestNetworkFile:
-    def test_parse(self):
-        text = """
-        vertex a
-        vertex b
-        edge e1 b a
-        edge e2 b a
-        source a 3
-        source b -3
-        current e1 2
-        current e2 1
-        modulus e1 1/2
-        """
-        g, currents, sources, moduli = parse_network(text)
-        assert g.edge_ids() == ["e1", "e2"]
-        assert currents == {"e1": 2, "e2": 1}
-        assert sources == {"a": 3, "b": -3}
-        assert moduli == {"e1": F(1, 2)}
 
 
 class TestBlockNullity:
