@@ -24,8 +24,7 @@ from .exactnum import UPoly, rational
 from .groebner import BUDGET_PROFILES, GREVLEX, Ideal, ResourceExhausted, \
     TermOrder, eliminate, is_trivial, normal_form, saturate_many
 from .heights import height_algebraic, height_point
-from .multipoly import PolySyntaxError, UnknownVariable, parse, \
-    read_poly_file
+from .multipoly import UnknownVariable, parse, read_poly_file
 from . import crossratio
 from . import flatnet
 from . import heights
@@ -121,7 +120,7 @@ def _records(path):
 
 
 def _directives(path, table):
-    """(kind, values) for each non-blank line 'kind field...' of path.
+    """(tag, kind, values) for each non-blank line 'kind field...' of path.
     table[kind] lists one converter per field; a trailing ... applies the
     converter before it to any further fields."""
     for tag, fields in _records(path):
@@ -136,17 +135,21 @@ def _directives(path, table):
         if len(fields) < need or len(fields) > need and not more:
             least = "at least " if more else ""
             raise ValueError(f"{tag}: {kind} takes {least}{need} field(s)")
-        yield kind, [_convert(tag, converters[min(i, need - 1)], field)
-                     for i, field in enumerate(fields)]
+        yield tag, kind, [_convert(tag, converters[min(i, need - 1)], field)
+                          for i, field in enumerate(fields)]
 
 
 def _read_subspaces(path, n):
-    """Blocks of integer rows separated by blank lines."""
+    """Blocks of integer rows of n entries separated by blank lines."""
     blocks = []
     for nonblank, lines in groupby(_records(path), lambda rec: bool(rec[1])):
         if nonblank:
-            blocks.append([[_convert(tag, _integer, field) for field in fields]
-                           for tag, fields in lines])
+            blocks.append([])
+            for tag, fields in lines:
+                if len(fields) != n:
+                    raise ValueError(f"{tag}: row {' '.join(fields)} has "
+                                     f"{len(fields)} entries, expected {n}")
+                blocks[-1].append([_convert(tag, _integer, x) for x in fields])
     if not blocks:
         raise ValueError(f"no subspace rows in {path}")
     return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
@@ -156,25 +159,36 @@ def _read_config(path) -> crossratio.StableFormConfig:
     """'zero <point> <order>', 'pole <point>' and 'part <pole index>...'
     lines."""
     found = {"zero": [], "pole": [], "part": []}
-    for kind, values in _directives(path, {"zero": [_point, _integer],
-                                           "pole": [_point],
-                                           "part": [_integer, ...]}):
+    for _, kind, values in _directives(path, {"zero": [_point, _integer],
+                                              "pole": [_point],
+                                              "part": [_integer, ...]}):
         found[kind].append(values)
     return crossratio.StableFormConfig(
         found["zero"], [p for p, in found["pole"]], found["part"])
 
 
+# the fields of each network directive that name a vertex or an edge
+_NETWORK_NAMES = {"vertex": {}, "edge": {1: "vertex", 2: "vertex"},
+                  "current": {0: "edge"}, "source": {0: "vertex"},
+                  "modulus": {0: "edge"}}
+
+
 def _read_network(path):
     """'vertex <id>', 'edge <id> <tail> <head>', 'current <edge> <int>',
-    'source <vertex> <int>' and 'modulus <edge> <rational>' lines: returns
-    (DualGraph, currents, sources, moduli), the last three dicts."""
-    vertices = []
-    edges = []
+    'source <vertex> <int>' and 'modulus <edge> <rational>' lines, in any
+    order, naming only declared vertices and edges: returns (DualGraph,
+    currents, sources, moduli), the last three dicts."""
+    records = list(_directives(path, {
+        "vertex": [str], "edge": [str, str, str],
+        "current": [str, _integer], "source": [str, _integer],
+        "modulus": [str, rational]}))
+    declared = {(kind, fields[0]) for _, kind, fields in records}
+    vertices, edges = [], []
     values = {"current": {}, "source": {}, "modulus": {}}
-    for kind, fields in _directives(path, {
-            "vertex": [str], "edge": [str, str, str],
-            "current": [str, _integer], "source": [str, _integer],
-            "modulus": [str, rational]}):
+    for tag, kind, fields in records:
+        for i, what in _NETWORK_NAMES[kind].items():
+            if (what, fields[i]) not in declared:
+                raise ValueError(f"{tag}: unknown {what} {fields[i]}")
         if kind == "vertex":
             vertices.append(fields[0])
         elif kind == "edge":
@@ -498,9 +512,9 @@ def build_parser():
     return ap
 
 
-# exceptions that end a run with exit 2 (bad input) and 3 (out of budget)
-INPUT_ERRORS = (PolySyntaxError, UnknownVariable, FileNotFoundError,
-                ValueError, flatnet.UnknownVertex, flatnet.UnknownEdge)
+# exceptions that end a run with exit 2 (bad input; the library raises
+# ValueError for every input error) and 3 (out of budget)
+INPUT_ERRORS = (FileNotFoundError, ValueError)
 BUDGET_ERRORS = (flatnet.BudgetExceeded, heights.BudgetExceeded,
                  ResourceExhausted)
 

@@ -11,12 +11,12 @@ the graph's tree paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
     UPoly, cyclotomic_order, min_poly_of, rational, trace_dual_basis
-from .flatnet import Disconnected, DualGraph, UnknownVertex
+from .flatnet import DualGraph
 from .multipoly import MultiPoly
 from . import intlat
 
@@ -406,12 +406,9 @@ def cre_exponents(fld: NumberField, triple):
         raise ValueError("cross-ratio exponents live over cubic fields")
     s = trace_dual_basis(fld, list(triple))
     prods = [s[1] * s[2], s[2] * s[0], s[0] * s[1]]
-    m = RationalMatrix([[p.coords[i] for p in prods] for i in range(3)])
-    ker = m.kernel()
-    if not ker:
-        return None
-    b = intlat.primitive_vector(intlat.clear_denominators(ker[0]))
-    return b
+    ker = intlat.echelon_kernel([intlat.clear_denominators(
+        [p.coords[i] for p in prods]) for i in range(3)], 3)
+    return intlat.primitive_vector(ker[0]) if ker else None
 
 
 def check_cre(pairs, exponents):
@@ -502,10 +499,7 @@ def _q_span_dimension(values):
     """Dimension of the Q-span of scalars that are Fractions, field
     elements, or cyclotomic numbers (coordinates over a common basis)."""
     rows = []
-    order = 1
-    for v in values:
-        if isinstance(v, Cyclotomic):
-            order = math.lcm(order, v.order)
+    order = math.lcm(*(v.order for v in values if isinstance(v, Cyclotomic)))
     for v in values:
         if isinstance(v, Fraction):
             rows.append([v])
@@ -697,7 +691,7 @@ class DecoratedTree:
             raise InvalidTree("edge count must be vertex count - 1")
         try:
             self.graph = DualGraph(self.vertex_labels, self.edges)
-        except (UnknownVertex, Disconnected, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidTree(exc.args[0]) from exc
         for v, ls in self.vertex_labels.items():
             if not any(l.startswith("z") for l in ls):
@@ -774,11 +768,8 @@ def crossratio_m3():
 
 
 def degeneration_matrix(tree: DecoratedTree):
-    """Rows: unit twist on each edge in id order; columns as above."""
-    rows = []
-    for eid, _, _ in sorted(tree.edges):
-        tree.twists = {e: (1 if e == eid else 0) for e, _, _ in tree.edges}
-        rows.append([degeneration_exponent(tree, (1, i), j)
-                     for j in (1, 2, 3) for i in (2, 3, 4)])
-    tree.twists = {e: 0 for e, _, _ in tree.edges}
-    return rows
+    """Rows: unit twist on each edge in id order; columns as above.  The
+    tree and its twists are left as they are."""
+    units = [replace(tree, twists={e: 1}) for e, _, _ in sorted(tree.edges)]
+    return [[degeneration_exponent(unit, (1, i), j)
+             for j in (1, 2, 3) for i in (2, 3, 4)] for unit in units]

@@ -28,11 +28,11 @@ class Disconnected(ValueError):
     pass
 
 
-class UnknownEdge(KeyError):
+class UnknownEdge(ValueError):
     pass
 
 
-class UnknownVertex(KeyError):
+class UnknownVertex(ValueError):
     pass
 
 
@@ -233,13 +233,13 @@ def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
     net = dict.fromkeys(g.vertices, 0)
     for eid, w in assignment.currents.items():
         if eid not in g.edges:
-            raise UnknownEdge(str(eid))
+            raise UnknownEdge(f"unknown edge {eid}")
         t, h = g.edges[eid]
         net[t] -= w
         net[h] += w
     for v in assignment.divisor:
         if v not in net:
-            raise UnknownVertex(str(v))
+            raise UnknownVertex(f"unknown vertex {v}")
     return all(net[v] == assignment.divisor.get(v, 0) for v in net)
 
 
@@ -260,7 +260,7 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
         raise ValueError("source and sink must differ")
     for v in source_pair:
         if v not in g.vertices:
-            raise UnknownVertex(str(v))
+            raise UnknownVertex(f"unknown vertex {v}")
     circuits = g._circuits
     if (2 * N + 1) ** len(circuits) > cap:
         raise BudgetExceeded("current enumeration cap")

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import reduce
 
-from .intlat import echelon_kernel
+from .intlat import clear_denominators, echelon_kernel
 from .multipoly import MultiPoly, RingMismatch
 
 
@@ -265,26 +265,17 @@ def _packed_basis(polys, n, order: TermOrder, budget: Budget, extra=()):
 def _to_int_poly(p: MultiPoly):
     """Integer dict of p / p.content(): coprime integer coefficients with the
     signs of p's (a positive rescaling, so ideals are unchanged)."""
-    c = p.content()
-    num, den = c.numerator, c.denominator
-    # den is the lcm of the denominators and num divides every numerator
-    return {e: v.numerator // num * (den // v.denominator)
-            for e, v in p.terms.items()}
+    return dict(zip(p.terms, clear_denominators(p.terms.values())))
 
 
 def _normalize(p):
+    """p scaled to coprime integers with a positive lead."""
     if not p:
         return p
-    g = 0
-    for c in p.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        p = {e: c // g for e, c in p.items()}
+    g = math.gcd(*p.values()) or 1
     if p[max(p)] < 0:
-        p = {e: -c for e, c in p.items()}
-    return p
+        g = -g
+    return {e: c // g for e, c in p.items()} if g != 1 else p
 
 
 def _sub_shifted(p, g, q, c):
@@ -350,16 +341,9 @@ def _reduce_int(p, basis: _Basis, packing: _Packing):
                 else:
                     del p[t]
         if len(p) + len(out) > 64:
-            g = 0
-            for c0 in p.values():
-                g = math.gcd(g, abs(c0))
-                if g == 1:
-                    break
-            if g != 1:
-                for c0 in out.values():
-                    g = math.gcd(g, abs(c0))
-                    if g == 1:
-                        break
+            g = math.gcd(*p.values())
+            if g != 1:  # out's content matters only when p's is not 1
+                g = math.gcd(g, *out.values())
             if g > 1:
                 den *= g
                 p = {t: v // g for t, v in p.items()}
@@ -575,16 +559,13 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
             for i in range(n):
                 heapq.heappush(heap, (t + target.units[i], len(vecs) - 1, i))
             continue
-        rel = [(w, k * s) for w, k, s in zip(words + [t], kernel[0],
-                                            scales + [scale]) if k]
-        den = math.lcm(*(a.denominator for _, a in rel))
-        ints = [(w, int(a * den)) for w, a in rel]
-        g = math.gcd(*(a for _, a in ints))
-        if ints[-1][1] < 0:
-            g = -g
+        ws, coeffs = zip(*[(w, k * s) for w, k, s in zip(
+            words + [t], kernel[0], scales + [scale]) if k])
+        ints = clear_denominators(coeffs)
+        sign = 1 if ints[-1] > 0 else -1  # t's coefficient, the lead
         leads.append(t)
-        out.append((target.decode(t), {target.decode(w): a // g
-                                       for w, a in reversed(ints)}))
+        out.append((target.decode(t), {target.decode(w): sign * a for w, a
+                                       in zip(reversed(ws), reversed(ints))}))
     return out
 
 

@@ -1,13 +1,12 @@
 """Exact integer linear algebra: Hermite normal form, integer kernels,
 saturation of row lattices, and the fraction-free echelon form that keys
-Q-row spaces and gives Q-kernels in integers.  Everything is small and
-dense; inputs are lists/tuples of ints.
+Q-row spaces and gives Q-kernels in integers, and the one scaling of
+rationals to coprime integers.  Everything is small and dense.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def hnf(rows):
@@ -64,31 +63,21 @@ def saturate_rows(rows, n=None):
 
 def primitive_vector(v):
     """Divide by the gcd; canonical sign: first nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*v)
     if g == 0:
         return None
-    v = tuple(x // g for x in v)
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return None
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([x // g for x in v])
 
 
-def clear_denominators(row):
-    """Scale a rational row to coprime integers."""
-    l = 1
-    for x in row:
-        x = Fraction(x)
-        l = l * x.denominator // math.gcd(l, x.denominator)
-    ints = [int(Fraction(x) * l) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def clear_denominators(values):
+    """Scale a sequence of rationals (Fractions or ints) to coprime integers
+    with the same signs: divide by the content gcd(numerators) /
+    lcm(denominators).  All zeros stay zeros."""
+    den = math.lcm(*(x.denominator for x in values))
+    g = math.gcd(*(x.numerator for x in values)) or 1
+    return tuple([x.numerator // g * (den // x.denominator) for x in values])
 
 
 def echelon(rows):
@@ -125,13 +114,8 @@ def echelon(rows):
         r += 1
         if r == m:
             break
-    form = []
-    for row, c in zip(M, pivots):
-        g = math.gcd(*row)
-        if row[c] < 0:
-            g = -g
-        form.append(tuple(x // g for x in row))
-    return tuple(form), tuple(pivots)
+    # a row's pivot is its first nonzero entry
+    return tuple(map(primitive_vector, M[:r])), tuple(pivots)
 
 
 def echelon_kernel(rows, n):

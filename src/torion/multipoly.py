@@ -198,12 +198,9 @@ class MultiPoly:
         """Positive rational c with self/c primitive with integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        cs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in cs)),
+                        math.lcm(*(c.denominator for c in cs)))
 
     def primitive_part(self):
         c = self.content()
@@ -520,7 +517,7 @@ def substitute_torus(p: MultiPoly, E):
 # golden-file IO: header '# vars: x y z', one polynomial per line
 # ---------------------------------------------------------------------------
 
-def read_poly_file(text, laurent=False):
+def read_poly_file(text):
     """Parse the text of a polynomial file: returns (variables,
     [MultiPoly])."""
     variables = None
@@ -537,7 +534,7 @@ def read_poly_file(text, laurent=False):
         if variables is None:
             raise ValueError(f"line {lineno}: missing '# vars:' header")
         try:
-            polys.append(parse(line, variables, laurent))
+            polys.append(parse(line, variables))
         except ValueError as exc:
             exc.args = (f"line {lineno}: {exc}",)
             raise

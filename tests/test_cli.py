@@ -129,6 +129,22 @@ class TestArgumentErrors:
         (["network", "--graph", InputFile("vertex a\n"), "--solve-moduli",
           "--trace-matrix"],
          "argument --trace-matrix: not allowed with argument --solve-moduli"),
+        # input errors name the file and the line, unquoted
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--subspace", InputFile("1 0 0\n\n1 0\n")],
+         "arg4, line 3: row 1 0 has 2 entries, expected 3\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b zz\n"),
+          "--solve-moduli"], "arg2, line 4: unknown vertex zz\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\ncurrent e9 1\n"),
+          "--solve-moduli"], "arg2, line 4: unknown edge e9\n"),
+        (["network", "--graph",
+          InputFile("source zz 1\nvertex a\nvertex b\nedge e1 b a\n"),
+          "--check-kirchhoff"], "arg2, line 1: unknown vertex zz\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"),
+          "--enumerate", "1", "a", "zz"], "error: unknown vertex zz\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

@@ -455,6 +455,15 @@ class TestDegenerationTrees:
             got = degeneration_matrix(tree)
             assert [tuple(r) for r in got] == [tuple(r) for r in M]
 
+    def test_matrix_leaves_the_twists(self):
+        tree = standard_degeneration_trees()[0]
+        tree.twists = {1: 2, 2: 5, 3: 1}
+        assert degeneration_exponent(tree, (1, 2), 1) == 2
+        assert [tuple(r) for r in degeneration_matrix(tree)] == \
+            [tuple(r) for r in crossratio_m1()]
+        assert tree.twists == {1: 2, 2: 5, 3: 1}
+        assert degeneration_exponent(tree, (1, 2), 1) == 2
+
     def test_zero_twists_zero_row(self):
         tree = standard_degeneration_trees()[0]
         tree.twists = {1: 0, 2: 0, 3: 0}
