@@ -27,7 +27,6 @@ from .heights import height_algebraic, height_point
 from .multipoly import UnknownVariable, parse, read_poly_file
 from . import crossratio
 from . import flatnet
-from . import heights
 from . import reproduce
 from . import toruscan
 # not used here: perfbench's workloads import them from torion.cli
@@ -176,18 +175,21 @@ _NETWORK_NAMES = {"vertex": {}, "edge": {1: "vertex", 2: "vertex"},
 def _read_network(path):
     """'vertex <id>', 'edge <id> <tail> <head>', 'current <edge> <int>',
     'source <vertex> <int>' and 'modulus <edge> <rational>' lines, in any
-    order, naming only declared vertices and edges: returns (DualGraph,
-    currents, sources, moduli), the last three dicts."""
+    order, one per kind and id, naming only declared vertices and edges:
+    returns (DualGraph, currents, sources, moduli), the last three dicts."""
     records = list(_directives(path, {
         "vertex": [str], "edge": [str, str, str],
         "current": [str, _integer], "source": [str, _integer],
         "modulus": [str, rational]}))
-    declared = {(kind, fields[0]) for _, kind, fields in records}
+    # the first line of each kind and id; a later one is a duplicate
+    first = {(kind, fields[0]): tag for tag, kind, fields in reversed(records)}
     vertices, edges = [], []
     values = {"current": {}, "source": {}, "modulus": {}}
     for tag, kind, fields in records:
+        if first[kind, fields[0]] != tag:
+            raise ValueError(f"{tag}: duplicate {kind} {fields[0]}")
         for i, what in _NETWORK_NAMES[kind].items():
-            if (what, fields[i]) not in declared:
+            if (what, fields[i]) not in first:
                 raise ValueError(f"{tag}: unknown {what} {fields[i]}")
         if kind == "vertex":
             vertices.append(fields[0])
@@ -515,8 +517,7 @@ def build_parser():
 # exceptions that end a run with exit 2 (bad input; the library raises
 # ValueError for every input error) and 3 (out of budget)
 INPUT_ERRORS = (FileNotFoundError, ValueError)
-BUDGET_ERRORS = (flatnet.BudgetExceeded, heights.BudgetExceeded,
-                 ResourceExhausted)
+BUDGET_ERRORS = (flatnet.BudgetExceeded, ResourceExhausted)
 
 
 def main(argv=None) -> int:

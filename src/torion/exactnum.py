@@ -40,6 +40,10 @@ class NotQuartic(ValueError):
     pass
 
 
+class BudgetExceeded(RuntimeError):
+    """A search ran past its explicit cap (flatnet, heights)."""
+
+
 def rational(text) -> Fraction:
     """Parse 'p/q' or 'p' into a Fraction (an int or a Fraction is taken as
     it is); malformed text and a zero denominator both raise ValueError."""

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import product
 
 from . import intlat
-from .exactnum import RationalMatrix
+from .exactnum import BudgetExceeded, RationalMatrix
 
 
 class Disconnected(ValueError):
@@ -33,10 +33,6 @@ class UnknownEdge(ValueError):
 
 
 class UnknownVertex(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -54,9 +50,10 @@ def find(parent, x):
 
 class DualGraph:
     """Oriented multigraph; loops and parallel edges allowed.  Edges are
-    (id, tail, head); stable-curve mode additionally forbids bridges."""
+    (id, tail, head).  The dual graph of a stable curve has no bridges:
+    bridges() is that check."""
 
-    def __init__(self, vertices, edges, stable: bool = False):
+    def __init__(self, vertices, edges):
         self.vertices = sorted(set(vertices))
         self.edges = {}
         for eid, tail, head in edges:
@@ -69,8 +66,6 @@ class DualGraph:
             self.edges[eid] = (tail, head)
         if not self.is_connected():
             raise Disconnected("graph is not connected")
-        if stable and self.bridges():
-            raise ValueError("stable mode forbids separating edges")
 
     def edge_ids(self):
         return sorted(self.edges)

@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
 from .intlat import clear_denominators, echelon_kernel
 from .multipoly import MultiPoly, RingMismatch
@@ -574,16 +575,18 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
 # ---------------------------------------------------------------------------
 
 def _polynomial(f: MultiPoly) -> MultiPoly:
-    """A Laurent f as an ordinary polynomial, free of monomial content (a
-    monomial unit apart, so its zero set on the torus is unchanged)."""
-    return f.strip_monomial_content().as_polynomial() if f.laurent else f
+    """f free of monomial content if it has a negative exponent: an ordinary
+    polynomial with the same zero set on the torus; else f as it is."""
+    if min(chain.from_iterable(f.terms), default=0) < 0:
+        return f.strip_monomial_content()
+    return f
 
 
 class Ideal:
-    """Ideal of Q[x_1..x_n], given by generators.  Laurent generators are
-    normalized to ordinary polynomials times a monomial unit on entry
-    (coordinates are invertible on the torus, so the ideal of the Laurent
-    ring is unchanged)."""
+    """Ideal of Q[x_1..x_n], given by generators.  A generator with a
+    negative exponent is divided by its monomial content on entry, which
+    leaves an ordinary polynomial (coordinates are invertible on the torus,
+    so the ideal of the Laurent ring is unchanged)."""
 
     def __init__(self, n: int, generators):
         self.n = n
@@ -623,7 +626,7 @@ class Ideal:
         basis = []
         for le, p in raw:
             lc = Fraction(p[le])
-            q = MultiPoly(self.n, None, False)
+            q = MultiPoly(self.n)
             q.terms = {e: Fraction(c) / lc for e, c in p.items()}
             basis.append(q)
         self._basis_cache[key] = basis
@@ -681,7 +684,7 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
                                 f"{budget.max_degree}, field overflow",
                                 I.stats(order) or GBStats()) from None
     factor = p.content() / scale
-    r = MultiPoly(I.n, None, False)
+    r = MultiPoly(I.n)
     r.terms = {pk.decode(m): c * factor for m, c in rem.items()}
     return r
 
@@ -709,7 +712,7 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
 
 
 def _append_variable(p: MultiPoly) -> MultiPoly:
-    q = MultiPoly(p.n + 1, None, False)
+    q = MultiPoly(p.n + 1)
     q.terms = {(0,) + e: c for e, c in p.terms.items()}
     return q
 
@@ -723,7 +726,7 @@ def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
     out = []
     for g in J.groebner_basis(_BLOCK1, budget):
         if all(e[0] == 0 for e in g.terms):
-            q = MultiPoly(J.n - 1, None, False)
+            q = MultiPoly(J.n - 1)
             q.terms = {e[1:]: c for e, c in g.terms.items()}
             out.append(q)
     return _presented_by_basis(J.n - 1, out)
@@ -746,7 +749,7 @@ def saturate(I: Ideal, f: MultiPoly,
         raise ValueError("saturation by zero")
     gens = I._basis_cache.get(I._cache_key(GREVLEX), I.generators)
     rel = MultiPoly.constant(I.n + 1, 1)
-    yf = MultiPoly(I.n + 1, None, False)
+    yf = MultiPoly(I.n + 1)
     yf.terms = {(1,) + e: c for e, c in _polynomial(f).terms.items()}
     J = Ideal(I.n + 1, [_append_variable(g) for g in gens] + [rel - yf])
     return _eliminate_first(J, budget)
@@ -793,7 +796,7 @@ def saturate_by_ideal(I: Ideal, generators,
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) < 2:
         return saturate(I, gens[0], budget) if gens else I
-    h = MultiPoly(I.n + 1, None, False)
+    h = MultiPoly(I.n + 1)
     h.terms = {(j,) + e: c for j, g in enumerate(gens)
                for e, c in _polynomial(g).terms.items()}
     lifted = Ideal(I.n + 1, [_append_variable(g) for g in I.generators])

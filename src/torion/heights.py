@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat
-from .exactnum import AlgebraicReal, UPoly, cyclotomic_order, factorize, \
-    is_irreducible, Reducible
+from .exactnum import AlgebraicReal, BudgetExceeded, UPoly, \
+    cyclotomic_order, factorize, is_irreducible, Reducible
 
 NUMERIC_ERROR_BOUND = 1e-12
 
@@ -29,10 +29,6 @@ class ZeroPolynomial(ValueError):
 
 
 class ZeroInput(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 

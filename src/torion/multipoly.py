@@ -1,9 +1,10 @@
-"""Sparse multivariate (Laurent) polynomials over Q.
+"""Sparse multivariate Laurent polynomials over Q.
 
-Monomials are exponent tuples of fixed arity; terms live in a dict keyed by
-exponent tuple with nonzero Fraction coefficients.  Printing and support
-enumeration use descending graded-lexicographic order so every textual form
-is canonical.
+Monomials are integer exponent tuples of fixed arity, negative exponents
+included (the parser reads only nonnegative ones); terms live in a dict
+keyed by exponent tuple with nonzero Fraction coefficients.  Printing and
+support enumeration use descending graded-lexicographic order so every
+textual form is canonical.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ def _grlex_key(e):
 
 
 class MultiPoly:
-    """Multivariate polynomial, optionally Laurent (negative exponents)."""
+    """Multivariate Laurent polynomial: exponents are any integers."""
 
-    __slots__ = ("n", "laurent", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, laurent: bool = False):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.laurent = laurent
         self.terms = {}
         if terms:
             for e, c in terms.items():
@@ -49,41 +49,39 @@ class MultiPoly:
                 e = tuple(int(x) for x in e)
                 if len(e) != n:
                     raise RingMismatch(f"exponent arity {len(e)} != {n}")
-                if not laurent and any(x < 0 for x in e):
-                    raise RingMismatch("negative exponent outside Laurent mode")
                 self.terms[e] = self.terms.get(e, Fraction(0)) + c
             self.terms = {e: c for e, c in self.terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, n, laurent=False):
-        return cls(n, {}, laurent)
+    def zero(cls, n):
+        return cls(n, {})
 
     @classmethod
-    def constant(cls, n, c, laurent=False):
-        return cls(n, {tuple([0] * n): Fraction(c)}, laurent)
+    def constant(cls, n, c):
+        return cls(n, {tuple([0] * n): Fraction(c)})
 
     @classmethod
-    def variable(cls, n, i, laurent=False):
+    def variable(cls, n, i):
         e = [0] * n
         e[i] = 1
-        return cls(n, {tuple(e): Fraction(1)}, laurent)
+        return cls(n, {tuple(e): Fraction(1)})
 
     @classmethod
-    def monomial(cls, n, exponents, coeff=1, laurent=False):
-        return cls(n, {tuple(exponents): Fraction(coeff)}, laurent)
+    def monomial(cls, n, exponents, coeff=1):
+        return cls(n, {tuple(exponents): Fraction(coeff)})
 
     # -- ring structure ----------------------------------------------------
     def _check(self, other):
         if not isinstance(other, MultiPoly):
             raise RingMismatch("not a polynomial")
-        if other.n != self.n or other.laurent != self.laurent:
+        if other.n != self.n:
             raise RingMismatch("mixed rings")
         return other
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n, other, self.laurent)
+            other = MultiPoly.constant(self.n, other)
         other = self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -92,20 +90,20 @@ class MultiPoly:
                 out[e] = nc
             elif e in out:
                 del out[e]
-        r = MultiPoly(self.n, None, self.laurent)
+        r = MultiPoly(self.n)
         r.terms = out
         return r
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = MultiPoly(self.n, None, self.laurent)
+        r = MultiPoly(self.n)
         r.terms = {e: -c for e, c in self.terms.items()}
         return r
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n, other, self.laurent)
+            other = MultiPoly.constant(self.n, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -114,8 +112,8 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return MultiPoly.zero(self.n, self.laurent)
-            r = MultiPoly(self.n, None, self.laurent)
+                return MultiPoly.zero(self.n)
+            r = MultiPoly(self.n)
             r.terms = {e: c * other for e, c in self.terms.items()}
             return r
         other = self._check(other)
@@ -128,22 +126,22 @@ class MultiPoly:
                     out[e] = nc
                 elif e in out:
                     del out[e]
-        r = MultiPoly(self.n, None, self.laurent)
+        r = MultiPoly(self.n)
         r.terms = out
         return r
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if len(self.terms) == 1 and (k >= 0 or self.laurent):
+        if len(self.terms) == 1:
             # a single term's power is one term: no repeated products
             (e, c), = self.terms.items()
-            r = MultiPoly(self.n, None, self.laurent)
+            r = MultiPoly(self.n)
             r.terms = {tuple(x * k for x in e): c ** k}
             return r
         if k < 0:
             raise ValueError("negative power of a non-unit")
-        out = MultiPoly.constant(self.n, 1, self.laurent)
+        out = MultiPoly.constant(self.n, 1)
         base = self
         while k:
             if k & 1:
@@ -154,14 +152,13 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n, other, self.laurent)
+            other = MultiPoly.constant(self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.n, self.laurent, self.terms) == \
-            (other.n, other.laurent, other.terms)
+        return (self.n, self.terms) == (other.n, other.terms)
 
     def __hash__(self):
-        return hash((self.n, self.laurent, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -207,31 +204,17 @@ class MultiPoly:
         return self * (1 / c) if c != 1 else self
 
     def monomial_content(self):
-        """Componentwise min of the support (the largest monomial dividing
-        every term; in Laurent mode this is the canonical unit)."""
-        if not self.terms:
-            return tuple([0] * self.n)
-        mins = [min(e[i] for e in self.terms) for i in range(self.n)]
-        return tuple(mins)
+        """Componentwise min of the support: the largest monomial dividing
+        every term, the canonical monomial unit."""
+        return tuple(map(min, zip(*self.terms))) if self.terms else \
+            (0,) * self.n
 
     def strip_monomial_content(self):
         m = self.monomial_content()
         if not any(m):
             return self
-        r = MultiPoly(self.n, None, self.laurent)
+        r = MultiPoly(self.n)
         r.terms = {tuple(a - b for a, b in zip(e, m)): c
-                   for e, c in self.terms.items()}
-        return r
-
-    def as_polynomial(self) -> "MultiPoly":
-        """Drop Laurent mode after shifting away negative exponents
-        (multiplication by a monomial unit; valid on the torus)."""
-        if not self.laurent:
-            return self
-        mins = [min((e[i] for e in self.terms), default=0) for i in range(self.n)]
-        shift = [min(0, m) for m in mins]
-        r = MultiPoly(self.n, None, False)
-        r.terms = {tuple(a - s for a, s in zip(e, shift)): c
                    for e, c in self.terms.items()}
         return r
 
@@ -242,7 +225,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        r = MultiPoly(self.n, None, self.laurent)
+        r = MultiPoly(self.n)
         r.terms = out
         return r
 
@@ -260,10 +243,7 @@ class MultiPoly:
                     continue
                 v = values[i]
                 if k < 0:
-                    if isinstance(v, Fraction) or isinstance(v, int):
-                        v = Fraction(1) / Fraction(v)
-                    else:
-                        v = 1 / v
+                    v = Fraction(1, v) if isinstance(v, int) else 1 / v
                     k = -k
                 term = term * v ** k
             total = term if total is None else total + term
@@ -277,7 +257,7 @@ class MultiPoly:
         i.e. self(n_i/d_i) * prod d_i^(deg_i self)."""
         degs = [max((e[i] for e in self.terms), default=0) for i in range(self.n)]
         if any(min((e[i] for e in self.terms), default=0) < 0 for i in range(self.n)):
-            raise ValueError("substitute_rational needs polynomial mode")
+            raise ValueError("substitute_rational needs nonnegative exponents")
         out = MultiPoly.zero(numerators[0].n)
         npow = [[None] * (degs[i] + 1) for i in range(self.n)]
         dpow = [[None] * (degs[i] + 1) for i in range(self.n)]
@@ -378,7 +358,7 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text, variables, laurent):
+    def __init__(self, text, variables):
         self.toks = []
         tz = _Tokenizer(text)
         while True:
@@ -388,7 +368,6 @@ class _Parser:
             self.toks.append((tok, pos))
         self.i = 0
         self.variables = list(variables)
-        self.laurent = laurent
         self.n = len(self.variables)
 
     def peek(self):
@@ -451,12 +430,7 @@ class _Parser:
                 raise PolySyntaxError("integer exponent expected", pos)
             k = int(tok) * (-1 if neg else 1)
             if k < 0:
-                if not self.laurent:
-                    raise PolySyntaxError("negative exponent outside "
-                                          "Laurent mode", pos)
-                if len(base.terms) != 1:
-                    raise PolySyntaxError("negative power of a non-monomial",
-                                          pos)
+                raise PolySyntaxError("negative exponent", pos)
             return base ** k
         return base
 
@@ -474,20 +448,20 @@ class _Parser:
             return p
         if isinstance(tok, Fraction):
             self.take()
-            return MultiPoly.constant(self.n, tok, self.laurent)
+            return MultiPoly.constant(self.n, tok)
         if isinstance(tok, tuple) and tok[0] == "var":
             self.take()
             name = tok[1]
             if name not in self.variables:
                 raise UnknownVariable(f"unknown variable {name!r}")
-            return MultiPoly.variable(self.n, self.variables.index(name),
-                                      self.laurent)
+            return MultiPoly.variable(self.n, self.variables.index(name))
         raise PolySyntaxError(f"unexpected token {tok!r}", pos)
 
 
-def parse(text: str, variables, laurent: bool = False) -> MultiPoly:
-    """Parse polynomial text over the given ordered variable names."""
-    return _Parser(text, variables, laurent).parse()
+def parse(text: str, variables) -> MultiPoly:
+    """Parse polynomial text over the given ordered variable names;
+    exponents are nonnegative integers."""
+    return _Parser(text, variables).parse()
 
 
 def substitute_torus(p: MultiPoly, E):
@@ -507,7 +481,7 @@ def substitute_torus(p: MultiPoly, E):
         groups.setdefault(J, {})[e] = c
     out = []
     for J in sorted(groups):
-        q = MultiPoly(p.n, None, p.laurent)
+        q = MultiPoly(p.n)
         q.terms = groups[J]
         out.append((J, q))
     return out

@@ -374,7 +374,7 @@ def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
                 e2[i] = 0
         key = tuple(e2)
         out[key] = out.get(key, Fraction(0)) + c
-    return MultiPoly(p.n, out, p.laurent)
+    return MultiPoly(p.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,21 @@ class TestArgumentErrors:
         (["network", "--graph",
           InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"),
           "--enumerate", "1", "a", "zz"], "error: unknown vertex zz\n"),
+        (["torus-scan", "--polys",
+          InputFile("# vars: x y\nx + y\nx^-2 + y\n")],
+         "arg2, line 3: negative exponent (at position 3)\n"),
+        # a second line of one kind for one id is an error, not an overwrite
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"
+                    "current e1 1\ncurrent e2 -1\ncurrent e1 2\n"),
+          "--check-kirchhoff"], "arg2, line 7: duplicate current e1\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"
+                    "modulus e1 1\nmodulus e2 1\nmodulus e1 2\n"),
+          "--trace-matrix"], "arg2, line 7: duplicate modulus e1\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e1 b a\n"),
+          "--solve-moduli"], "arg2, line 4: duplicate edge e1\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal":

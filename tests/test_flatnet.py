@@ -55,10 +55,10 @@ class TestGraph:
             DualGraph(["a", "b", "c"], [("e1", "a", "b")])
 
     def test_stable_mode_rejects_bridges(self):
-        with pytest.raises(ValueError):
-            DualGraph(["a", "b", "c"],
-                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c")],
-                      stable=True)
+        # not the dual graph of a stable curve: e3 separates c
+        g = DualGraph(["a", "b", "c"],
+                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c")])
+        assert g.bridges() == ["e3"]
 
     def test_spanning_tree_smallest_ids(self):
         g = theta()

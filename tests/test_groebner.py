@@ -286,7 +286,7 @@ class TestSaturateByIdeal:
 
     def test_laurent_generator(self):
         # x^-1*y^-1*(x - 2) is x - 2 up to a monomial unit
-        g = MultiPoly(2, {(0, -1): 1, (-1, -1): -2}, laurent=True)
+        g = MultiPoly(2, {(0, -1): 1, (-1, -1): -2})
         S = saturate_by_ideal(self.I, [g, parse("y", XY)])
         assert S.groebner_basis() == [parse("x + y - 2", XY)]
 

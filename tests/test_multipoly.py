@@ -15,16 +15,13 @@ NAMES = ["x", "y", "z", "w"]
 
 
 @st.composite
-def polys(draw):
-    """1-4 variables, up to six terms with rational coefficients, and in
-    Laurent mode exponents down to -3."""
+def polys(draw, low=-3):
+    """1-4 variables, up to six terms with rational coefficients and
+    exponents in [low, 3]."""
     n = draw(st.integers(1, 4))
-    laurent = draw(st.booleans())
-    mono = st.lists(st.integers(-3 if laurent else 0, 3), min_size=n,
-                    max_size=n).map(tuple)
+    mono = st.lists(st.integers(low, 3), min_size=n, max_size=n).map(tuple)
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-    return MultiPoly(n, draw(st.dictionaries(mono, coeff, max_size=6)),
-                     laurent)
+    return MultiPoly(n, draw(st.dictionaries(mono, coeff, max_size=6)))
 
 
 class TestParse:
@@ -36,9 +33,10 @@ class TestParse:
         assert parse("0", XYZ).is_zero()
 
     def test_negative_exponent_mode(self):
-        with pytest.raises(PolySyntaxError):
+        # text has nonnegative exponents; a MultiPoly may have any
+        with pytest.raises(PolySyntaxError, match="negative exponent"):
             parse("x^-1 + 1", XYZ)
-        q = parse("x^-1 + 1", XYZ, laurent=True)
+        q = MultiPoly(3, {(-1, 0, 0): 1, (0, 0, 0): 1})
         assert q.terms[(-1, 0, 0)] == 1
 
     def test_unknown_variable(self):
@@ -63,10 +61,10 @@ class TestParse:
             assert parse(p.to_string(XYZ), XYZ) == p
 
     @settings(max_examples=200, deadline=None)
-    @given(polys())
+    @given(polys(low=0))
     def test_parse_print_round_trip_property(self, p):
         names = NAMES[:p.n]
-        assert parse(p.to_string(names), names, laurent=p.laurent) == p
+        assert parse(p.to_string(names), names) == p
 
 
 class TestArith:
@@ -79,24 +77,26 @@ class TestArith:
         assert parse("x + 1", ["x"]) ** 0 == \
             MultiPoly.constant(1, 1)
 
-    @pytest.mark.parametrize("laurent", [False, True])
-    def test_monomial_power_is_the_repeated_product(self, laurent):
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_monomial_power_is_the_repeated_product(self, negative):
+        # a monomial is a unit: m ** -1 is its inverse
         rng = random.Random(12)
-        lo = -3 if laurent else 0
+        lo = -3 if negative else 0
+        one = MultiPoly.constant(3, 1)
         for _ in range(20):
             e = tuple(rng.randint(lo, 3) for _ in range(3))
             c = F(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 4))
-            m = MultiPoly(3, {e: c}, laurent)
-            one = MultiPoly.constant(3, 1, laurent)
+            m = MultiPoly(3, {e: c})
             for k in range(9):
                 assert m ** k == reduce(mul, [m] * k, one)
-            if laurent:
-                inv = MultiPoly(3, {tuple(-x for x in e): 1 / c}, True)
-                for k in range(1, 9):
-                    assert m ** -k == reduce(mul, [inv] * k, one)
-            else:
-                with pytest.raises(ValueError, match="non-unit"):
-                    m ** -1
+            inv = MultiPoly(3, {tuple(-x for x in e): 1 / c})
+            assert m * m ** -1 == one
+            for k in range(1, 9):
+                assert m ** -k == reduce(mul, [inv] * k, one)
+
+    def test_negative_power_of_a_non_monomial(self):
+        with pytest.raises(ValueError, match="non-unit"):
+            parse("x + 1", ["x"]) ** -1
 
     def test_cancellation(self):
         p = parse("x + y", ["x", "y"])
@@ -185,7 +185,7 @@ class TestSubstituteTorus:
         assert [J for J, _ in parts] == sorted({J for J, _ in parts})
         placed = [e for _, q in parts for e in q.terms]
         assert sorted(placed) == sorted(p.terms)
-        total = MultiPoly.zero(p.n, p.laurent)
+        total = MultiPoly.zero(p.n)
         for J, q in parts:
             assert q.terms
             assert all(tuple(sum(map(mul, r, e)) for r in E) == J
@@ -226,8 +226,11 @@ class TestGoldenFiles:
 
 class TestLaurentNormalization:
     def test_unit_extraction(self):
-        p = parse("x^-2*y + x^-1", ["x", "y"], laurent=True)
-        q = p.as_polynomial()
+        # x^-2*y + x^-1 is y + x up to the monomial unit x^-2
+        p = MultiPoly(2, {(-2, 1): 1, (-1, 0): 1})
+        assert p.evaluate([2, 3]) == p.evaluate([F(2), F(3)]) == F(5, 4)
+        assert p.monomial_content() == (-2, 0)
+        q = p.strip_monomial_content()
         assert q.terms == {(0, 1): F(1), (1, 0): F(1)}
 
     def test_monomial_content(self):

@@ -362,7 +362,7 @@ class TestTierKernelsDifferential:
             sup = set()
             while len(sup) < size:
                 sup.add(tuple(rng.randint(-5, 5) for _ in range(3)))
-            h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+            h = MultiPoly(3, {e: 1 for e in sup})
             cands = [tuple(rng.randint(-4, 4) for _ in range(3))
                      for _ in range(20)]
             try:
@@ -380,7 +380,7 @@ class TestTierKernelsDifferential:
         while len(sup) < 30:
             e = tuple(rng.randint(-9, 9) for _ in range(3))
             sup.update((e, (e[0] + 1, e[1] - 1, e[2])))
-        h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+        h = MultiPoly(3, {e: 1 for e in sup})
         cands = [(scale, scale, -scale + 3), (scale - 1, scale - 1, 7)]
         cands += [tuple(rng.randint(-scale, scale) for _ in range(3))
                   for _ in range(40)]
@@ -469,7 +469,7 @@ class TestNewtonCorners:
     @pytest.mark.parametrize("name", sorted(_CORNER_SUPPORTS))
     def test_differential(self, name):
         sup = _CORNER_SUPPORTS[name]
-        h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+        h = MultiPoly(3, {e: 1 for e in sup})
         cands = list(_SMALL_DIRECTIONS)
         try:
             cands += tier1_candidates(h, False)
@@ -483,7 +483,7 @@ class TestNewtonCorners:
     def test_differential_keeps_and_rejects(self):
         kept = rejected = 0
         for sup in _CORNER_SUPPORTS.values():
-            h = MultiPoly(3, {e: 1 for e in sup}, laurent=True)
+            h = MultiPoly(3, {e: 1 for e in sup})
             got = tier2_friend_filter(h, _SMALL_DIRECTIONS)
             kept += len(got)
             rejected += len(_SMALL_DIRECTIONS) - len(got)
@@ -716,7 +716,7 @@ def _random_laurent_system(rng, n, scale=1):
             e = tuple(rng.randint(-3, 3) + scale * rng.randint(-1, 1)
                       for _ in range(n))
             terms[e] = F(rng.choice([-2, -1, 1, 3]))
-        polys.append(MultiPoly(n, terms, laurent=True))
+        polys.append(MultiPoly(n, terms))
     return polys
 
 
