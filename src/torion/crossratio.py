@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
     UPoly, cyclotomic_order, min_poly_of, rational, trace_dual_basis
@@ -58,12 +59,8 @@ class ProjPoint:
             u, v = u.u, u.v
         self.u = rational(u) if isinstance(u, (int, str)) else u
         self.v = rational(v) if isinstance(v, (int, str)) else v
-        if self._is_zero(self.u) and self._is_zero(self.v):
+        if self.u == 0 and self.v == 0:
             raise ValueError("(0 : 0) is not a projective point")
-
-    @staticmethod
-    def _is_zero(x):
-        return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
     @classmethod
     def infinity(cls):
@@ -78,25 +75,21 @@ class ProjPoint:
         return cls(value)
 
     def is_infinity(self):
-        return self._is_zero(self.v)
+        return self.v == 0
 
     def same_as(self, other):
-        return self._is_zero(_det(self, other))
+        return _det(self, other) == 0
 
     def affine(self):
         if self.is_infinity():
             raise ValueError("infinite point")
-        return self.u * _invert(self.v)
+        return self.u / self.v
 
     def __repr__(self):
         return "inf" if self.is_infinity() else f"({self.u} : {self.v})"
 
 
 ProjPoint.INF = ProjPoint(1, 0)
-
-
-def _invert(x):
-    return x.inverse() if hasattr(x, "inverse") else 1 / x
 
 
 def _det(a: ProjPoint, b: ProjPoint):
@@ -113,7 +106,7 @@ def cross_ratio(z1, z2, z3, z4):
                 raise DegenerateQuadruple(f"points {i+1} and {j+1} coincide")
     num = _det(pts[0], pts[2]) * _det(pts[1], pts[3])
     den = _det(pts[0], pts[3]) * _det(pts[1], pts[2])
-    return num * _invert(den)
+    return num / den
 
 
 def mobius_apply(m, p: ProjPoint) -> ProjPoint:
@@ -195,7 +188,7 @@ def residues(cfg: StableFormConfig):
     xs = [x.affine() for x in cfg.poles]
     N = _z_product(one, [z.affine() for z, m in cfg.zeros
                          if not z.is_infinity() for _ in range(m)])
-    return [_at(N, a) * _invert(_pole_denominator(one, xs, i))
+    return [_at(N, a) / _pole_denominator(one, xs, i)
             for i, a in enumerate(xs)]
 
 
@@ -279,7 +272,7 @@ def zero_order_conditions(n, poles, residues, zeros):
         if isinstance(z, str):
             # the very top coefficient may vanish identically
             conds += [coeffs[t] for t in range(npoles - 1 - m, npoles)]
-        elif ProjPoint._is_zero(z):
+        elif z == 0:
             conds += coeffs[:m]
         else:
             raise UnsupportedNormalization(
@@ -429,7 +422,7 @@ def check_cre(pairs, exponents):
     for R, a in zip(Rs, exponents):
         if a == 0:
             continue
-        f = R ** a if a > 0 else _invert(R) ** (-a)
+        f = R ** a
         value = f if value is None else value * f
     verdict = _root_of_unity_verdict(value)
     return value, verdict
@@ -470,28 +463,24 @@ def torsion_config_check(cfg: StableFormConfig, N: int):
     rs = residues(cfg)
     n = len(cfg.poles)
     for part, s in zip(cfg.pair_partition, partition_residue_sums(cfg)):
-        if not ProjPoint._is_zero(s):
+        if s != 0:
             return ("violates", "i")
-    ratios = [r * _invert(rs[0]) for r in rs]
+    ratios = [r / rs[0] for r in rs]
     dim = _q_span_dimension(ratios)
     if dim != n - len(cfg.pair_partition):
         return ("violates", "ii")
     for r in ratios:
         if isinstance(r, Cyclotomic) and not r.is_real():
             return ("violates", "ii")
+    # swapping z_a and z_b inverts the cross-ratio, which keeps its order:
+    # one check per unordered pair of zeros
     for part in cfg.pair_partition:
-        for a in range(len(cfg.zeros)):
-            for b in range(len(cfg.zeros)):
-                if a == b:
-                    continue
-                for t1 in range(len(part)):
-                    for t2 in range(t1 + 1, len(part)):
-                        val = cross_ratio(cfg.zeros[a][0], cfg.zeros[b][0],
-                                          cfg.poles[part[t1]],
-                                          cfg.poles[part[t2]])
-                        order = _root_of_unity_verdict(val)[1]
-                        if order is None or N % order != 0:
-                            return ("violates", "iii")
+        for (za, _), (zb, _) in combinations(cfg.zeros, 2):
+            for i1, i2 in combinations(part, 2):
+                val = cross_ratio(za, zb, cfg.poles[i1], cfg.poles[i2])
+                order = _root_of_unity_verdict(val)[1]
+                if order is None or N % order != 0:
+                    return ("violates", "iii")
     return ("satisfies", None)
 
 

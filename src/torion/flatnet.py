@@ -36,7 +36,7 @@ class UnknownVertex(ValueError):
     pass
 
 
-class SingularP(ArithmeticError):
+class SingularP(ArithmeticError, ValueError):
     pass
 
 

@@ -26,9 +26,11 @@ lcm degree.  A popped input whose lead no member's lead divides joins the
 basis as it is; any other is reduced like an S-polynomial, dropped at zero,
 and a constant ends the run with the unit ideal.  A member is paired with
 the others when it joins, so an ideal that reaches 1 early never pairs its
-late inputs.  The minimal basis is interreduced in ascending lead order,
-each member against the members already reduced before it: a tail term t of
-g lies below lead(g), so only leads <= t can divide it.
+late inputs.  One pass in ascending lead order makes the basis reduced: a
+member whose lead a kept member's lead divides is dropped (a lead that
+another lead divides comes after it), and any other is reduced against the
+members kept before it: a tail term t of g lies below lead(g), so only
+leads <= t can divide it.
 
 A lex basis (any permutation) is converted from the grevlex basis, cached
 or computed under the same budget and cached, by FGLM (Faugere, Gianni,
@@ -68,7 +70,8 @@ class GBStats:
     reductions: int = 0       # S-polynomials reduced
     zero_reductions: int = 0  # of those, the ones that reduced to zero
     basis_size: int = 0       # members so far (inputs that joined and
-                              # S-pair remainders), before minimalization
+                              # S-pair remainders), before the final pass
+                              # drops the dominated ones
     max_degree: int = 0       # largest lead degree added
     max_coeff_bits: int = 0   # largest coefficient added, in bits
     seconds: float = field(default=0.0, compare=False)  # wall time, to 1 us
@@ -142,7 +145,6 @@ class TermOrder:
 
 
 GREVLEX = TermOrder("grevlex")
-_BLOCK1 = TermOrder("block", nblock=1)  # eliminates the first variable
 
 
 def elimination_order(n: int, eliminate) -> TermOrder:
@@ -429,8 +431,6 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
                 if stats.pairs >= budget.max_pairs:
                     raise exhausted("max_pairs")
                 stats.pairs += 1
-                if (i, j) in done:
-                    continue
                 done.add((i, j))
                 li, lj = leads[i], leads[j]
                 l = pk.encode(lcm_of(i, j))
@@ -469,27 +469,17 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
             push(nf, sug)
             for k in range(idx):
                 heapq.heappush(pq, pair_entry(idx, k))
-        # minimalize: drop members whose lead is divisible by another lead
-        keep = []
-        for i, li in enumerate(leads):
-            dominated = False
-            for j, lj in enumerate(leads):
-                if j == i:
-                    continue
-                if not (li - lj) & guard and (lj != li or j < i):
-                    dominated = True
-                    break
-            if not dominated:
-                keep.append(i)
-        # interreduce in ascending lead order, each member against the
-        # members already reduced (every member of G is content-free with
-        # positive lead)
-        keep.sort(key=leads.__getitem__)
+        # minimalize and interreduce in one ascending pass; of equal leads
+        # the stable sort keeps the first (every member of G is
+        # content-free with positive lead)
         out = _Basis()
-        for i in keep:
+        for i in sorted(range(len(leads)), key=leads.__getitem__):
+            li = leads[i]
+            if any(not (li - lk) & guard for lk in out.leads):
+                continue
             r = _reduce_int(G.polys[i], out, pk)[0] if out.polys \
                 else G.polys[i]
-            out.append(r, leads[i])
+            out.append(r, li)
     except _FieldOverflow:
         raise exhausted("max_degree", ", field overflow") from None
     return [(pk.decode(le), pk.unpacked(r))
@@ -720,15 +710,15 @@ def _append_variable(p: MultiPoly) -> MultiPoly:
 def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
     """J intersected with the subring without the first variable, read off
     the reduced basis in the block order with the first variable alone in
-    its block.  Its members free of the first variable are the reduced
-    basis of that intersection in the order the block order induces there,
-    which is grevlex, so the result carries them as its grevlex basis."""
+    its block (`eliminate` by method 'block').  Its members free of the
+    first variable are the reduced basis of that intersection in the order
+    the block order induces there, which is grevlex, so the result carries
+    them as its grevlex basis."""
     out = []
-    for g in J.groebner_basis(_BLOCK1, budget):
-        if all(e[0] == 0 for e in g.terms):
-            q = MultiPoly(J.n - 1)
-            q.terms = {e[1:]: c for e, c in g.terms.items()}
-            out.append(q)
+    for g in eliminate(J, range(1, J.n), budget, method="block").generators:
+        q = MultiPoly(J.n - 1)
+        q.terms = {e[1:]: c for e, c in g.terms.items()}
+        out.append(q)
     return _presented_by_basis(J.n - 1, out)
 
 

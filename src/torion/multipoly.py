@@ -493,7 +493,8 @@ def substitute_torus(p: MultiPoly, E):
 
 def read_poly_file(text):
     """Parse the text of a polynomial file: returns (variables,
-    [MultiPoly])."""
+    [MultiPoly]).  A text that never declares its variables is an error,
+    also when it holds no polynomial."""
     variables = None
     polys = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -512,6 +513,8 @@ def read_poly_file(text):
         except ValueError as exc:
             exc.args = (f"line {lineno}: {exc}",)
             raise
+    if variables is None:
+        raise ValueError("missing '# vars:' header")
     return variables, polys
 
 

@@ -316,7 +316,6 @@ def _solve_coset_points(ideal: Ideal, n: int, budget: Budget):
     if not gens:
         return [tuple([None] * n)]
     used = sorted(set().union(*[g.variables_used() for g in gens]))
-    free = [i for i in range(n) if i not in used]
     try:
         basis = ideal.groebner_basis(TermOrder("lex"), budget)
     except ResourceExhausted:

@@ -160,9 +160,21 @@ class TestArgumentErrors:
         (["network", "--graph",
           InputFile("vertex a\nvertex b\nedge e1 b a\nedge e1 b a\n"),
           "--solve-moduli"], "arg2, line 4: duplicate edge e1\n"),
+        # a polynomial file that never declares its variables, even one
+        # with no polynomial line
+        (["ideal", "--op", "gb", "--polys", InputFile("# only a comment\n")],
+         "arg4, missing '# vars:' header\n"),
+        # a trace matrix needs a circuit and a nonsingular P
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 a b\nmodulus e1 1\n"),
+          "--trace-matrix"], "error: a tree block has no circuit matrix\n"),
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 a b\nedge e2 a b\n"
+                    "modulus e1 1\nmodulus e2 -1\n"),
+          "--trace-matrix"], "error: P = N M N^T is singular\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
-        if argv[0] == "ideal":
+        if argv[0] == "ideal" and "--polys" not in argv:
             f = tmp_path / "i.poly"
             f.write_text("# vars: x y\nx^2 - 1\n")
             argv = argv + ["--polys", str(f)]

@@ -383,6 +383,20 @@ class TestRootOfUnityVerdict:
         value, verdict = check_cre(pairs, (1, 0, -1))
         assert value == 1 and verdict == ("exact", 1)
 
+    def test_check_cre_negative_exponent_over_cyclotomic(self):
+        # R ** -k inverts R first: the value is the reciprocal of the one
+        # with the exponent made positive
+        z = Cyclotomic.root_of_unity(8)
+        one = Cyclotomic.from_rational(1)
+        pairs = [(one, z), (one * 2, z * 3), (z * z, one * -1)]
+        for negative, positive in (((0, -3, 0), (0, 3, 0)),
+                                   ((-1, 0, -2), (1, 0, 2))):
+            value, verdict = check_cre(pairs, negative)
+            inverse, inverse_verdict = check_cre(pairs, positive)
+            assert isinstance(value, Cyclotomic) and value != 1
+            assert value == 1 / inverse and value * inverse == 1
+            assert verdict == inverse_verdict
+
 
 class TestCrmin:
     def test_forward_values(self):

@@ -214,6 +214,9 @@ class TestGoldenFiles:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             read_poly_file("x + y\n")
+        # no polynomial line either: still no variables to read them in
+        with pytest.raises(ValueError, match="missing '# vars:' header"):
+            read_poly_file("# only a comment\n")
 
     def test_write_read_round_trip(self, tmp_path):
         from torion.multipoly import write_poly_file
