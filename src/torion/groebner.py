@@ -19,7 +19,10 @@ it reduces by keeps a memo from a monomial to the index of its first
 divisor among the leads (for a monomial no lead divides, the basis length
 it was checked against); a basis only grows, so the memo picks the reducer
 a linear scan would.  Pair selection uses the sugar strategy with both
-Buchberger criteria, and the inputs are queue entries too (Giovini, Mora,
+Buchberger criteria: each S-pair's queue entry carries its packed lcm,
+computed once when it is pushed, and the chain criterion looks for a
+divisor of the lcm only among the members whose pairs with both ends have
+already popped.  The inputs are queue entries too (Giovini, Mora,
 Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): each
 waits with its degree as sugar, ahead of the S-pairs with the same sugar and
 lcm degree.  A popped input whose lead no member's lead divides joins the
@@ -36,10 +39,11 @@ A lex basis (any permutation) is converted from the grevlex basis, cached
 or computed under the same budget and cached, by FGLM (Faugere, Gianni,
 Lazard and Mora, JSC 16, 1993) when every variable has a pure power among
 the grevlex leads and the quotient has dimension D <= budget.max_degree:
-normal forms come from the one reduction loop and linear dependencies from
-intlat.echelon_kernel.  Every proper divisor of a lex lead is a standard
-monomial, so no lead exceeds degree D and the result fits the budget and
-the fields.  Otherwise lex runs Buchberger.
+normal forms come from the one reduction loop, and each candidate's
+dependency test is one pass against an incremental fraction-free echelon
+form of the standard monomials' normal forms.  Every proper divisor of a
+lex lead is a standard monomial, so no lead exceeds degree D and the result
+fits the budget and the fields.  Otherwise lex runs Buchberger.
 
 All resource limits are explicit: exceeding one raises ResourceExhausted,
 which carries the GBStats counters reached and which pipelines treat as
@@ -57,7 +61,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 
-from .intlat import clear_denominators, echelon_kernel
+from .intlat import clear_denominators
 from .multipoly import MultiPoly, RingMismatch
 
 
@@ -395,31 +399,30 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
         if len(G.polys) > budget.max_basis:
             raise exhausted("max_basis")
 
-    def lcm_of(i, j):
-        return tuple(map(max, exps[i], exps[j]))
-
     def pair_entry(i, j):
-        l = sum(lcm_of(i, j))
+        lcm = tuple(map(max, exps[i], exps[j]))
+        l = sum(lcm)
         si = sugars[i] + l - sum(exps[i])
         sj = sugars[j] + l - sum(exps[j])
-        return (max(si, sj), l, i, j)
+        return (max(si, sj), l, i, j, pk.encode(lcm))
 
     try:
         # an input is the entry (its degree as sugar, its lead's degree, -1,
-        # its index): ahead of the S-pairs (sugar, lcm degree, i, j) with
-        # the same first two keys
+        # its index, None): ahead of the S-pairs (sugar, lcm degree, i, j,
+        # packed lcm) with the same first two keys; (i, j) is unique, so the
+        # last field is never compared
         inputs, pq = [], []
         for g in gens:
             p = _normalize(pk.packed(g))
             if p:
                 pq.append((max(map(sum, g)), sum(pk.decode(max(p))), -1,
-                           len(inputs)))
+                           len(inputs), None))
                 inputs.append(p)
         heapq.heapify(pq)
         leads, guard = G.leads, pk.guard
-        done = set()
+        done = []  # done[k]: the members whose pair with k has popped
         while pq:
-            sug, _, i, j = heapq.heappop(pq)
+            sug, _, i, j, l = heapq.heappop(pq)
             if i < 0:
                 nf = inputs[j]
                 le = max(nf)
@@ -431,22 +434,16 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
                 if stats.pairs >= budget.max_pairs:
                     raise exhausted("max_pairs")
                 stats.pairs += 1
-                done.add((i, j))
+                done[i].add(j)
+                done[j].add(i)
                 li, lj = leads[i], leads[j]
-                l = pk.encode(lcm_of(i, j))
                 if l == li + lj:
                     stats.coprime_skips += 1
                     continue
-                skip = False
-                for k, lk in enumerate(leads):
-                    if k in (i, j):
-                        continue
-                    if not (l - lk) & guard:
-                        if (max(i, k), min(i, k)) in done and \
-                                (max(j, k), min(j, k)) in done:
-                            skip = True
-                            break
-                if skip:
+                # chain criterion: some k whose pairs with i and j have
+                # both popped has a lead dividing the lcm
+                if any(not (l - leads[k]) & guard
+                       for k in done[i] & done[j]):
                     stats.chain_skips += 1
                     continue
                 ci, cj = G.lcs[i], G.lcs[j]
@@ -467,6 +464,7 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
                 return [(zero, {zero: 1})], stop()  # unit ideal
             idx = len(leads)
             push(nf, sug)
+            done.append(set())
             for k in range(idx):
                 heapq.heappush(pq, pair_entry(idx, k))
         # minimalize and interreduce in one ascending pass; of equal leads
@@ -520,11 +518,16 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
     those of the standard monomials already found, and the relation is a
     new basis member with lead the candidate, or the candidate is standard
     too.  Each normal form is kept as (r, scale), r = scale * NF as
-    _reduce_int gives it, so a kernel vector k of the r's is the relation
-    sum k_j scale_j m_j."""
+    _reduce_int gives it, so a relation sum k_j r_j = 0 is the member
+    sum k_j scale_j m_j.  The r's of the standard monomials are kept in
+    fraction-free echelon rows (pivot, vector, combination k): vector =
+    sum k_j r_j, both divided by their common content, zero at the pivots
+    of earlier rows.  So one pass over the rows in order leaves a
+    candidate's r zero at every pivot: a zero remainder's combination is
+    the relation (unique up to scale), a nonzero one a new row."""
     target = _Packing(n, order, len(staircase))
     words, vecs, scales = [], [], []  # the new standard monomials
-    leads, out = [], []
+    rows, leads, out = [], [], []
     heap, seen = [(0, -1, 0)], set()  # (target word, parent, variable)
     while heap:
         t, parent, v = heapq.heappop(heap)
@@ -540,18 +543,31 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
                                     for m, c in vecs[parent].items()},
                                    basis, pk)
             scale *= scales[parent]
-        cols = vecs + [r]
-        kernel = echelon_kernel([[col.get(m, 0) for col in cols]
-                                 for m in staircase], len(cols))
-        if not kernel:
+        vec, comb = r, {len(words): 1}  # rebound, never changed in place
+        for pivot, rvec, rcomb in rows:
+            b = vec.get(pivot)
+            if b is None:
+                continue
+            g = math.gcd(rvec[pivot], b)
+            a, b = rvec[pivot] // g, b // g
+            vec = {m: a * c for m, c in vec.items()}
+            comb = {k: a * c for k, c in comb.items()}
+            _sub_shifted(vec, rvec, 0, b)
+            _sub_shifted(comb, rcomb, 0, b)
+            g = math.gcd(*vec.values(), *comb.values())
+            if g > 1:
+                vec = {m: c // g for m, c in vec.items()}
+                comb = {k: c // g for k, c in comb.items()}
+        if vec:
+            rows.append((max(vec), vec, comb))
             words.append(t)
             vecs.append(r)
             scales.append(scale)
             for i in range(n):
                 heapq.heappush(heap, (t + target.units[i], len(vecs) - 1, i))
             continue
-        ws, coeffs = zip(*[(w, k * s) for w, k, s in zip(
-            words + [t], kernel[0], scales + [scale]) if k])
+        ws, coeffs = zip(*[(w, comb[k] * s) for k, (w, s) in enumerate(
+            zip(words + [t], scales + [scale])) if k in comb])
         ints = clear_denominators(coeffs)
         sign = 1 if ints[-1] > 0 else -1  # t's coefficient, the lead
         leads.append(t)

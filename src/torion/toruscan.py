@@ -250,9 +250,11 @@ def coefficient_variety(polys, N: ExponentSubgroup,
     second adds the conditions' parts).  Each stage removes the components
     inside the coordinate hyperplanes (successive saturation by each used
     variable), then those inside each peripheral locus: a coset lies in V(f)
-    iff all parts of f vanish, so it saturates by the ideal of f's parts.
-    The first unit ideal makes the candidate 'trivial-ideal'; budget
-    exhaustion makes it 'undetermined', never dropped."""
+    iff all parts of f vanish, so it saturates by the ideal of f's parts,
+    unless that ideal and the stage's ideal together generate 1 (then the
+    saturation changes nothing and is skipped).  The first unit ideal
+    makes the candidate 'trivial-ideal'; budget exhaustion makes it
+    'undetermined', never dropped."""
     parts = induced_parts(polys, N)
     n = polys[0].n
     gens = [q for _, q in parts]
@@ -278,6 +280,10 @@ def coefficient_variety(polys, N: ExponentSubgroup,
             for part_gens in peripheral_parts:
                 if is_trivial(J, budget):
                     break
+                # if J + P = (1), no associated prime of J contains P, so
+                # J : P^infinity = J
+                if is_trivial(Ideal(n, J.generators + part_gens), budget):
+                    continue
                 J = saturate_by_ideal(J, part_gens, budget)
             cand.saturated_generators = J.generators
             if is_trivial(J, budget):

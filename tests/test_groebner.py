@@ -1,3 +1,4 @@
+import heapq
 import random
 from dataclasses import fields
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from torion.groebner import (BUDGET_PROFILES, GREVLEX, Budget, GBStats,
                              Ideal, ResourceExhausted, TermOrder, eliminate,
                              intersect, is_trivial, normal_form, saturate,
                              saturate_by_ideal, saturate_many)
+from torion.intlat import clear_denominators, echelon_kernel
 from torion.multipoly import MultiPoly, parse
 
 XY = ["x", "y"]
@@ -560,6 +562,21 @@ def test_saturate_by_ideal_is_the_intersection_of_saturations(case, data):
         _saturate_by_ideal_reference(I, J).groebner_basis()
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.data())
+def test_saturating_by_a_disjoint_ideal_changes_nothing(case, data):
+    """When I + J = (1), no associated prime of I contains J, so
+    I : J^infinity = I: the skip the coset scan takes for a peripheral
+    locus that misses the coset family."""
+    n, gens = case
+    J = data.draw(st.lists(small_polys(n), min_size=1, max_size=3))
+    I = Ideal(n, gens)
+    if not is_trivial(Ideal(n, gens + J)) or \
+            all(g.is_zero() for g in J):
+        return
+    assert saturate_by_ideal(I, J).groebner_basis() == I.groebner_basis()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.dictionaries(
     st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
@@ -641,3 +658,186 @@ def test_saturate_many_is_the_old_loop_on_m010_candidates():
         xs = [MultiPoly.variable(n, i) for i in used]
         assert saturate_many(I, xs).generators == \
             _saturate_many_reference(I, xs).groebner_basis()
+
+
+# ---------------------------------------------------------------------------
+# pinned pair order and the FGLM echelon, on classic systems
+# ---------------------------------------------------------------------------
+
+def katsura(n):
+    """Katsura-n in u0..un, generators in the benchmark's order."""
+    def u(i):
+        i = abs(i)
+        return MultiPoly.variable(n + 1, i) if i <= n else \
+            MultiPoly.zero(n + 1)
+    first = u(0) - MultiPoly.constant(n + 1, 1)
+    for i in range(1, n + 1):
+        first = first + u(i) * 2
+    out = [first]
+    for m in range(n):
+        s = MultiPoly.zero(n + 1)
+        for l in range(-n, n + 1):
+            s = s + u(l) * u(m - l)
+        out.append(s - u(m))
+    return out
+
+
+def cyclic(n):
+    """Cyclic-n in x0..x(n-1), generators in the benchmark's order."""
+    x = [MultiPoly.variable(n, i) for i in range(n)]
+    out = []
+    for d in range(1, n):
+        s = MultiPoly.zero(n)
+        for i in range(n):
+            t = MultiPoly.constant(n, 1)
+            for k in range(d):
+                t = t * x[(i + k) % n]
+            s = s + t
+        out.append(s)
+    prod = MultiPoly.constant(n, 1)
+    for xi in x:
+        prod = prod * xi
+    out.append(prod - MultiPoly.constant(n, 1))
+    return out
+
+
+def _counters(stats):
+    """Every GBStats counter but seconds, as pairs/coprime_skips/...."""
+    return "/".join(str(getattr(stats, f.name)) for f in fields(GBStats)
+                    if f.name != "seconds")
+
+
+class TestPinnedPairOrder:
+    """The counters of four benchmark computations.  Each is fixed by the
+    order in which pairs pop, so a change to the queue or the criteria
+    that reorders pairs shows here (a reordered queue can blow up the
+    coefficients: see ROADMAP item 1)."""
+
+    def test_katsura5_grevlex(self):
+        I = Ideal(6, katsura(5))
+        I.groebner_basis()
+        assert _counters(I.stats()) == "231/94/73/64/48/22/6/76"
+
+    def test_cyclic5_grevlex(self):
+        I = Ideal(5, cyclic(5))
+        I.groebner_basis()
+        assert _counters(I.stats()) == "703/106/489/108/75/38/8/10"
+
+    def test_katsura4_block_elimination(self):
+        I = Ideal(5, katsura(4))
+        eliminate(I, [3, 4], method="block")
+        assert _counters(I.stats(TermOrder("block", nblock=3))) == \
+            "210/81/87/42/26/21/6/277"
+
+    def test_cyclic5_saturation(self, monkeypatch):
+        """Saturating by x0 + x1 is one block run in six variables."""
+        runs = []
+        run = groebner._buchberger
+
+        def spy(n, gens, order, budget):
+            basis, stats = run(n, gens, order, budget)
+            runs.append((n, order.kind, _counters(stats)))
+            return basis, stats
+        monkeypatch.setattr(groebner, "_buchberger", spy)
+        saturate(Ideal(5, cyclic(5)),
+                 MultiPoly.variable(5, 0) + MultiPoly.variable(5, 1))
+        assert runs == [(6, "block", "1378/272/915/191/144/53/8/10")]
+
+
+def _fglm_reference(basis, pk, staircase, n, order):
+    """The FGLM conversion as it was before the incremental echelon: the
+    whole normal-form matrix goes through intlat.echelon_kernel for every
+    candidate."""
+    target = groebner._Packing(n, order, len(staircase))
+    words, vecs, scales = [], [], []
+    leads, out = [], []
+    heap, seen = [(0, -1, 0)], set()
+    while heap:
+        t, parent, v = heapq.heappop(heap)
+        if t in seen:
+            continue
+        seen.add(t)
+        if any(not (t - le) & target.guard for le in leads):
+            continue
+        if parent < 0:
+            r, scale = groebner._reduce_int({0: 1}, basis, pk)
+        else:
+            r, scale = groebner._reduce_int(
+                {m + pk.units[v]: c for m, c in vecs[parent].items()},
+                basis, pk)
+            scale *= scales[parent]
+        cols = vecs + [r]
+        kernel = echelon_kernel([[col.get(m, 0) for col in cols]
+                                 for m in staircase], len(cols))
+        if not kernel:
+            words.append(t)
+            vecs.append(r)
+            scales.append(scale)
+            for i in range(n):
+                heapq.heappush(heap, (t + target.units[i], len(vecs) - 1, i))
+            continue
+        ws, coeffs = zip(*[(w, k * s) for w, k, s in zip(
+            words + [t], kernel[0], scales + [scale]) if k])
+        ints = clear_denominators(coeffs)
+        sign = 1 if ints[-1] > 0 else -1
+        leads.append(t)
+        out.append((target.decode(t), {target.decode(w): sign * a for w, a
+                                       in zip(reversed(ws), reversed(ints))}))
+    return out
+
+
+def _both_fglms(gens, order, budget=BUDGET_PROFILES["default"]):
+    """The new and the reference conversion of the ideal of gens to the lex
+    order `order`, as lists of (lead, items in order)."""
+    n = gens[0].n
+    pk, basis = groebner._packed_basis(
+        Ideal(n, gens).groebner_basis(GREVLEX, budget), n, GREVLEX, budget)
+    staircase = groebner._staircase(basis, pk, n, budget.max_degree)
+    assert staircase is not None
+    return [[(le, list(p.items())) for le, p in fglm(
+        basis, pk, staircase, n, order)]
+        for fglm in (groebner._fglm, _fglm_reference)]
+
+
+class TestIncrementalFglm:
+    @pytest.mark.parametrize("name, gens, budget", [
+        ("katsura-4", katsura(4), "default"),
+        ("katsura-5", katsura(5), "default"),
+        ("cyclic-5", cyclic(5), "extended"),
+    ])
+    def test_classic_systems(self, name, gens, budget):
+        new, old = _both_fglms(gens, TermOrder("lex"),
+                               BUDGET_PROFILES[budget])
+        assert new == old
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_zero_dimensional_ideals(self, seed):
+        """x_i^d_i plus lower-degree terms for each variable, under a
+        random lex permutation: grevlex has a pure power of each variable
+        and the quotient has dimension d_1 * ... * d_n (Bezout, no zero at
+        infinity).  Every sixth ideal gets one more random generator,
+        which mostly makes it the unit ideal."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+
+        def lower(degree):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * n
+                for _ in range(rng.randint(0, degree)):
+                    e[rng.randrange(n)] += 1
+                terms[tuple(e)] = F(rng.randint(-5, 5), rng.randint(1, 3))
+            return MultiPoly(n, terms)
+        gens = []
+        for i in range(n):
+            d = rng.randint(1, 3 if n < 4 else 2)
+            power = MultiPoly.variable(n, i)
+            for _ in range(d - 1):
+                power = power * MultiPoly.variable(n, i)
+            gens.append(power + lower(d - 1))
+        if seed % 6 == 0:
+            gens.append(lower(2))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        new, old = _both_fglms(gens, TermOrder("lex", perm=perm))
+        assert new == old

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torion import intlat, toruscan
-from torion.groebner import Budget
+from torion import groebner
+from torion.groebner import Budget, Ideal, is_trivial, saturate_by_ideal, \
+    saturate_many
 from torion.multipoly import MultiPoly, RingMismatch, data_text, parse, \
     read_poly_file, substitute_torus
 from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
@@ -549,6 +551,22 @@ class TestTierInputChecks:
             assert str(exc.value) == message
 
 
+def _saturating_path(polys, N, peripheral):
+    """The saturated coefficient ideal of one stage with every peripheral
+    locus saturated, disjoint or not, until the ideal is 1."""
+    n = polys[0].n
+    gens = [q.strip_monomial_content() for _, q in induced_parts(polys, N)]
+    used = sorted(set().union(*[g.variables_used() for g in gens]))
+    J = saturate_many(Ideal(n, gens), [MultiPoly.variable(n, i)
+                                       for i in used])
+    for p in peripheral:
+        if is_trivial(J):
+            break
+        J = saturate_by_ideal(J, [q.strip_monomial_content()
+                                  for _, q in induced_parts([p], N)])
+    return J
+
+
 class TestSaturatedScan:
     def test_toy_peripheral(self):
         # variety x1 x2 = 1; peripheral locus z1 = 1: the candidate
@@ -612,6 +630,70 @@ class TestSaturatedScan:
         digests = {scan(polys, starts, **kw).input_digest for kw in
                    ({}, {"peripheral": [f]}, {"conditions": [f]})}
         assert len(digests) == 3
+
+    def test_disjoint_locus_is_not_saturated(self, monkeypatch):
+        """The coset (1, 1, t) of x*z - y*z + x - 1 has J = (a1 - 1,
+        a2 - 1); the locus of x*z + y*z - 2*z + x - 3 has parts
+        a1 + a2 - 2 and a1 - 3, so J + P = (1) and J : P^infinity = J:
+        the same survivor as with no peripheral polynomial, and no
+        saturation by the locus."""
+        polys = [parse("x*z - y*z + x - 1", XYZ)]
+        N = ExponentSubgroup([[0, 0, 1]])
+        plain = coefficient_variety(polys, N)
+        calls = []
+        monkeypatch.setattr(toruscan, "saturate_by_ideal",
+                            lambda *args: calls.append(args))
+        cand = coefficient_variety(
+            polys, N, peripheral=[parse("x*z + y*z - 2*z + x - 3", XYZ)])
+        assert calls == []
+        assert cand.status == plain.status == "survivor"
+        assert cand.saturated_generators == plain.saturated_generators
+        assert cand.cosets == plain.cosets == [(F(1), F(1), None)]
+
+    def test_budget_run_out_in_the_disjointness_test(self, monkeypatch):
+        """A budget run-out in the J + P unit test leaves the candidate
+        undetermined."""
+        polys = [parse("x*z - y*z + x - 1", XYZ)]
+        checked = []
+
+        def run_out(I, budget):
+            checked.append(len(I.generators))
+            if len(I.generators) == 4:  # J + P, two generators each
+                raise groebner.ResourceExhausted("max_pairs")
+            return is_trivial(I, budget)
+        monkeypatch.setattr(toruscan, "is_trivial", run_out)
+        cand = coefficient_variety(
+            polys, ExponentSubgroup([[0, 0, 1]]),
+            peripheral=[parse("x*z + y*z - 2*z + x - 3", XYZ)])
+        assert checked == [2, 4]
+        assert cand.status == "undetermined"
+        assert cand.note.startswith("resource budget exhausted: max_pairs")
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_skipping_disjoint_loci_is_the_saturating_path(self, seed):
+        """Random systems whose coset ideal holds the line a1 = c*a2^e, and
+        two peripheral polynomials whose locus is one random point, on the
+        line or off it: the verdict and the saturated ideal equal those of
+        saturating by every locus.  Over the seeds some loci are skipped
+        and some saturated."""
+        rng = random.Random(seed)
+        line = f"(x - {rng.randint(1, 3)}*y^{rng.randint(0, 1)})"
+
+        def cofactor():
+            return (f"({rng.choice([1, -1, 2])}*x^{rng.randint(0, 2)}"
+                    f"*y^{rng.randint(0, 2)} + {rng.choice([-3, -1, 1, 2])})")
+        polys = [parse(" + ".join(f"{line}*{cofactor()}*z^{k}"
+                                  for k in range(rng.randint(2, 3))), XYZ)]
+        peripheral = [parse(f"x - {rng.randint(1, 3)} + "
+                            f"(y - {rng.randint(1, 3)})*z", XYZ)
+                      for _ in range(2)]
+        N = ExponentSubgroup([[0, 0, 1]])
+        cand = coefficient_variety(polys, N, peripheral=peripheral)
+        J = _saturating_path(polys, N, peripheral)
+        assert cand.status == ("trivial-ideal" if is_trivial(J)
+                               else "survivor")
+        assert Ideal(3, cand.saturated_generators).groebner_basis() == \
+            J.groebner_basis()
 
     def test_rejects_zero_peripheral(self):
         with pytest.raises(ValueError):
