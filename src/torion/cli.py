@@ -20,7 +20,7 @@ import traceback
 from itertools import groupby
 
 from . import __version__
-from .exactnum import UPoly, rational
+from .exactnum import rational
 from .groebner import BUDGET_PROFILES, GREVLEX, Ideal, ResourceExhausted, \
     TermOrder, eliminate, is_trivial, normal_form, saturate_many
 from .heights import height_algebraic, height_point
@@ -206,11 +206,8 @@ def _read_network(path):
 # ---------------------------------------------------------------------------
 
 def cmd_height(args, report: Report) -> int:
-    if args.minpoly:
-        coeff_poly = parse(args.minpoly, ["x"])
-        deg = coeff_poly.degree_in(0) or 0
-        coeffs = [coeff_poly.coefficient_of((k,)) for k in range(deg + 1)]
-        hv = height_algebraic(UPoly(coeffs))
+    if args.minpoly is not None:
+        hv = height_algebraic(parse(args.minpoly, ["x"]).as_upoly(0))
         report.set("height", {"value": hv.value, "exactness": hv.exactness,
                               "log_argument": hv.log_argument,
                               "error": hv.error},
@@ -445,9 +442,11 @@ def _check_args(ap, args):
         need = IDEAL_OP_NEEDS.get(args.op)
         if need and getattr(args, need) is None:
             ap.error(f"ideal --op {args.op} needs --{need}")
-    elif args.command == "height" and args.coords is None and \
-            args.minpoly is None:
-        ap.error("height needs --affine COORDS or --minpoly POLY")
+    elif args.command == "height":
+        if args.coords is None and args.minpoly is None:
+            ap.error("height needs --affine COORDS or --minpoly POLY")
+        if args.projective and args.minpoly is not None:
+            ap.error("height --projective applies to --affine, not --minpoly")
 
 
 def build_parser():
@@ -462,9 +461,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("height", help="Weil heights of rational points")
-    p.add_argument("--affine", dest="coords", type=_rational_list)
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--affine", dest="coords", type=_rational_list)
+    point.add_argument("--minpoly", default=None)
     p.add_argument("--projective", action="store_true")
-    p.add_argument("--minpoly", default=None)
     p.set_defaults(fn=cmd_height)
 
     p = sub.add_parser("ideal", help="Groebner-basis operations")

@@ -404,7 +404,7 @@ def _divisors(n):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q for degree <= 6
+# rational roots and irreducibility over Q
 # ---------------------------------------------------------------------------
 
 def rational_roots(p: UPoly):
@@ -423,67 +423,65 @@ def rational_roots(p: UPoly):
     return sorted(roots)
 
 
-def _l2_norm_ceil(ints):
-    s = sum(c * c for c in ints)
-    return math.isqrt(s) + 1
+def _factor_of_degree(f: UPoly, m: int):
+    """A factor of degree m of the primitive integer polynomial f, or None,
+    by Kronecker's search (von zur Gathen-Gerhard, Modern Computer Algebra,
+    sec. 15; Knuth, TAOCP vol. 2, sec. 4.6.2).
 
+    By Gauss's lemma a factor g may be taken in Z[x]: at an integer node k
+    g(k) divides f(k), the divided differences of g at integer nodes are
+    integers, and lc(g) divides lc(f).  The nodes are the m + 1 points of
+    -(d+m)..d+m with f(k) != 0 whose values have the fewest divisors.  One
+    signed divisor per node is chosen depth-first, the first one positive
+    (g and -g are one factor), and a choice is dropped at its first
+    divided difference that is not an integer.  A full choice's last
+    Newton coefficient is lc(g); the Newton interpolant is built by Horner
+    and kept if it divides f."""
+    d = f.degree
+    values = {k: int(f(k)) for k in range(-(d + m), d + m + 1)}
+    divisors = {k: _divisors(v) for k, v in values.items() if v}
+    nodes = sorted(divisors, key=lambda k: (len(divisors[k]), abs(k)))[:m + 1]
+    lc = int(f.coeffs[-1])
 
-def _monic_int_factor_search(ints, m):
-    """Search a monic integer factor of degree m of the monic integer
-    polynomial `ints`; coefficient box from the Mignotte/Landau bound,
-    pruned by divisibility of the values at 0 and 1."""
-    f = UPoly(ints)
-    B = _l2_norm_ceil(ints)
-    binom = [math.comb(m, i) for i in range(m + 1)]
-    f0 = int(f(0))
-    f1 = int(f(1))
+    def search(newton, diagonal):
+        # diagonal: the divided differences ending at the last node chosen
+        j = len(newton)
+        k = nodes[j]
+        signs = (1, -1) if j else (1,)
+        for value in (s * v for v in divisors[k] for s in signs):
+            row = [value]
+            for i in range(1, j + 1):
+                q, r = divmod(row[-1] - diagonal[i - 1], k - nodes[j - i])
+                if r:
+                    break
+                row.append(q)
+            else:
+                if j < m:
+                    g = search(newton + [row[-1]], row)
+                    if g is not None:
+                        return g
+                elif row[-1] and lc % row[-1] == 0:
+                    g = [row[-1]]
+                    for a, node in zip(reversed(newton), reversed(nodes[:m])):
+                        # g * (x - node) + a
+                        g = [hi - node * lo for hi, lo in zip([0] + g, g + [0])]
+                        g[0] += a
+                    g = UPoly(g)
+                    if (f % g).is_zero():
+                        return g
+        return None
 
-    def candidates_g0():
-        if f0 != 0:
-            for d in _divisors(f0):
-                yield d
-                yield -d
-        else:
-            yield 0
-
-    from itertools import product
-    mid_bounds = [binom[i] * B for i in range(1, m)]
-    for g0 in candidates_g0():
-        if abs(g0) > binom[0] * B:
-            continue
-        for mids in product(*[range(-b, b + 1) for b in mid_bounds]):
-            g = UPoly((g0,) + tuple(mids) + (1,))
-            g1 = int(g(1))
-            if f1 != 0 and (g1 == 0 or f1 % g1 != 0):
-                continue
-            q, r = divmod(f, g)
-            if r.is_zero():
-                return g
-    return None
+    return search([], [])
 
 
 def is_irreducible(p: UPoly) -> bool:
-    """Irreducibility over Q, degrees 1..6 (monic after normalization)."""
-    d = p.degree
-    if d <= 0:
+    """Irreducibility over Q: the primitive integer polynomial has no factor
+    of degree 1..deg/2."""
+    if p.degree <= 0:
         return False
-    if d == 1:
-        return True
-    if rational_roots(p):
-        return False
-    if d <= 3:
-        return True
-    ints = p.primitive_int_coeffs()
-    lc = ints[-1]
-    if lc != 1:
-        # y = lc*x turns a_d x^d + ... into a monic integer polynomial with
-        # the same factorization pattern over Q
-        ints = tuple(ints[i] * lc ** (d - 1 - i) for i in range(d)) + (1,)
-    ints = [int(c) for c in ints]
-    for m in range(2, d // 2 + 1):
-        if _monic_int_factor_search(ints, m) is not None:
-            return False
-    return True
+    f = UPoly(p.primitive_int_coeffs())
+    return all(_factor_of_degree(f, m) is None
+               for m in range(1, f.degree // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +911,6 @@ class RationalMatrix:
         return RationalMatrix([[a + b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.entries, other.entries)])
 
-    def __sub__(self, other):
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
-
     def _int_rows(self):
         return [intlat.clear_denominators(row) for row in self.entries]
 
@@ -953,11 +947,6 @@ class RationalMatrix:
             raise NotSquare("determinant of a non-square matrix")
         c0 = char_poly(self).coeffs[0]
         return -c0 if self.rows % 2 else c0
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def __repr__(self):
         return "RationalMatrix(" + repr([[str(x) for x in row]

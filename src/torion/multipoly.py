@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import rational
+from .exactnum import UPoly, rational
 
 
 class PolySyntaxError(ValueError):
@@ -66,10 +66,6 @@ class MultiPoly:
         e = [0] * n
         e[i] = 1
         return cls(n, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n, exponents, coeff=1):
-        return cls(n, {tuple(exponents): Fraction(coeff)})
 
     # -- ring structure ----------------------------------------------------
     def _check(self, other):
@@ -177,8 +173,15 @@ class MultiPoly:
     def degree_in(self, i):
         return max((e[i] for e in self.terms), default=None)
 
-    def coefficient_of(self, exponents):
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def as_upoly(self, var):
+        """The same polynomial as a UPoly in the variable `var`; raises
+        ValueError if another variable or a negative power occurs."""
+        coeffs = [Fraction(0)] * ((self.degree_in(var) or 0) + 1)
+        for e, c in self.terms.items():
+            if e[var] < 0 or any(x for i, x in enumerate(e) if i != var):
+                raise ValueError("not univariate")
+            coeffs[e[var]] = c
+        return UPoly(coeffs)
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)

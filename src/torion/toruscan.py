@@ -301,14 +301,8 @@ def _rational_roots_of_univariate(p: MultiPoly, var: int):
     """Rational roots of a polynomial using only `var`, plus whether the
     polynomial splits over Q: whether its distinct rational roots are as
     many as the degree of its squarefree part."""
-    from .exactnum import UPoly, rational_roots, squarefree_part
-    deg = p.degree_in(var) or 0
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        if any(e[i] for i in range(p.n) if i != var):
-            raise ValueError("not univariate")
-        coeffs[e[var]] += c
-    u = UPoly(coeffs)
+    from .exactnum import rational_roots, squarefree_part
+    u = p.as_upoly(var)
     roots = rational_roots(u)
     return roots, len(roots) == squarefree_part(u).degree
 

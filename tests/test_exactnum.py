@@ -7,7 +7,7 @@ import pytest
 from torion.exactnum import (AlgebraicReal, Cyclotomic, DegreeOutOfRange,
                              DependentBasis, NotQuartic, NotSquare,
                              RationalMatrix, Reducible, UPoly,
-                             _divisors, char_poly, count_real_roots,
+                             _divisors, _factor_of_degree, char_poly, count_real_roots,
                              cyclotomic_order, cyclotomic_polynomial,
                              discriminant, euler_phi, factorize,
                              identity_matrix, is_irreducible,
@@ -125,6 +125,57 @@ class TestIrreducibility:
         # degree six: cyclotomic Phi_9 irreducible, x^6 - 1 not
         assert is_irreducible(UPoly([1, 0, 0, 1, 0, 0, 1]))
         assert not is_irreducible(UPoly([-1, 0, 0, 0, 0, 0, 1]))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1, 1000, 0, 0, 0, 0, 1],        # x^6 + 1000x + 1
+        [1, 0, 0, 0, 0, 2, 3],           # 3x^6 + 2x^5 + 1
+        [5, -3, 7, 1, -2, 4, 2],         # 2x^6 + 4x^5 - 2x^4 + x^3 + 7x^2 - 3x + 5
+    ])
+    def test_sextics_with_large_factor_boxes(self, coeffs):
+        assert is_irreducible(UPoly(coeffs))
+
+    @staticmethod
+    def _random_cases(rng, count):
+        """Integer coefficient lists, lowest first, of degree 1..6: random
+        non-monic ones, ones with a zero constant term, and products g*h
+        of random factors of degree 1..3."""
+        def rand(deg, bound):
+            return [rng.randint(-bound, bound) for _ in range(deg)] + \
+                [rng.choice([-1, 1]) * rng.randint(1, bound)]
+        for i in range(count):
+            if i % 3 == 0:
+                yield rand(rng.randint(1, 6), 30)
+            elif i % 3 == 1:
+                yield [0] + rand(rng.randint(0, 5), 30)
+            else:
+                g = UPoly(rand(rng.randint(1, 3), 9))
+                h = UPoly(rand(rng.randint(1, 3), 9))
+                yield [int(c) for c in (g * h).coeffs]
+
+    def test_matches_sympy(self):
+        """Differential test: the verdict is sympy's, and for a reducible f
+        a factor of degree m is found exactly when the degrees of sympy's
+        irreducible factors have a sub-multiset summing to m."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(25)
+        for coeffs in self._random_cases(rng, 2100):
+            f = UPoly(coeffs)
+            ref = sympy.Poly(list(reversed(coeffs)), x)
+            assert is_irreducible(f) == ref.is_irreducible, coeffs
+            if ref.is_irreducible:
+                continue
+            sums = {0}
+            for factor, mult in ref.factor_list()[1]:
+                for _ in range(mult):
+                    sums |= {s + factor.degree() for s in sums}
+            prim = UPoly(f.primitive_int_coeffs())
+            for m in range(1, f.degree // 2 + 1):
+                g = _factor_of_degree(prim, m)
+                assert (g is not None) == (m in sums), (coeffs, m)
+                if g is not None:
+                    assert g.degree == m
+                    assert (f % g).is_zero()
 
 
 class TestNumberField:

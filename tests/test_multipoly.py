@@ -140,6 +140,15 @@ class TestSupport:
                        for e, c in h.terms.items())
         assert h.evaluate([F(1), F(1), F(1)]) == 0
 
+    def test_as_upoly(self):
+        from torion.exactnum import UPoly
+        assert parse("3*y^2 - 1/2*y + 1", XYZ).as_upoly(1) == \
+            UPoly([1, F(-1, 2), 3])
+        assert parse("0", XYZ).as_upoly(0) == UPoly([])
+        for p in (parse("x*y + 1", XYZ), MultiPoly(3, {(0, -1, 0): F(1)})):
+            with pytest.raises(ValueError, match="not univariate"):
+                p.as_upoly(1)
+
 
 class TestSubstituteTorus:
     def test_row_projection(self):
