@@ -119,12 +119,6 @@ class TestArgumentErrors:
          "error: zero denominator in '1/0' (at position 4)"),
         (["height", "--minpoly", "x^2 - 1/0"],
          "error: zero denominator in '1/0' (at position 6)"),
-        # one point per run: an affine point or a minimal polynomial
-        (["height", "--minpoly", "x^2 - 2", "--affine", "2/3"],
-         "argument --affine: not allowed with argument --minpoly"),
-        (["height", "--minpoly", "x^2 - 2", "--projective"],
-         "--projective applies to --affine, not --minpoly"),
-        (["height", "--minpoly", ""], "error: unexpected end of input"),
         (["torus-scan", "--polys", InputFile("# vars: x y\nx + y\nx + $y\n")],
          "arg2, line 3: unexpected character '$' (at position 4)"),
         (["torus-scan", "--polys", InputFile("\nx + y\n")],
@@ -178,6 +172,12 @@ class TestArgumentErrors:
           InputFile("vertex a\nvertex b\nedge e1 a b\nedge e2 a b\n"
                     "modulus e1 1\nmodulus e2 -1\n"),
           "--trace-matrix"], "error: P = N M N^T is singular\n"),
+        # one point per run: an affine point or a minimal polynomial
+        (["height", "--minpoly", "x^2 - 2", "--affine", "2/3"],
+         "argument --affine: not allowed with argument --minpoly"),
+        (["height", "--minpoly", "x^2 - 2", "--projective"],
+         "--projective applies to --affine, not --minpoly"),
+        (["height", "--minpoly", ""], "error: unexpected end of input"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:
