@@ -232,10 +232,11 @@ def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
         t, h = g.edges[eid]
         net[t] -= w
         net[h] += w
-    for v in assignment.divisor:
+    for v, c in assignment.divisor.items():
         if v not in net:
             raise UnknownVertex(f"unknown vertex {v}")
-    return all(net[v] == assignment.divisor.get(v, 0) for v in net)
+        net[v] -= c
+    return not any(net.values())
 
 
 def enumerate_currents(g: DualGraph, N: int, source_pair,

@@ -10,7 +10,9 @@ textual form is canonical.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from operator import add
 
 from .exactnum import UPoly, rational
 
@@ -312,158 +314,152 @@ class MultiPoly:
 # parser: integers, rationals p/q, + - * ^, parentheses, variables
 # ---------------------------------------------------------------------------
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+# One token per match, after any whitespace: a digit run with an optional
+# "/digits" (an empty denominator is an error), a name, or one character.
+_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d*)?)|([^\W\d]\w*)|(\S))")
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
 
-    def next_token(self):
-        ch = self.peek()
-        if ch is None:
-            return None, self.pos
-        start = self.pos
-        if ch in "+-*^()":
-            self.pos += 1
-            return ch, start
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j < len(self.text) and self.text[j] == "/":
-                k = j + 1
-                while k < len(self.text) and self.text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise PolySyntaxError("malformed rational", j)
-                j = k
-            tok = self.text[start:j]
-            self.pos = j
-            try:
-                return rational(tok), start
-            except ValueError as exc:
-                raise PolySyntaxError(str(exc), start) from None
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or
-                                          self.text[j] == "_"):
-                j += 1
-            tok = self.text[self.pos:j]
-            self.pos = j
-            return ("var", tok), start
-        raise PolySyntaxError(f"unexpected character {ch!r}", self.pos)
+def _number(text, start):
+    """A digit run as an int, p/q as a Fraction; a zero denominator, or more
+    digits than int() converts, raises with rational's message."""
+    if "/" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        return rational(text)
+    except ValueError as exc:
+        raise PolySyntaxError(str(exc), start) from None
 
 
 class _Parser:
+    """Recursive descent over token kinds: "n" a number, "v" a variable (its
+    index), "u" an undeclared name, an operator character itself, and "$"
+    the end.  A sum is added into one dict in place; numbers and variable
+    powers in a product fold into one coefficient and exponent list."""
+
     def __init__(self, text, variables):
-        self.toks = []
-        tz = _Tokenizer(text)
-        while True:
-            tok, pos = tz.next_token()
-            if tok is None:
-                break
-            self.toks.append((tok, pos))
+        variables = list(variables)
+        index = {}
+        for i, name in enumerate(variables):
+            index.setdefault(name, i)
+        self.n = len(variables)
+        self.kinds, self.vals, self.where = kinds, vals, where = [], [], []
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            tok, start = m[group], m.start(group)
+            if group == 1:
+                if tok[-1] == "/":
+                    raise PolySyntaxError("malformed rational", m.end() - 1)
+                kinds.append("n")
+                vals.append(_number(tok, start))
+            elif group == 2:
+                kinds.append("v" if tok in index else "u")
+                vals.append(index.get(tok, tok))
+            elif tok in "+-*^()":
+                kinds.append(tok)
+                vals.append(None)
+            else:
+                raise PolySyntaxError(f"unexpected character {tok!r}", start)
+            where.append(start)
+        kinds.append("$")
+        vals.append(None)
+        where.append(where[-1] + 1 if where else 0)
         self.i = 0
-        self.variables = list(variables)
-        self.n = len(self.variables)
 
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def pos(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) else \
-            (self.toks[-1][1] + 1 if self.toks else 0)
-
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def fail(self, message):
+        raise PolySyntaxError(message, self.where[self.i])
 
     def parse(self):
-        p = self.expr()
-        if self.i != len(self.toks):
-            raise PolySyntaxError("trailing input", self.pos())
+        terms = self.expr()
+        if self.kinds[self.i] != "$":
+            self.fail("trailing input")
+        p = MultiPoly(self.n)
+        p.terms = {e: Fraction(c) for e, c in terms.items()}
         return p
 
     def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        p = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op, _ = self.take()
-            sign = 1 if op == "+" else -1
-            while self.peek() in ("+", "-"):
-                if self.take()[0] == "-":
-                    sign = -sign
-            p = p + self.term() * sign
-        return p
-
-    def term(self):
-        p = self.power()
+        kinds = self.kinds
+        acc = {}
         while True:
-            nxt = self.peek()
-            if nxt == "*":
-                self.take()
-                p = p * self.power()
-            elif nxt == "(" or isinstance(nxt, tuple) or \
-                    isinstance(nxt, Fraction):
-                # implicit multiplication: "2x", "x y", "2(x+1)"
-                p = p * self.power()
+            sign = 1
+            while kinds[self.i] in "+-":
+                if kinds[self.i] == "-":
+                    sign = -sign
+                self.i += 1
+            for e, c in self.term(sign):
+                if e not in acc:
+                    acc[e] = c
+                elif s := acc[e] + c:
+                    acc[e] = s
+                else:
+                    del acc[e]
+            if kinds[self.i] not in "+-":
+                return acc
+
+    def term(self, c):
+        """The (exponents, coefficient) pairs of c times a product of
+        factors; implicit products such as "2x", "x y", "2(x+1)" included."""
+        kinds, vals = self.kinds, self.vals
+        e = [0] * self.n
+        poly = None
+        while True:
+            kind = kinds[self.i]
+            if kind == "v" or kind == "n":
+                val = vals[self.i]
+                self.i += 1
+                k = self.exponent() if kinds[self.i] == "^" else 1
+                if kind == "v":
+                    e[val] += k
+                else:
+                    c *= val ** k
+            elif kind == "(":
+                self.i += 1
+                q = MultiPoly(self.n)
+                q.terms = self.expr()
+                if kinds[self.i] != ")":
+                    self.fail("missing closing parenthesis")
+                self.i += 1
+                if kinds[self.i] == "^":
+                    q = q ** self.exponent()
+                poly = q if poly is None else poly * q
+            elif kind == "u":
+                raise UnknownVariable(f"unknown variable {vals[self.i]!r}")
             else:
-                return p
+                self.fail("unexpected end of input" if kind == "$" else
+                          f"unexpected token {kind!r}")
+            kind = kinds[self.i]
+            if kind == "*":
+                self.i += 1
+            elif kind not in "vn(u":
+                break
+        if not c:
+            return ()
+        if poly is None:
+            return ((tuple(e), c),)
+        return [(tuple(map(add, m, e)), a * c) for m, a in poly.terms.items()]
 
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            while self.peek() in ("+", "-"):
-                if self.take()[0] == "-":
-                    neg = not neg
-            tok, pos = self.take() if self.peek() is not None else (None, self.pos())
-            if not isinstance(tok, Fraction) or tok.denominator != 1:
-                raise PolySyntaxError("integer exponent expected", pos)
-            k = int(tok) * (-1 if neg else 1)
-            if k < 0:
-                raise PolySyntaxError("negative exponent", pos)
-            return base ** k
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        pos = self.pos()
-        if tok is None:
-            raise PolySyntaxError("unexpected end of input", pos)
-        if tok == "(":
-            self.take()
-            p = self.expr()
-            if self.peek() != ")":
-                raise PolySyntaxError("missing closing parenthesis", self.pos())
-            self.take()
-            return p
-        if isinstance(tok, Fraction):
-            self.take()
-            return MultiPoly.constant(self.n, tok)
-        if isinstance(tok, tuple) and tok[0] == "var":
-            self.take()
-            name = tok[1]
-            if name not in self.variables:
-                raise UnknownVariable(f"unknown variable {name!r}")
-            return MultiPoly.variable(self.n, self.variables.index(name))
-        raise PolySyntaxError(f"unexpected token {tok!r}", pos)
+    def exponent(self):
+        """The power after "^": signs, then a digit run; p/q is refused."""
+        kinds = self.kinds
+        self.i += 1
+        neg = False
+        while kinds[self.i] in "+-":
+            neg ^= kinds[self.i] == "-"
+            self.i += 1
+        k = self.vals[self.i]
+        if kinds[self.i] != "n" or type(k) is not int:
+            self.fail("integer exponent expected")
+        if neg and k:
+            self.fail("negative exponent")
+        self.i += 1
+        return k
 
 
 def parse(text: str, variables) -> MultiPoly:
     """Parse polynomial text over the given ordered variable names;
-    exponents are nonnegative integers."""
+    exponents are nonnegative integer literals."""
     return _Parser(text, variables).parse()
 
 

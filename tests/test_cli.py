@@ -178,6 +178,10 @@ class TestArgumentErrors:
         (["height", "--minpoly", "x^2 - 2", "--projective"],
          "--projective applies to --affine, not --minpoly"),
         (["height", "--minpoly", ""], "error: unexpected end of input"),
+        # an exponent is an integer literal: 4/2 is refused, not read as 2
+        (["torus-scan", "--polys",
+          InputFile("# vars: x y\nx + y\nx^4/2 + y\n")],
+         "arg2, line 3: integer exponent expected (at position 2)\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:

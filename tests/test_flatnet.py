@@ -232,6 +232,11 @@ class TestKirchhoff:
             kirchhoff_check(theta(), CurrentAssignment(
                 {"a": 1, "zz": -1}, {"e1": 0}))
 
+    def test_unknown_edge_before_unknown_vertex(self):
+        with pytest.raises(UnknownEdge):
+            kirchhoff_check(theta(), CurrentAssignment(
+                {"a": 1, "zz": -1}, {"e1": 0, "e9": 1}))
+
     def test_loop_current_nets_to_zero(self):
         g = DualGraph(["a", "b"], [("e1", "b", "a"), ("e2", "a", "a")])
         assert kirchhoff_check(g, CurrentAssignment(
