@@ -55,10 +55,17 @@ def int_kernel(rows, n=None):
 
 def saturate_rows(rows, n=None):
     """HNF basis of the saturation of the row lattice (the integer points of
-    its Q-span): the integer kernel of its Q-kernel."""
+    its Q-span).  The canonical echelon rows already are that basis when
+    there is one row (a primitive vector with a positive pivot) or when
+    every pivot entry is 1 (an integer point x of the span is the sum of
+    x[p] times the row with pivot p, and the rows are reduced); otherwise
+    it is the integer kernel of the Q-kernel."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    return hnf(int_kernel(echelon_kernel(rows, n), n))
+    form, pivots = echelon(rows)
+    if len(form) == 1 or all(row[p] == 1 for row, p in zip(form, pivots)):
+        return form
+    return hnf(int_kernel(_form_kernel(form, pivots, n), n))
 
 
 def primitive_vector(v):
@@ -122,7 +129,11 @@ def echelon_kernel(rows, n):
     """Basis of the Q-kernel {x : M x = 0} of an integer matrix with n
     columns, read off its echelon form: one primitive integer vector per
     free column f, positive at f and zero at the other free columns."""
-    form, pivots = echelon(rows)
+    return _form_kernel(*echelon(rows), n)
+
+
+def _form_kernel(form, pivots, n):
+    """`echelon_kernel` of the rows whose echelon form is (form, pivots)."""
     out = []
     for f in range(n):
         if f in pivots:

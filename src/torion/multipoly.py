@@ -318,6 +318,10 @@ class MultiPoly:
 # "/digits" (an empty denominator is an error), a name, or one character.
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d*)?)|([^\W\d]\w*)|(\S))")
 
+# The parser recurses twice per parenthesis level; deeper input is refused
+# as bad input well before Python's default recursion limit of 1000.
+_MAX_DEPTH = 200
+
 
 def _number(text, start):
     """A digit run as an int, p/q as a Fraction; a zero denominator, or more
@@ -337,7 +341,8 @@ class _Parser:
     """Recursive descent over token kinds: "n" a number, "v" a variable (its
     index), "u" an undeclared name, an operator character itself, and "$"
     the end.  A sum is added into one dict in place; numbers and variable
-    powers in a product fold into one coefficient and exponent list."""
+    powers in a product fold into one coefficient and exponent list.
+    Parentheses nest at most _MAX_DEPTH deep."""
 
     def __init__(self, text, variables):
         variables = list(variables)
@@ -367,6 +372,7 @@ class _Parser:
         vals.append(None)
         where.append(where[-1] + 1 if where else 0)
         self.i = 0
+        self.depth = 0
 
     def fail(self, message):
         raise PolySyntaxError(message, self.where[self.i])
@@ -415,11 +421,15 @@ class _Parser:
                 else:
                     c *= val ** k
             elif kind == "(":
+                if self.depth == _MAX_DEPTH:
+                    self.fail("nesting too deep")
+                self.depth += 1
                 self.i += 1
                 q = MultiPoly(self.n)
                 q.terms = self.expr()
                 if kinds[self.i] != ")":
                     self.fail("missing closing parenthesis")
+                self.depth -= 1
                 self.i += 1
                 if kinds[self.i] == "^":
                     q = q ** self.exponent()

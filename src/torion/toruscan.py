@@ -234,9 +234,14 @@ def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
     projection E.e of a generator's support element occurs once."""
     if any(p.n != N.n for p in polys):
         raise RingMismatch(f"subgroup arity {N.n} != polynomial arity")
-    return any(1 in Counter(tuple(sum(map(operator.mul, row, e))
-                                  for row in N.basis)
-                            for e in p.terms).values() for p in polys)
+    if not N.basis:  # every polynomial is one part
+        return any(len(p.terms) == 1 for p in polys)
+    for p in polys:
+        values = [[sum(map(operator.mul, row, e)) for e in p.terms]
+                  for row in N.basis]
+        if 1 in Counter(zip(*values)).values():
+            return True
+    return False
 
 
 def coefficient_variety(polys, N: ExponentSubgroup,

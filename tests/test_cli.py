@@ -182,6 +182,10 @@ class TestArgumentErrors:
         (["torus-scan", "--polys",
           InputFile("# vars: x y\nx + y\nx^4/2 + y\n")],
          "arg2, line 3: integer exponent expected (at position 2)\n"),
+        # nesting deeper than the parser allows is bad input, not a crash
+        (["ideal", "--op", "gb", "--polys",
+          InputFile("# vars: x\n" + "(" * 600 + "x" + ")" * 600 + "\n")],
+         "arg4, line 2: nesting too deep (at position 200)\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:

@@ -2,7 +2,9 @@
 sympy's RREF (skipped when sympy is absent), RationalMatrix rank, kernel,
 inverse and determinant against sympy, property tests of the Hermite normal
 form, the integer kernel and row saturation, and oracles for the last two:
-the saturated sympy nullspace and the integer points of the row span."""
+the saturated sympy nullspace and the integer points of the row span.
+Row saturation, which reads most lattices off their echelon form, is also
+compared with the kernel-of-kernel route on every lattice."""
 
 import math
 from fractions import Fraction
@@ -249,3 +251,80 @@ def test_int_kernel_is_the_saturated_nullspace(case):
 def test_det_matches_sympy(rows):
     ref = _sympy().Matrix(rows).det()
     assert RationalMatrix(rows).det() == Fraction(int(ref.p), int(ref.q))
+
+
+def reference_saturate_rows(rows, n):
+    """Row saturation by the kernel-of-kernel route for every lattice: the
+    HNF of the integer kernel of the Q-kernel."""
+    return hnf(int_kernel(echelon_kernel(rows, n), n))
+
+
+@st.composite
+def lattices(draw):
+    """(n, rows) of rank 0..n: a basis that is random or a reduced echelon
+    form with unit pivots, each row scaled (so the lattice need not be
+    saturated), then integer combinations of the basis and zero rows, in a
+    random order."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        pivots = sorted(draw(st.permutations(range(n)))[:k])
+        base = []
+        for p in pivots:
+            row = [0] * n
+            row[p] = 1
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    row[j] = draw(entry)
+            base.append(row)
+    else:
+        base = [draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(k)]
+    scale = st.sampled_from([1, 1, 1, -1, 2, 3, -4])
+    rows = [[c * x for x in row] for row, c in
+            zip(base, draw(st.lists(scale, min_size=k, max_size=k)))]
+    for _ in range(draw(st.integers(0, 2))):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        rows.append([sum(c * row[j] for c, row in zip(cs, base))
+                     for j in range(n)])
+    rows += [[0] * n] * draw(st.integers(0, 1))
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(lattices())
+def test_saturation_matches_the_kernel_of_kernel_route(case):
+    n, rows = case
+    assert saturate_rows(rows, n) == reference_saturate_rows(rows, n)
+    if rows:
+        assert saturate_rows(rows) == reference_saturate_rows(rows, n)
+
+
+@pytest.mark.parametrize("rows, sat", [
+    ([], ()),
+    ([[0, 0, 0]], ()),
+    ([[0, -4, 6]], ((0, 2, -3),)),
+    ([[2, 0, 2], [0, 3, 0]], ((1, 0, 1), (0, 1, 0))),
+    # pivots 2: the saturation holds (1, 1, 1) = ((2, 0, 1) + (0, 2, 1))/2
+    ([[2, 0, 1], [0, 2, 1]], ((1, 1, 1), (0, 2, 1))),
+])
+def test_saturation_examples(rows, sat):
+    assert saturate_rows(rows, 3) == reference_saturate_rows(rows, 3) == sat
+
+
+def test_m010_subgroups_are_saturations_of_their_rows():
+    """The 554 subspaces of the M_{0,10} search: each basis is the
+    kernel-of-kernel saturation of the canonical echelon rows that key its
+    Q-span, and the list keeps its (-rank, basis) order."""
+    from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                   crossratio_m3, m010_system)
+    from torion.toruscan import ExponentSubgroup, enumerate_subspaces_multi
+    starts = [ExponentSubgroup(m, 9) for m in
+              (crossratio_m1(), crossratio_m2(), crossratio_m3())]
+    subs = enumerate_subspaces_multi(m010_system(), starts)
+    assert len(subs) == 554
+    for s in subs:
+        assert s.basis == reference_saturate_rows(echelon(s.basis)[0], 9)
+    keys = [(-s.rank, s.basis) for s in subs]
+    assert keys == sorted(keys)

@@ -82,6 +82,20 @@ class TestParse:
         assert p == parse(want, XYZ)
         assert all(p.terms.values())
 
+    def test_nesting_depth_is_limited(self):
+        # 200 levels parse; the 201st opening parenthesis is bad input, at
+        # its position, however deep the text goes on
+        assert parse("(" * 200 + "x" + ")" * 200, XYZ) == parse("x", XYZ)
+        # depth, not the count of parentheses: 300 side by side parse
+        assert parse("(x)" * 300, XYZ) == parse("x^300", XYZ)
+        for depth in (201, 600, 5000):
+            with pytest.raises(PolySyntaxError, match=re.escape(
+                    "nesting too deep (at position 200)")):
+                parse("(" * depth + "x" + ")" * depth, XYZ)
+        with pytest.raises(PolySyntaxError, match=re.escape(
+                "nesting too deep (at position 201)")):
+            parse("-" + "(" * 201 + "x", XYZ)
+
     def test_round_trip_of_four_thousand_terms(self):
         rng = random.Random(26)
         terms = {}

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -902,6 +903,51 @@ class TestEnumerationDifferential:
             for N in _random_starts(rng, n):
                 assert has_singleton_part(polys, N) == \
                     _singleton_reference(polys, N)
+
+
+def _singleton_tuple_per_term(polys, N):
+    """has_singleton_part as one tuple of row values per term."""
+    return any(1 in Counter(tuple(sum(map(operator.mul, row, e))
+                                  for row in N.basis)
+                            for e in p.terms).values() for p in polys)
+
+
+class TestSingletonDifferential:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_supports_and_ranks(self, seed):
+        rng = random.Random(270 + seed)
+        ranks = Counter()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            polys = _random_laurent_system(rng, n)
+            if rng.random() < 0.3:
+                # a one-term polynomial is a singleton under every rank
+                e = tuple(rng.randint(-3, 3) for _ in range(n))
+                polys.append(MultiPoly(n, {e: F(1)}))
+            rank = rng.randint(0, min(3, n))
+            rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
+                    for _ in range(rank)]
+            N = ExponentSubgroup(rows, n)
+            ranks[N.rank] += 1
+            assert has_singleton_part(polys, N) == \
+                _singleton_tuple_per_term(polys, N)
+        assert set(ranks) >= {0, 1, 2}
+
+    def test_rank_zero_keeps_each_polynomial_whole(self):
+        N = ExponentSubgroup([], 3)
+        one = MultiPoly(3, {(1, 2, 0): F(5)})
+        two = parse("x*y - z", XYZ)
+        zero = MultiPoly(3)
+        for polys, want in (([one], True), ([two], False),
+                            ([two, one], True), ([zero], False),
+                            ([zero, two], False)):
+            assert has_singleton_part(polys, N) is want
+            assert _singleton_tuple_per_term(polys, N) is want
+
+    def test_zero_polynomial_under_a_subgroup(self):
+        N = ExponentSubgroup([[1, 0, 0]])
+        assert not has_singleton_part([MultiPoly(3)], N)
+        assert has_singleton_part([MultiPoly(3), parse("x + y", XYZ)], N)
 
 
 class TestArityMismatch:
