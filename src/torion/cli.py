@@ -423,6 +423,17 @@ def cmd_reproduce(args, report: Report) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _thread_count(text):
+    """A worker count: an integer of at least 1."""
+    try:
+        k = _integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{k} is below 1")
+    return k
+
+
 def _rational_list(text):
     """Comma-separated rationals; a bad number is a parse error."""
     try:
@@ -454,7 +465,7 @@ def build_parser():
         prog="torion",
         description="Exact torus-translate scans, heights, cross-ratio "
                     "conditions, and cylinder-moduli networks.")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_thread_count, default=1)
     ap.add_argument("--budget", choices=sorted(BUDGET_PROFILES),
                     default="default")
     ap.add_argument("--report", metavar="PATH", default=None)

@@ -52,8 +52,6 @@ class ProjPoint:
 
     __slots__ = ("u", "v")
 
-    INF = None  # set below
-
     def __init__(self, u, v=1):
         if isinstance(u, ProjPoint):
             u, v = u.u, u.v
@@ -89,9 +87,6 @@ class ProjPoint:
         return "inf" if self.is_infinity() else f"({self.u} : {self.v})"
 
 
-ProjPoint.INF = ProjPoint(1, 0)
-
-
 def _det(a: ProjPoint, b: ProjPoint):
     return a.u * b.v - b.u * a.v
 
@@ -122,8 +117,8 @@ def mobius_apply(m, p: ProjPoint) -> ProjPoint:
 @dataclass
 class StableFormConfig:
     """A form of type (n; m_1..m_k) on P^1: n simple poles, zeros of orders
-    m_i, and a partition of the poles into parts of size >= 2 (collision
-    classes of nodes)."""
+    m_i >= 1, and a partition of the poles into parts of size >= 2
+    (collision classes of nodes) holding each pole index 0..n-1 once."""
     zeros: list  # [(ProjPoint, multiplicity)]
     poles: list  # [ProjPoint]
     pair_partition: list  # [[pole indices]]
@@ -133,14 +128,23 @@ class StableFormConfig:
         self.zeros = [(ProjPoint.of(z), int(m)) for z, m in self.zeros]
         self.poles = [ProjPoint.of(x) for x in self.poles]
         n = len(self.poles)
+        for i, (_, m) in enumerate(self.zeros):
+            if m < 1:
+                raise ValueError(f"zero{i} has order {m}, below 1")
         if self.strict and sum(m for _, m in self.zeros) != n - 2:
             raise ValueError("zero orders must sum to (number of poles) - 2")
         seen = set()
         for part in self.pair_partition:
             if len(part) < 2:
                 raise ValueError("partition parts need at least two poles")
-            seen.update(part)
-        if self.pair_partition and seen != set(range(n)):
+            for i in part:
+                if not 0 <= i < n:
+                    raise ValueError(f"partition names pole {i}, outside "
+                                     f"0..{n - 1}")
+                if i in seen:
+                    raise ValueError(f"pole {i} is in the partition twice")
+                seen.add(i)
+        if self.pair_partition and len(seen) != n:
             raise ValueError("partition must cover the poles")
         pts = [(z, f"zero{i}") for i, (z, _) in enumerate(self.zeros)] + \
               [(x, f"pole{i}") for i, x in enumerate(self.poles)]

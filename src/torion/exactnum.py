@@ -191,23 +191,6 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def upoly_xgcd(a: UPoly, b: UPoly):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = UPoly([1]), UPoly([])
-    t0, t1 = UPoly([]), UPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.coeffs[-1]
-    inv = UPoly([1 / lc])
-    return r0.monic(), s0 * inv, t0 * inv
-
-
 def squarefree_part(p: UPoly) -> UPoly:
     g = upoly_gcd(p, p.derivative())
     if g.degree <= 0:
@@ -530,11 +513,13 @@ class _Residue:
     __rmul__ = __mul__
 
     def inverse(self):
-        """By the extended Euclidean algorithm: s*self + t*m = 1."""
-        g, s, _ = upoly_xgcd(UPoly(self.coords), self._modulus())
-        if g.degree != 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._new((s % self._modulus()).coeffs)
+        """The first column of the inverse of the multiplication matrix,
+        which is the multiplication matrix of the inverse."""
+        try:
+            inv = self.mult_matrix().inverse()
+        except ZeroDivisionError:
+            raise ZeroDivisionError("inverse of zero") from None
+        return self._new([row[0] for row in inv.entries])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -575,15 +560,21 @@ class _Residue:
         return all(c == 0 for c in self.coords[1:])
 
     def mult_matrix(self) -> "RationalMatrix":
-        """The matrix of multiplication by self: column j holds the
-        coordinates of self * x^j."""
-        d = len(self.coords)
-        cols = []
-        cur = UPoly(self.coords)
-        for _ in range(d):
-            cols.append(cur.coeffs + (0,) * (d - len(cur.coeffs)))
-            cur = (cur * UPoly([0, 1])) % self._modulus()
-        return RationalMatrix(list(zip(*cols)))
+        return _mult_matrix(UPoly(self.coords), self._modulus())
+
+
+def _mult_matrix(a: UPoly, m: UPoly) -> "RationalMatrix":
+    """The matrix of multiplication by a mod m on Q[x]/(m) in the power
+    basis 1, x, ..., x^(d-1): column j holds the coordinates of a * x^j.
+    Its inverse, trace and determinant are those of a in the algebra
+    (Cohen, A Course in Computational Algebraic Number Theory, sec. 4.3)."""
+    d = m.degree
+    cols = []
+    cur = a % m
+    for _ in range(d):
+        cols.append(cur.coeffs + (0,) * (d - len(cur.coeffs)))
+        cur = (cur * UPoly([0, 1])) % m
+    return RationalMatrix(list(zip(*cols)))
 
 
 class NumberField:
@@ -600,23 +591,6 @@ class NumberField:
         self.degree = d
         self.real_roots = isolate_real_roots(min_poly)
         self.totally_real = len(self.real_roots) == d
-        self._power_traces = self._traces_of_powers()
-
-    def _traces_of_powers(self):
-        # Newton's identities on x^d + c_{d-1}x^{d-1} + ... + c_0:
-        # p_k = -k c_{d-k} - sum_{i=1}^{k-1} c_{d-i} p_{k-i}   (k <= d)
-        # p_k = -sum_{i=1}^{d} c_{d-i} p_{k-i}                 (k > d)
-        d = self.degree
-        c = self.min_poly.coeffs
-        p = [Fraction(d)]
-        for k in range(1, 2 * d):
-            s = Fraction(0)
-            for i in range(1, min(k - 1, d) + 1):
-                s += c[d - i] * p[k - i]
-            if k <= d:
-                s += k * c[d - k]
-            p.append(-s)
-        return p
 
     def element(self, coords) -> "FieldElement":
         cs = [Fraction(x) for x in coords]
@@ -663,8 +637,9 @@ class FieldElement(_Residue):
         return None, None
 
     def trace(self) -> Fraction:
-        t = self.field._power_traces
-        return sum((c * t[i] for i, c in enumerate(self.coords)), Fraction(0))
+        """The trace of the multiplication matrix."""
+        m = self.mult_matrix().entries
+        return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
     def embedding_interval(self, root_index: int, width) -> tuple[Fraction, Fraction]:
         """Rational interval of width <= `width` around the image of this
@@ -993,21 +968,14 @@ def _fraction_is_square(x: Fraction) -> bool:
 
 
 def discriminant(p: UPoly) -> Fraction:
-    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p), via the Sylvester matrix."""
+    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p), where Res(p, p') =
+    lc(p)^(d-1) det(multiplication by p' on Q[x]/(p)); p needs degree >= 1."""
     d = p.degree
-    dp = p.derivative()
-    m = dp.degree
-    size = d + m
-    rows = []
-    pc = list(reversed(p.coeffs))
-    dc = list(reversed(dp.coeffs))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - d - 1 - i))
-    for i in range(d):
-        rows.append([Fraction(0)] * i + dc + [Fraction(0)] * (size - m - 1 - i))
-    res = RationalMatrix(rows).det()
+    if d < 1:
+        raise ValueError(f"discriminant of a polynomial of degree {d}")
+    det = _mult_matrix(p.derivative(), p.monic()).det()
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / p.coeffs[-1]
+    return sign * p.coeffs[-1] ** (d - 2) * det
 
 
 def quartic_galois_class(poly: UPoly) -> str:

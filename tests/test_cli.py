@@ -46,6 +46,36 @@ class TestIdealCommand:
                     "--poly", "x"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    LEX = "# vars: x y z\nx^2 + y*z - 2\ny^2 + x*z - 2\nz^2 + x*y - 2\n"
+
+    def test_eliminate(self, tmp_path, capsys):
+        f = tmp_path / "lex.poly"
+        f.write_text(self.LEX)
+        rep = tmp_path / "r.json"
+        assert run(["--report", str(rep), "ideal", "--op", "eliminate",
+                    "--keep", "y,z", "--polys", str(f)]) == 0
+        expected = ["z^5 - 3*z^3 + 2*z", "y*z^3 - z^4 - 2*y*z + 2*z^2",
+                    "-z^4 + y^2 - y*z + 3*z^2 - 2"]
+        assert capsys.readouterr().out.splitlines() == expected
+        doc = json.loads(rep.read_text())
+        assert doc["results"] == {"generators": expected}
+        assert doc["grades"] == {"generators": "exact"}
+
+    @pytest.mark.parametrize("text, trivial, line", [
+        ("# vars: x y\nx*y - 1\nx - 2\ny - 3\n", True, "unit ideal"),
+        (LEX, False, "proper ideal"),
+    ])
+    def test_trivial(self, tmp_path, capsys, text, trivial, line):
+        f = tmp_path / "i.poly"
+        f.write_text(text)
+        rep = tmp_path / "r.json"
+        assert run(["--report", str(rep), "ideal", "--op", "trivial",
+                    "--polys", str(f)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        doc = json.loads(rep.read_text())
+        assert doc["results"] == {"trivial": trivial}
+        assert doc["grades"] == {"trivial": "exact"}
+
     def test_parse_error_exit_2(self, tmp_path):
         f = tmp_path / "bad.poly"
         f.write_text("# vars: x\nx^^2\n")
@@ -186,6 +216,26 @@ class TestArgumentErrors:
         (["ideal", "--op", "gb", "--polys",
           InputFile("# vars: x\n" + "(" * 600 + "x" + ")" * 600 + "\n")],
          "arg4, line 2: nesting too deep (at position 200)\n"),
+        # the parts of a configuration partition the poles, and a zero has
+        # order at least 1
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\npole 2\n"
+                    "pole -2\npart 0 1\npart 1 2 3\n")],
+         "error: pole 1 is in the partition twice\n"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\npole 2\n"
+                    "pole -2\npart 0 1\npart 2 4\n")],
+         "error: partition names pole 4, outside 0..3\n"),
+        (["cross-ratio", "--check", "residues", "--config",
+          InputFile("zero 0 -1\nzero inf 3\npole 1\npole -1\npole 2\n"
+                    "pole -2\n")], "error: zero0 has order -1, below 1\n"),
+        # a worker count is at least 1
+        (["--threads", "0", "height", "--affine", "2"],
+         "argument --threads: 0 is below 1"),
+        (["--threads", "-3", "height", "--affine", "2"],
+         "argument --threads: -3 is below 1"),
+        (["--threads", "two", "height", "--affine", "2"],
+         "argument --threads: 'two' is not an integer"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:
@@ -477,6 +527,63 @@ class TestNetworkExtra:
         assert run(["network", "--graph", str(g), "--audit", "3"]) == 0
         assert "audit pass" in capsys.readouterr().out
 
+    # two parallel pairs in series: one positive moduli ray per block
+    CHAIN = ("vertex a\nvertex b\nvertex c\nedge e1 b a\nedge e2 b a\n"
+             "edge e3 c b\nedge e4 c b\nsource a 3\nsource c -3\n"
+             "current e1 2\ncurrent e2 1\ncurrent e3 1\ncurrent e4 2\n")
+    # a square with the flow split over both sides: one circuit row on
+    # four edges, so two degrees of freedom
+    SQUARE = ("vertex a\nvertex b\nvertex c\nvertex d\nedge e1 b a\n"
+              "edge e2 c b\nedge e3 d a\nedge e4 c d\nsource a 2\n"
+              "source c -2\ncurrent e1 1\ncurrent e2 1\ncurrent e3 1\n"
+              "current e4 1\n")
+
+    def _network(self, tmp_path, text, *op):
+        g = tmp_path / "g.net"
+        g.write_text(text)
+        rep = tmp_path / "r.json"
+        code = run(["--report", str(rep), "network", "--graph", str(g), *op])
+        return code, json.loads(rep.read_text())
+
+    def test_solve_moduli_unique_per_block(self, tmp_path, capsys):
+        code, doc = self._network(tmp_path, self.CHAIN, "--solve-moduli")
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "unique-per-block: [(['e1', 'e2'], ['1', '2']), " \
+            "(['e3', 'e4'], ['2', '1'])]\n"
+        assert doc["results"] == {
+            "outcome": "unique-per-block",
+            "moduli": [[["e1", "e2"], ["1", "2"]], [["e3", "e4"], ["2", "1"]]]}
+        assert doc["grades"] == {"outcome": "exact"}
+
+    def test_solve_moduli_underdetermined(self, tmp_path, capsys):
+        code, doc = self._network(tmp_path, self.SQUARE, "--solve-moduli")
+        assert code == 0
+        assert capsys.readouterr().out == "underdetermined (2 dof)\n"
+        assert doc["results"] == {"outcome": "underdetermined",
+                                  "degrees_of_freedom": 2}
+        assert doc["grades"] == {"outcome": "exact"}
+
+    @pytest.mark.parametrize("graph, kind", [
+        (SQUARE, "underdetermined"),
+        (TestNetworkCommand.GRAPH, "infeasible"),
+    ])
+    def test_audit_needs_unique_moduli(self, tmp_path, capsys, graph, kind):
+        code, doc = self._network(tmp_path, graph, "--audit", "3")
+        assert code == 1
+        assert capsys.readouterr().out == kind + "\n"
+        assert doc["results"] == {} and doc["grades"] == {}
+
+    def test_audit_per_block(self, tmp_path, capsys):
+        code, doc = self._network(tmp_path, self.CHAIN, "--audit", "3")
+        assert code == 0
+        assert capsys.readouterr().out == "audit pass\n"
+        audit = doc["results"]["audit"]
+        assert [(a["block"], a["ok"], a["bound_integer"]) for a in audit] == \
+            [(["e1", "e2"], True, 3), (["e3", "e4"], True, 3)]
+        assert all(a["margin"] == pytest.approx(0.4054651081081645)
+                   for a in audit)
+
 
 class TestReproduceCommand:
     def test_all_fast_targets(self):
@@ -514,6 +621,22 @@ class TestReproduceCommand:
         assert {k: doc["results"][k] for k in results} == expected
         assert set(doc["results"]) == set(results) | {"target", "pass"}
         assert all(doc["grades"][k] == "exact" for k in results)
+
+    @pytest.mark.parametrize("target, results", [
+        ("m010-subspaces", {"total": 554,
+                            "rank_profile": {"1": 454, "2": 97, "3": 3}}),
+        ("m010-prune", {"total": 554,
+                        "rank_profile": {"1": 454, "2": 97, "3": 3},
+                        "after_pruning": 78}),
+    ])
+    def test_m010_targets(self, tmp_path, capsys, target, results):
+        rep = tmp_path / "r.json"
+        assert run(["--report", str(rep), "reproduce", target]) == 0
+        assert capsys.readouterr().out == f"reproduce {target}: pass\n"
+        doc = json.loads(rep.read_text())
+        assert doc["results"] == {**results, "target": target, "pass": True}
+        assert set(doc["grades"].values()) == {"exact"}
+        assert doc["inputs"] == {}
 
     @pytest.mark.parametrize("target", ["lem-so", "lem-so-odd"])
     def test_budget_run_out_is_undetermined(self, tmp_path, monkeypatch,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,8 @@ from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                crossratio_m1, crossratio_m2, crossratio_m3,
                                crmin_forward, crmin_inverse,
                                degeneration_exponent, degeneration_matrix,
-                               hyp4_zero_order_conditions, m010_system,
+                               hyp4_zero_order_conditions,
+                               m010_peripheral_polynomials, m010_system,
                                m010_point_from_configuration, mobius_apply,
                                odd4_stability_conditions,
                                partition_residue_conditions, residues,
@@ -118,6 +120,26 @@ class TestResidues:
         with pytest.raises(CoincidentMarkings):
             StableFormConfig(zeros=[(1, 2)], poles=[1, -1, 2, -2],
                              pair_partition=[[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize("zeros, parts, message", [
+        # the parts share pole 1
+        ([(0, 1), ("inf", 1)], [[0, 1], [1, 2, 3]],
+         "pole 1 is in the partition twice"),
+        ([(0, 1), ("inf", 1)], [[0, 1], [2, 2, 3]],
+         "pole 2 is in the partition twice"),
+        ([(0, 1), ("inf", 1)], [[0, 1], [2, 4]],
+         "partition names pole 4, outside 0..3"),
+        ([(0, 1), ("inf", 1)], [[0, 1], [-1, 3]],
+         "partition names pole -1, outside 0..3"),
+        ([(0, 1), ("inf", 1)], [[0, 1, 2]], "partition must cover the poles"),
+        # the orders sum to 2, but one is negative
+        ([(0, -1), ("inf", 3)], [], "zero0 has order -1, below 1"),
+        ([(0, 2), ("inf", 0)], [[0, 1], [2, 3]], "zero1 has order 0, below 1"),
+    ])
+    def test_invalid_configurations(self, zeros, parts, message):
+        with pytest.raises(ValueError, match=message):
+            StableFormConfig(zeros=zeros, poles=[1, -1, 2, -2],
+                             pair_partition=parts)
 
 
 class TestConditionGenerators:
@@ -265,10 +287,16 @@ class TestCre:
         pairs = [(F(1), F(-1)), (F(2), F(-2)), (F(4), F(-4))]
         for exps in ((1, 0, -1), (1, 1, 1)):
             assert check_config_cre(cfg, exps) == check_cre(pairs, exps)
-        for parts in ([[0, 1, 2], [3, 4, 5]], [[0, 1], [2, 3], [4, 5, 1]]):
-            cfg = StableFormConfig([("0", 4)], poles, parts)
+        # three parts with one of three poles need a seventh pole: parts
+        # that share a pole are no partition
+        for zeros, points, parts in (
+                ([("0", 4)], poles, [[0, 1, 2], [3, 4, 5]]),
+                ([("0", 5)], poles + ["5"], [[0, 1], [2, 3], [4, 5, 6]])):
+            cfg = StableFormConfig(zeros, points, parts)
             with pytest.raises(ValueError, match="three pole pairs"):
                 check_config_cre(cfg, (1, 0, -1))
+        with pytest.raises(ValueError, match="pole 1 is in the partition"):
+            StableFormConfig([("0", 4)], poles, [[0, 1], [2, 3], [4, 5, 1]])
 
 
 def _ratio_of_sines_config():
@@ -459,6 +487,18 @@ class TestM010System:
             q.terms = out
             return q
         assert swap_blocks(h1, 1, 2) == -h1
+
+    def test_peripheral_polynomials(self):
+        """The 31 collision numerators, pinned by a digest of their printed
+        forms in order."""
+        ps = m010_peripheral_polynomials()
+        assert len(ps) == 31
+        assert all(p.n == 9 and not p.is_constant() for p in ps)
+        assert ps[0].to_string() == \
+            "-x1^2*x2 + x1*x2^2 + x1^2 - x2^2 - x1 + x2"
+        text = "\n".join(p.to_string() for p in ps)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "7182a440797a1501671b96cab7025d074c2d34ac7f00499f83cf8d1a71293e05"
 
 
 class TestDegenerationTrees:

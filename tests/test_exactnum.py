@@ -502,3 +502,126 @@ def test_rational_zero_denominator_is_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         rational("1/0")
     assert rational(" -3/6 ") == F(-1, 2)
+
+
+# The routes the multiplication matrix replaced, kept here as oracles: the
+# inverse by the extended Euclidean algorithm, the trace by Newton's
+# identities on the power sums, and the discriminant from the Sylvester
+# matrix of p and p'.
+
+def _xgcd_inverse(a):
+    """s with s*a + t*m = 1, reduced mod m."""
+    m = a._modulus()
+    r0, r1 = UPoly(a.coords), m
+    s0, s1 = UPoly([1]), UPoly([])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree == 0
+    return a._new((s0 * F(1, r0.coeffs[0]) % m).coeffs)
+
+
+def _newton_trace(e):
+    """sum c_i Tr(x^i), the power sums Tr(x^k) from Newton's identities on
+    x^d + c_{d-1} x^{d-1} + ... + c_0."""
+    d = e.field.degree
+    c = e.field.min_poly.coeffs
+    p = [F(d)]
+    for k in range(1, d):
+        s = sum((c[d - i] * p[k - i] for i in range(1, k)), F(0))
+        p.append(-(s + k * c[d - k]))
+    return sum((x * p[i] for i, x in enumerate(e.coords)), F(0))
+
+
+def _sylvester_discriminant(p):
+    """(-1)^(d(d-1)/2) Res(p, p') / lc(p), Res as a Sylvester determinant."""
+    d = p.degree
+    dp = p.derivative()
+    m = dp.degree
+    pc, dc = list(reversed(p.coeffs)), list(reversed(dp.coeffs))
+    rows = [[0] * i + pc + [0] * (m - 1 - i) for i in range(m)] + \
+           [[0] * i + dc + [0] * (d - 1 - i) for i in range(d)]
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * RationalMatrix(rows).det() / p.coeffs[-1]
+
+
+# fields of degree 2..6, one with a non-integral minimal polynomial
+_FIELDS = [UPoly([F(5, 7), F(-1, 3), 1]), UPoly([-1, -2, 1, 1]),
+           UPoly([1, -25, 144, -25, 1]), UPoly([-1, -1, 0, 0, 0, 1]),
+           UPoly([-2, 0, 0, 0, 0, 0, 3])]
+
+
+def _random_coords(rng, d):
+    return [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+
+
+class TestMultiplicationMatrixRoutes:
+    """Inverse, trace and discriminant read off one multiplication matrix
+    agree with the extended Euclidean algorithm, Newton's identities and
+    the Sylvester matrix."""
+
+    def test_field_inverse_and_trace(self):
+        rng = random.Random(28)
+        for poly in _FIELDS:
+            f = number_field(poly)
+            assert f.degree == poly.degree
+            for _ in range(12):
+                e = f.element(_random_coords(rng, f.degree))
+                if e.is_zero():
+                    continue
+                inv = e.inverse()
+                assert inv == _xgcd_inverse(e)
+                assert e * inv == f.one()
+                assert e.trace() == _newton_trace(e)
+
+    def test_cyclotomic_inverse(self):
+        rng = random.Random(29)
+        for n in range(1, 25):
+            d = euler_phi(n)
+            values = [Cyclotomic.root_of_unity(n, k) for k in range(n)] + \
+                [Cyclotomic(n, _random_coords(rng, d)) for _ in range(4)]
+            for v in values:
+                if v.is_zero():
+                    continue
+                inv = v.inverse()
+                assert inv.order == n
+                assert inv == _xgcd_inverse(v)
+                assert v * inv == 1
+
+    def test_discriminant_against_sylvester(self):
+        rng = random.Random(30)
+        for _ in range(150):
+            d = rng.randint(1, 7)
+            coeffs = _random_coords(rng, d) + \
+                [F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))]
+            p = UPoly(coeffs)
+            assert discriminant(p) == _sylvester_discriminant(p), coeffs
+        for poly in _FIELDS:
+            assert discriminant(poly) == _sylvester_discriminant(poly)
+
+    def test_discriminant_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(31)
+        for _ in range(150):
+            d = rng.randint(1, 7)
+            coeffs = _random_coords(rng, d) + \
+                [F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))]
+            expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                       for i, c in enumerate(coeffs))
+            assert discriminant(UPoly(coeffs)) == \
+                F(str(sympy.discriminant(expr, x))), coeffs
+
+    @pytest.mark.parametrize("poly", [UPoly([]), UPoly([3]), UPoly([F(-1, 2)])])
+    def test_discriminant_needs_degree_one(self, poly):
+        with pytest.raises(ValueError, match="degree"):
+            discriminant(poly)
+
+    def test_inverse_of_zero(self):
+        f = number_field(_FIELDS[1])
+        for zero in (f.zero(), Cyclotomic(12, [])):
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                zero.inverse()
+            with pytest.raises(ZeroDivisionError):
+                1 / zero
