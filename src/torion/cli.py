@@ -101,10 +101,10 @@ def _integer(text):
 _point = crossratio.ProjPoint.of  # 'inf', 'oo' or a rational
 
 
-def _convert(tag, convert, text):
-    """convert(text); its ValueError is re-raised with the tag in front."""
+def _tagged(tag, fn, *args):
+    """fn(*args); its ValueError is re-raised with the tag in front."""
     try:
-        return convert(text)
+        return fn(*args)
     except ValueError as exc:
         exc.args = (f"{tag}: {exc}",)
         raise
@@ -134,7 +134,7 @@ def _directives(path, table):
         if len(fields) < need or len(fields) > need and not more:
             least = "at least " if more else ""
             raise ValueError(f"{tag}: {kind} takes {least}{need} field(s)")
-        yield tag, kind, [_convert(tag, converters[min(i, need - 1)], field)
+        yield tag, kind, [_tagged(tag, converters[min(i, need - 1)], field)
                           for i, field in enumerate(fields)]
 
 
@@ -148,7 +148,7 @@ def _read_subspaces(path, n):
                 if len(fields) != n:
                     raise ValueError(f"{tag}: row {' '.join(fields)} has "
                                      f"{len(fields)} entries, expected {n}")
-                blocks[-1].append([_convert(tag, _integer, x) for x in fields])
+                blocks[-1].append([_tagged(tag, _integer, x) for x in fields])
     if not blocks:
         raise ValueError(f"no subspace rows in {path}")
     return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
@@ -162,8 +162,8 @@ def _read_config(path) -> crossratio.StableFormConfig:
                                               "pole": [_point],
                                               "part": [_integer, ...]}):
         found[kind].append(values)
-    return crossratio.StableFormConfig(
-        found["zero"], [p for p, in found["pole"]], found["part"])
+    return _tagged(path, crossratio.StableFormConfig, found["zero"],
+                   [p for p, in found["pole"]], found["part"])
 
 
 # the fields of each network directive that name a vertex or an edge
@@ -316,7 +316,7 @@ def cmd_cross_ratio(args, report: Report) -> int:
     if args.check == "cre":
         if not args.exponents:
             raise ValueError("--check cre needs --exponents a,b,c")
-        exps = tuple(_convert("--exponents", _integer, t)
+        exps = tuple(_tagged("--exponents", _integer, t)
                      for t in args.exponents.split(","))
         value, (grade, order) = crossratio.check_config_cre(cfg, exps)
         report.set("value", str(value), grade="exact")
@@ -347,7 +347,7 @@ def cmd_network(args, report: Report) -> int:
     if args.enumerate:
         N, v1, v2 = args.enumerate
         flows = flatnet.enumerate_currents(
-            g, _convert("--enumerate N", _integer, N), (v1, v2))
+            g, _tagged("--enumerate N", _integer, N), (v1, v2))
         listing = [sorted(f.currents.items()) for f in flows]
         report.set("count", len(flows), grade="exact")
         report.set("flows", listing)
@@ -360,7 +360,7 @@ def cmd_network(args, report: Report) -> int:
         report.set("kirchhoff", ok, grade="exact")
         print("kirchhoff holds" if ok else "kirchhoff fails")
         return 0 if ok else 1
-    out = flatnet.solve_moduli(g, [ca])
+    out = _tagged(args.graph, flatnet.solve_moduli, g, [ca])
     if args.solve_moduli:
         report.set("outcome", out.kind, grade="exact")
         if out.kind == "unique-per-block":
@@ -396,7 +396,7 @@ def cmd_network(args, report: Report) -> int:
 def cmd_reproduce(args, report: Report) -> int:
     target = reproduce.TARGETS[args.target]
     t0 = time.perf_counter()
-    ok, results = target(_budget(args))
+    ok, results = target(_budget(args), args.threads)
     report.timing(args.target, time.perf_counter() - t0)
     for k, v in results.items():
         report.set(k, v, grade="undetermined" if k == "undetermined"
@@ -423,8 +423,8 @@ def cmd_reproduce(args, report: Report) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _thread_count(text):
-    """A worker count: an integer of at least 1."""
+def _positive_integer(text):
+    """An integer of at least 1."""
     try:
         k = _integer(text)
     except ValueError as exc:
@@ -465,7 +465,7 @@ def build_parser():
         prog="torion",
         description="Exact torus-translate scans, heights, cross-ratio "
                     "conditions, and cylinder-moduli networks.")
-    ap.add_argument("--threads", type=_thread_count, default=1)
+    ap.add_argument("--threads", type=_positive_integer, default=1)
     ap.add_argument("--budget", choices=sorted(BUDGET_PROFILES),
                     default="default")
     ap.add_argument("--report", metavar="PATH", default=None)
@@ -515,7 +515,7 @@ def build_parser():
     op.add_argument("--check-kirchhoff", action="store_true")
     op.add_argument("--solve-moduli", action="store_true")
     op.add_argument("--trace-matrix", action="store_true")
-    op.add_argument("--audit", type=int, metavar="N")
+    op.add_argument("--audit", type=_positive_integer, metavar="N")
     op.add_argument("--enumerate", nargs=3, metavar=("N", "V1", "V2"))
     p.set_defaults(fn=cmd_network)
 

@@ -261,28 +261,9 @@ def isolate_real_roots(p: UPoly):
     return out
 
 
-def refine_root_interval(p: UPoly, lo: Fraction, hi: Fraction, width: Fraction):
-    """Bisect an isolating interval (lo, hi] of squarefree p until hi-lo <= width."""
-    flo = p(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            eps = min(width, hi - lo) / 4
-            return (mid - eps, mid + eps) if width > 0 else (mid, mid)
-        if (flo > 0) != (fm > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return lo, hi
-
-
 class AlgebraicReal:
-    """A real root of a rational polynomial, known by an isolating interval.
-
-    Supports on-demand refinement; enough protocol for interval comparisons
-    against rationals and for simultaneous-approximation searches.
-    """
+    """A real root of a rational polynomial, known by an isolating interval
+    (lo, hi] that halves on demand."""
 
     def __init__(self, min_poly: UPoly, lo, hi):
         self.poly = squarefree_part(min_poly)
@@ -291,11 +272,31 @@ class AlgebraicReal:
         if count_real_roots(self.poly, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate a single root")
 
+    def _halve(self):
+        """Keep the half of (lo, hi] that holds the root.  The test uses hi,
+        which lies in the interval: lo may be another root of the poly."""
+        mid = (self.lo + self.hi) / 2
+        at_hi, at_mid = self.poly(self.hi), self.poly(mid)
+        if at_hi and (at_mid == 0 or (at_mid > 0) == (at_hi > 0)):
+            self.hi = mid
+        else:
+            self.lo = mid
+
     def interval(self, width) -> tuple[Fraction, Fraction]:
-        if self.hi - self.lo > width:
-            self.lo, self.hi = refine_root_interval(self.poly, self.lo, self.hi,
-                                                    Fraction(width))
+        while self.hi - self.lo > width:
+            self._halve()
         return self.lo, self.hi
+
+    def sign(self, g: UPoly) -> int:
+        """Exact sign of g at this root: 0 when gcd(poly, g) has a root in
+        (lo, hi]; otherwise halve until g has no root there, and g keeps
+        the sign it has at hi (Basu-Pollack-Roy, ch. 10)."""
+        if count_real_roots(upoly_gcd(self.poly, g), self.lo, self.hi):
+            return 0
+        seq = sturm_sequence(squarefree_part(g))
+        while _sign_changes(seq, self.lo) != _sign_changes(seq, self.hi):
+            self._halve()
+        return 1 if g(self.hi) > 0 else -1
 
     def __float__(self):
         lo, hi = self.interval(Fraction(1, 10 ** 17))
@@ -578,7 +579,8 @@ def _mult_matrix(a: UPoly, m: UPoly) -> "RationalMatrix":
 
 
 class NumberField:
-    """Q[x]/(min_poly) with isolated real roots; min_poly monic irreducible."""
+    """Q[x]/(min_poly) with its real roots as `AlgebraicReal`s; min_poly
+    monic irreducible."""
 
     def __init__(self, min_poly: UPoly):
         min_poly = min_poly.monic()
@@ -589,7 +591,8 @@ class NumberField:
             raise Reducible(f"{min_poly} factors over Q")
         self.min_poly = min_poly
         self.degree = d
-        self.real_roots = isolate_real_roots(min_poly)
+        self.real_roots = [AlgebraicReal(min_poly, lo, hi)
+                           for lo, hi in isolate_real_roots(min_poly)]
         self.totally_real = len(self.real_roots) == d
 
     def element(self, coords) -> "FieldElement":
@@ -645,9 +648,9 @@ class FieldElement(_Residue):
         """Rational interval of width <= `width` around the image of this
         element under the real embedding sending the generator to root
         `root_index` (interval arithmetic on Horner evaluation)."""
-        fld = self.field
-        lo, hi = fld.real_roots[root_index]
+        root = self.field.real_roots[root_index]
         w = Fraction(width)
+        lo, hi = root.lo, root.hi
         while True:
             vlo, vhi = Fraction(0), Fraction(0)
             for c in reversed(self.coords):
@@ -655,22 +658,12 @@ class FieldElement(_Residue):
                 vlo, vhi = min(cands) + c, max(cands) + c
             if vhi - vlo <= w:
                 return vlo, vhi
-            lo, hi = refine_root_interval(fld.min_poly, lo, hi, (hi - lo) / 4)
-            fld.real_roots[root_index] = (lo, hi)
+            lo, hi = root.interval((hi - lo) / 4)
 
     def compare_embedding(self, other, root_index: int) -> int:
         """Exact sign of (self - other) under the chosen real embedding."""
-        diff = self - other
-        if diff.is_zero():
-            return 0
-        width = Fraction(1, 16)
-        while True:
-            lo, hi = diff.embedding_interval(root_index, width)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            width /= 16
+        return self.field.real_roots[root_index].sign(
+            UPoly((self - other).coords))
 
     def __repr__(self):
         return f"FieldElement{self.coords}"

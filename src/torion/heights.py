@@ -168,63 +168,47 @@ class PlaceDecomposition:
 # Dirichlet simultaneous approximation
 # ---------------------------------------------------------------------------
 
-def _as_interval_value(theta):
-    if isinstance(theta, AlgebraicReal):
-        return theta
-    return Fraction(theta)
+def _abs_leq(theta: AlgebraicReal, q: int, p: int, bound: Fraction) -> bool:
+    """Decide |q*theta - p| <= bound exactly."""
+    return theta.sign(UPoly([-p - bound, q])) <= 0 <= \
+        theta.sign(UPoly([-p + bound, q]))
 
 
-def _abs_leq(value, q: int, p: int, bound: Fraction) -> bool:
-    """Decide |q*theta - p| <= bound exactly (refining when algebraic)."""
-    if isinstance(value, Fraction):
-        return abs(q * value - p) <= bound
-    width = bound / 4
-    while True:
-        lo, hi = value.interval(width)
-        dlo, dhi = q * lo - p, q * hi - p
-        if -bound <= dlo and dhi <= bound:
-            return True
-        if dlo > bound or dhi < -bound:
-            return False
-        width /= 16
-
-
-def _nearest_int(value, q: int) -> int:
-    """Integer near q*value; the caller rechecks both neighbors, so a
+def _nearest_int(theta: AlgebraicReal, q: int) -> int:
+    """Integer near q*theta; the caller rechecks both neighbors, so a
     moderately refined midpoint estimate suffices."""
-    if isinstance(value, Fraction):
-        x = q * value
-    else:
-        lo, hi = value.interval(Fraction(1, 64 * q))
-        x = q * (lo + hi) / 2
+    lo, hi = theta.interval(Fraction(1, 64 * q))
+    x = q * (lo + hi) / 2
     fl = x.numerator // x.denominator
     return fl if x - fl <= Fraction(1, 2) else fl + 1
 
 
 def dirichlet_approx(thetas, Q: int):
-    """Smallest q with 1 <= q < Q^n and |q*theta_i - p_i| <= 1/Q for all i;
-    exhaustive search (existence is Dirichlet's theorem)."""
+    """Smallest q with 1 <= q < Q^n and |q*theta_i - p_i| <= 1/Q for all i,
+    with each p_i the least that works; exhaustive search (existence is
+    Dirichlet's theorem).  A rational theta r is the root of x - r on
+    (r - 1, r]."""
     if Q < 2:
         raise ValueError("Q must be at least 2")
-    vals = [_as_interval_value(t) for t in thetas]
+    vals = []
+    for t in thetas:
+        if not isinstance(t, AlgebraicReal):
+            t = Fraction(t)
+            t = AlgebraicReal(UPoly([-t, 1]), t - 1, t)
+        vals.append(t)
     n = len(vals)
     bound = Fraction(1, Q)
     for q in range(1, Q ** n):
         ps = []
-        ok = True
         for v in vals:
+            # every p with |q*v - p| <= 1/Q <= 1/2 is within 1 of the estimate
             p = _nearest_int(v, q)
-            # check p and, if the nearest is ambiguous, its neighbors
-            good = None
-            for cand in (p, p - 1, p + 1):
-                if _abs_leq(v, q, cand, bound):
-                    good = cand
-                    break
+            good = next((c for c in (p - 1, p, p + 1)
+                         if _abs_leq(v, q, c, bound)), None)
             if good is None:
-                ok = False
                 break
             ps.append(good)
-        if ok:
+        else:
             return q, ps
     raise AssertionError("Dirichlet's theorem guarantees a solution")
 

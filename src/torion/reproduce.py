@@ -1,11 +1,13 @@
 """Golden-value reproductions of the paper's computations.
 
-Each target is a function `budget -> (ok, results)`: it runs one exact
-computation and compares it with the values the paper states.  `results`
-holds the computed values (JSON-ready, every one exact) and `GOLDEN` the
-paper's values under the same keys.  A scan that the budget cuts short
-decides nothing: its target returns ok = None, with the number of
-undetermined candidates under `results["undetermined"]`.  The targets:
+Each target is a function `(budget, threads) -> (ok, results)`: it runs
+one exact computation and compares it with the values the paper states.
+The scans of lem-so and lem-so-odd classify on `threads` worker processes;
+the other targets run serially.  `results` holds the computed values
+(JSON-ready, every one exact) and `GOLDEN` the paper's values under the
+same keys.  A scan that the budget cuts short decides nothing: its target
+returns ok = None, with the number of undetermined candidates under
+`results["undetermined"]`.  The targets:
 
 - lem-so: the six coset lines of the cubic xyz + x + y + z = 0 in G_m^3;
 - lem-so-odd: the degree-14 hypersurface scan, whose tiers count
@@ -78,16 +80,17 @@ def _scan_verdict(target, rep, results):
     return _verdict(target, results)
 
 
-def lem_so(budget):
+def lem_so(budget, threads):
     _, polys = read_poly_file(data_text("coset_cubic.poly"))
-    rep = toruscan.scan(polys, options=toruscan.ScanOptions(budget=budget))
+    rep = toruscan.scan(polys, options=toruscan.ScanOptions(
+        budget=budget, threads=threads))
     lines = set()
     for cand in rep.survivors:
         lines.update(toruscan.coset_lines_for_report(cand))
     return _scan_verdict("lem-so", rep, {"lines": sorted(lines)})
 
 
-def lem_so_odd(budget):
+def lem_so_odd(budget, threads):
     """Also checks the transcription of the printed polynomial."""
     _, polys = read_poly_file(data_text("surface_deg14.poly"))
     h = polys[0]
@@ -95,7 +98,7 @@ def lem_so_odd(budget):
         h.total_degree() == DEG14_DEGREE and \
         h.evaluate([Fraction(1)] * 3) == 0
     rep = toruscan.scan(polys, options=toruscan.ScanOptions(
-        tier_mode=True, budget=budget))
+        tier_mode=True, budget=budget, threads=threads))
     survivors = {str(cand.subgroup.vector()):
                  toruscan.coset_lines_for_report(cand)
                  for cand in rep.survivors}
@@ -123,28 +126,28 @@ def _m010(target, prune):
     return _verdict(target, results)
 
 
-def m010_subspaces(budget):
+def m010_subspaces(budget, threads):
     return _m010("m010-subspaces", prune=False)
 
 
-def m010_prune(budget):
+def m010_prune(budget, threads):
     return _m010("m010-prune", prune=True)
 
 
-def matrices_m123(budget):
+def matrices_m123(budget, threads):
     return _verdict("matrices-m123", {
         "matrices": [crossratio.degeneration_matrix(t)
                      for t in crossratio.standard_degeneration_trees()]})
 
 
-def charpoly_d4(budget):
+def charpoly_d4(budget, threads):
     cp = char_poly(RationalMatrix(D4_A) * RationalMatrix(D4_B))
     galois = quartic_galois_class(cp) if cp.degree == 4 else None
     return _verdict("charpoly-d4", {"char_poly": repr(cp),
                                     "galois_class": galois})
 
 
-def moduli_audit(budget):
+def moduli_audit(budget, threads):
     failures = []
     checked = 0
     for g in flatnet.small_graph_catalog(max_edges=4):

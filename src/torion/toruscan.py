@@ -571,7 +571,9 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
         h = polys[0]
         t1 = tier1_candidates(h, options.antipodal)
         t2 = tier2_friend_filter(h, t1)
-        subgroups = [ExponentSubgroup.from_vector(E) for E in t2]
+        # E and -E give one subgroup: classify it once, in first-seen order
+        subgroups = list(dict.fromkeys(ExponentSubgroup.from_vector(E)
+                                       for E in t2))
         tiers = [len(t1), len(t2)]
     else:
         if starts is None:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import torion.cli as cli
-from torion import reproduce
+from torion import reproduce, toruscan
 from torion.groebner import BUDGET_PROFILES, Budget
 from torion.multipoly import data_text
 
@@ -221,14 +221,14 @@ class TestArgumentErrors:
         (["cross-ratio", "--check", "residues", "--config",
           InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\npole 2\n"
                     "pole -2\npart 0 1\npart 1 2 3\n")],
-         "error: pole 1 is in the partition twice\n"),
+         "arg4: pole 1 is in the partition twice\n"),
         (["cross-ratio", "--check", "residues", "--config",
           InputFile("zero 0 1\nzero inf 1\npole 1\npole -1\npole 2\n"
                     "pole -2\npart 0 1\npart 2 4\n")],
-         "error: partition names pole 4, outside 0..3\n"),
+         "arg4: partition names pole 4, outside 0..3\n"),
         (["cross-ratio", "--check", "residues", "--config",
           InputFile("zero 0 -1\nzero inf 3\npole 1\npole -1\npole 2\n"
-                    "pole -2\n")], "error: zero0 has order -1, below 1\n"),
+                    "pole -2\n")], "arg4: zero0 has order -1, below 1\n"),
         # a worker count is at least 1
         (["--threads", "0", "height", "--affine", "2"],
          "argument --threads: 0 is below 1"),
@@ -236,6 +236,11 @@ class TestArgumentErrors:
          "argument --threads: -3 is below 1"),
         (["--threads", "two", "height", "--affine", "2"],
          "argument --threads: 'two' is not an integer"),
+        # currents that break the current law are an error in the file
+        (["network", "--graph",
+          InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"
+                    "source a 2\nsource b -2\ncurrent e1 1\ncurrent e2 0\n"),
+          "--solve-moduli"], "arg2: constraint fails the current law\n"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:
@@ -266,6 +271,20 @@ class TestTorusScanCommand:
         assert doc["results"]["survivor_count"] == 3
         out = capsys.readouterr().out
         assert out.count("survivor") == 3
+
+    def test_signed_vectors_classify_each_subgroup_once(self, tmp_path,
+                                                        capsys):
+        # E and -E give one subgroup: three survivors, not six; the tier-2
+        # count still counts signed vectors
+        f = tmp_path / "deg14.poly"
+        f.write_text(data_text("surface_deg14.poly"))
+        assert run(["torus-scan", "--polys", str(f), "--tier-mode",
+                    "--signed-vectors"]) == 0
+        assert capsys.readouterr().out == (
+            "survivor [(0, 0, 1)] cosets ['(1, 1, t)']\n"
+            "survivor [(0, 1, 0)] cosets ['(1, t, 1)']\n"
+            "survivor [(1, 0, 0)] cosets ['(t, 1, 1)']\n"
+            "tier counts: 10635 -> 79 -> 3\n")
 
     def test_saturated_scan_files(self, tmp_path, capsys):
         polys = tmp_path / "v.poly"
@@ -413,16 +432,19 @@ class TestNetworkCommand:
          ["--enumerate", "-2", "a", "b"], "torsion bound N = -2 is below 1"),
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nsource a 2\n"
          "source b -2\ncurrent e1 1\ncurrent e2 1\n",
-         ["--audit", "0"], "torsion bound N = 0 is below 1"),
+         ["--audit", "0"], "argument --audit: 0 is below 1"),
         ("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\nsource a 2\n"
          "source b -2\ncurrent e1 1\ncurrent e2 1\n",
-         ["--audit", "-1"], "torsion bound N = -1 is below 1"),
+         ["--audit", "-1"], "argument --audit: -1 is below 1"),
     ])
     def test_malformed_network_file_exit_2(self, text, argv, message,
                                            tmp_path, capsys):
         g = tmp_path / "bad.net"
         g.write_text(text)
-        assert run(["network", "--graph", str(g)] + argv) == 2
+        # as the console script does: argparse errors raise SystemExit
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(run(["network", "--graph", str(g)] + argv))
+        assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
     def test_enumeration_budget_exit_3(self, tmp_path, capsys):
@@ -574,6 +596,14 @@ class TestNetworkExtra:
         assert capsys.readouterr().out == kind + "\n"
         assert doc["results"] == {} and doc["grades"] == {}
 
+    def test_audit_below_1_is_a_usage_error(self, tmp_path, capsys):
+        # decided by argparse before the network is read or solved, so the
+        # exit code does not depend on the network's outcome
+        with pytest.raises(SystemExit) as exc:
+            self._network(tmp_path, self.SQUARE, "--audit", "0")
+        assert exc.value.code == 2
+        assert "argument --audit: 0 is below 1" in capsys.readouterr().err
+
     def test_audit_per_block(self, tmp_path, capsys):
         code, doc = self._network(tmp_path, self.CHAIN, "--audit", "3")
         assert code == 0
@@ -612,7 +642,8 @@ class TestReproduceCommand:
     @pytest.mark.parametrize("target", ["lem-so", "charpoly-d4",
                                         "matrices-m123", "moduli-audit"])
     def test_report_carries_the_library_results(self, tmp_path, target):
-        ok, results = reproduce.TARGETS[target](BUDGET_PROFILES["default"])
+        ok, results = reproduce.TARGETS[target](BUDGET_PROFILES["default"],
+                                                1)
         assert ok
         rep = tmp_path / "r.json"
         assert run(["--report", str(rep), "reproduce", target]) == 0
@@ -637,6 +668,18 @@ class TestReproduceCommand:
         assert doc["results"] == {**results, "target": target, "pass": True}
         assert set(doc["grades"].values()) == {"exact"}
         assert doc["inputs"] == {}
+
+    @pytest.mark.parametrize("target", ["lem-so", "lem-so-odd"])
+    def test_threads_reach_the_scan(self, monkeypatch, target):
+        seen = []
+        classify = toruscan._classify_all
+
+        def spy(subgroups, args, threads, notes):
+            seen.append(threads)
+            return classify(subgroups, args, 1, notes)
+        monkeypatch.setattr(toruscan, "_classify_all", spy)
+        assert run(["--threads", "2", "reproduce", target]) == 0
+        assert seen == [2]
 
     @pytest.mark.parametrize("target", ["lem-so", "lem-so-odd"])
     def test_budget_run_out_is_undetermined(self, tmp_path, monkeypatch,

@@ -625,3 +625,134 @@ class TestMultiplicationMatrixRoutes:
                 zero.inverse()
             with pytest.raises(ZeroDivisionError):
                 1 / zero
+
+
+# The refine-until-decided route that `AlgebraicReal.sign` replaced, kept
+# here as an oracle: bisect an isolating interval of the minimal polynomial
+# and evaluate the element by interval arithmetic until the image of the
+# difference is bounded away from zero.
+
+def _old_refine(p, lo, hi, width):
+    flo = p(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = p(mid)
+        if fm == 0:
+            eps = min(width, hi - lo) / 4
+            return (mid - eps, mid + eps) if width > 0 else (mid, mid)
+        if (flo > 0) != (fm > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return lo, hi
+
+
+def _old_compare_embedding(a, b, roots, root_index):
+    """roots: a list of (lo, hi) isolating intervals, refined in place."""
+    diff = a - b
+    if diff.is_zero():
+        return 0
+    width = F(1, 16)
+    while True:
+        lo, hi = roots[root_index]
+        while True:
+            vlo, vhi = F(0), F(0)
+            for c in reversed(diff.coords):
+                cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+                vlo, vhi = min(cands) + c, max(cands) + c
+            if vhi - vlo <= width:
+                break
+            lo, hi = _old_refine(diff.field.min_poly, lo, hi, (hi - lo) / 4)
+            roots[root_index] = (lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        width /= 16
+
+
+def _embedding_fields(rng):
+    """The fields of _FIELDS with a real root, and for each degree 2..6 two
+    seeded fields prod (x - r_i) + c, mostly totally real."""
+    fields = [number_field(p) for p in _FIELDS]
+    for d in range(2, 7):
+        made = 0
+        while made < 2:
+            p = UPoly([rng.choice([-3, -2, -1, 1, 2, 3])])
+            prod = UPoly([1])
+            for r in rng.sample(range(-4, 5), d):
+                prod = prod * UPoly([-r, 1])
+            if is_irreducible(prod + p):
+                fields.append(number_field(prod + p))
+                made += 1
+    return [f for f in fields if f.real_roots]
+
+
+class TestSign:
+    """`AlgebraicReal.sign` and `compare_embedding` against the interval
+    refinement loop and against floats."""
+
+    def test_direct(self):
+        [_, (lo, hi)] = isolate_real_roots(UPoly([-2, 0, 1]))
+        root2 = AlgebraicReal(UPoly([-2, 0, 1]), lo, hi)  # sqrt(2)
+        assert root2.sign(UPoly([-2, 0, 1]) * UPoly([5, 1])) == 0
+        assert root2.sign(UPoly([F(-1, 3)])) == -1
+        assert root2.sign(UPoly([7])) == 1
+        assert root2.sign(UPoly([])) == 0
+        # a negative leading coefficient: 1 - x < 0 and -x^2 + 3 > 0
+        assert root2.sign(UPoly([1, -1])) == -1
+        assert root2.sign(UPoly([3, 0, -1])) == 1
+        # a square factor: (x - 1)^2 (x - 3/2) changes sign only once
+        assert root2.sign(UPoly([-1, 1]) * UPoly([-1, 1]) *
+                          UPoly([F(-3, 2), 1])) == -1
+        # the lower endpoint may be another root of the polynomial
+        one = AlgebraicReal(UPoly([-1, 0, 1]), -1, 2)
+        assert one.sign(UPoly([-1, 1])) == 0
+        assert one.sign(UPoly([1, 1])) == 1
+        assert one.sign(UPoly([F(-999, 1000), 1])) == 1
+        three = AlgebraicReal(UPoly([-1, 1]) * UPoly([-3, 1]) *
+                              UPoly([-5, 1]), 1, 4)
+        assert three.sign(UPoly([F(-29, 10), 1])) == 1
+        lo, hi = three.interval(F(1, 100))
+        assert hi - lo <= F(1, 100) and lo < 3 <= hi
+
+    def test_rational_root(self):
+        third = AlgebraicReal(UPoly([-1, 3]), 0, 1)
+        for num in range(-7, 8):
+            g = UPoly([F(num, 21), -1])
+            v = F(num, 21) - F(1, 3)
+            assert third.sign(g) == (v > 0) - (v < 0)
+
+    def test_compare_embedding_against_refinement(self):
+        rng = random.Random(41)
+        compared = 0
+        for f in _embedding_fields(rng):
+            old_roots = isolate_real_roots(f.min_poly)
+            floats = [float(r) for r in f.real_roots]
+            for _ in range(8):
+                a = f.element(_random_coords(rng, f.degree))
+                b = f.element(_random_coords(rng, f.degree))
+                # a negative leading coefficient in the difference, and a
+                # zero difference
+                c = a - f.element([0] * (f.degree - 1) + [
+                    a.coords[-1] + rng.randint(1, 3)])
+                for x, y in ((a, b), (b, a), (c, f.zero()), (a, a)):
+                    for i, t in enumerate(floats):
+                        new = x.compare_embedding(y, i)
+                        assert new == _old_compare_embedding(
+                            x, y, old_roots, i)
+                        z = UPoly((x - y).coords)(t)
+                        if abs(z) > 1e-9:
+                            assert new == (1 if z > 0 else -1)
+                        compared += 1
+        assert compared > 700
+
+    def test_embedding_interval_leaves_the_root_list(self):
+        f = number_field(UPoly([1, -25, 144, -25, 1]))
+        roots = list(f.real_roots)
+        a = f.element([1, 2, -3, F(1, 2)])
+        lo, hi = a.embedding_interval(2, F(1, 10 ** 6))
+        assert hi - lo <= F(1, 10 ** 6)
+        assert f.real_roots == roots and len(f.real_roots) == 4
+        value = UPoly(a.coords)(float(roots[2]))
+        assert float(lo) - 1e-9 <= value <= float(hi) + 1e-9

@@ -1,14 +1,16 @@
 import math
 import random
+import threading
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from torion.exactnum import AlgebraicReal, UPoly, isolate_real_roots
+from torion.exactnum import AlgebraicReal, UPoly, is_irreducible, \
+    isolate_real_roots
 from torion.heights import (AllZeroProjective, BudgetExceeded,
                             HeightValue, PlaceDecomposition, ZeroInput,
-                            ZeroPolynomial, dirichlet_approx,
+                            ZeroPolynomial, _abs_leq, dirichlet_approx,
                             enumerate_bounded, height_algebraic,
                             height_point, height_poly, mult_relation)
 from torion.multipoly import parse
@@ -129,6 +131,35 @@ class TestDirichlet:
         q, ps = dirichlet_approx([F(1, 3)], 4)
         assert q == 3 and ps == [1]
 
+    def test_rational_root_on_the_bound(self):
+        # |1 * 1/3 - 0| = 1/3 is the bound itself: a refinement loop never
+        # decides it; run in a thread so a regression fails, not hangs
+        theta = AlgebraicReal(UPoly([-1, 3]), 0, 1)
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(dirichlet_approx([theta], 3)),
+            daemon=True)
+        worker.start()
+        worker.join(10)
+        assert out == [dirichlet_approx([F(1, 3)], 3)] == [(1, [0])]
+
+    def test_rational_roots_agree_with_fractions(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            n = rng.randint(1, 2)
+            rs = [F(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(n)]
+            roots = [AlgebraicReal(UPoly([-r, 1]), r - 1, r) for r in rs]
+            Q = rng.randint(2, 6)
+            assert dirichlet_approx(roots, Q) == dirichlet_approx(rs, Q)
+
+    def test_half_integers_take_the_lower_p(self):
+        # with Q = 2 both neighbors of q*theta = 3/2 meet the bound 1/2
+        assert dirichlet_approx([F(3, 2)], 2) == (1, [1])
+        assert dirichlet_approx([F(-1, 2)], 2) == (1, [-1])
+        # also when the refined interval's midpoint lies above 3/2
+        above = AlgebraicReal(UPoly([-3, 2]), F(7, 5), F(151, 100))
+        assert dirichlet_approx([above], 2) == (1, [1])
+
     def test_two_dimensional(self):
         q, ps = dirichlet_approx([_sqrt_algebraic(2), _sqrt_algebraic(3)], 5)
         assert 1 <= q < 25
@@ -152,6 +183,76 @@ class TestDirichlet:
                 val = float(theta) if isinstance(theta, AlgebraicReal) \
                     else float(theta)
                 assert abs(q * val - p) <= 1 / Q + 1e-9
+
+
+# The refine-until-decided test that `AlgebraicReal.sign` replaced, kept
+# here as an oracle.  It never stops when |q*theta - p| equals the bound,
+# so it only sees irrational theta.
+
+def _old_abs_leq(theta, q, p, bound):
+    width = bound / 4
+    while True:
+        lo, hi = theta.interval(width)
+        dlo, dhi = q * lo - p, q * hi - p
+        if -bound <= dlo and dhi <= bound:
+            return True
+        if dlo > bound or dhi < -bound:
+            return False
+        width /= 16
+
+
+def _real_roots_of_fields(rng):
+    """The real roots of seeded irreducible polynomials c * prod (x - r_i)
+    + e of degree 2..6, some scaled to a negative leading coefficient."""
+    roots = []
+    for d in range(2, 7):
+        made = 0
+        while made < 3:
+            p = UPoly([rng.choice([-2, -1, 1, 3])])
+            for r in rng.sample(range(-4, 5), d):
+                p = p * UPoly([-r, 1])
+            p = (p + UPoly([rng.choice([-3, -1, 1, 2])])) * \
+                rng.choice([-2, 1, F(-1, 3)])
+            intervals = isolate_real_roots(p)
+            if intervals and is_irreducible(p):
+                roots += [AlgebraicReal(p, lo, hi) for lo, hi in intervals]
+                made += 1
+    return roots
+
+
+class TestAbsLeq:
+    def test_against_refinement_on_field_roots(self):
+        rng = random.Random(42)
+        seen = set()
+        for theta in _real_roots_of_fields(rng):
+            t = float(theta)
+            for _ in range(6):
+                q = rng.randint(1, 30)
+                bound = F(1, rng.randint(2, 9))
+                p = round(q * t) + rng.choice([-1, 0, 0, 1])
+                verdict = _abs_leq(theta, q, p, bound)
+                assert verdict == _old_abs_leq(theta, q, p, bound)
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_rational_roots_against_fractions(self):
+        # a rational r is the root of x - r on (r - 1, r]; the bound is met
+        # with equality in many of these cases
+        rng = random.Random(43)
+        equal = 0
+        for _ in range(400):
+            r = F(rng.randint(-30, 30), rng.randint(1, 12))
+            theta = AlgebraicReal(UPoly([-r, 1]), r - 1, r)
+            q = rng.randint(1, 12)
+            bound = F(1, rng.randint(2, 6))
+            p = round(q * r) + rng.choice([-1, 0, 1])
+            assert _abs_leq(theta, q, p, bound) == (abs(q * r - p) <= bound)
+            equal += abs(q * r - p) == bound
+        assert equal > 10
+        third = AlgebraicReal(UPoly([-1, 3]), 0, 1)
+        assert _abs_leq(third, 1, 0, F(1, 3))
+        assert _abs_leq(third, 1, 1, F(2, 3))
+        assert not _abs_leq(third, 1, 1, F(2, 3) - F(1, 10 ** 9))
 
 
 class TestMultRelation:
