@@ -139,19 +139,26 @@ def _directives(path, table):
 
 
 def _read_subspaces(path, n):
-    """Blocks of integer rows of n entries separated by blank lines."""
+    """Blocks of integer rows of n entries separated by blank lines; each
+    block spans a subspace of rank >= 1."""
     blocks = []
     for nonblank, lines in groupby(_records(path), lambda rec: bool(rec[1])):
         if nonblank:
-            blocks.append([])
+            lines = list(lines)
+            rows = []
             for tag, fields in lines:
                 if len(fields) != n:
                     raise ValueError(f"{tag}: row {' '.join(fields)} has "
                                      f"{len(fields)} entries, expected {n}")
-                blocks[-1].append([_tagged(tag, _integer, x) for x in fields])
+                rows.append([_tagged(tag, _integer, x) for x in fields])
+            block = toruscan.ExponentSubgroup(rows, n)
+            if not block.rank:
+                raise ValueError(f"{lines[0][0]}: subspace block has rank 0 "
+                                 f"(every row is zero)")
+            blocks.append(block)
     if not blocks:
         raise ValueError(f"no subspace rows in {path}")
-    return [toruscan.ExponentSubgroup(rows, n) for rows in blocks]
+    return blocks
 
 
 def _read_config(path) -> crossratio.StableFormConfig:

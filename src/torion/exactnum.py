@@ -61,6 +61,14 @@ def rational(text) -> Fraction:
 # univariate polynomials over Q: coefficient tuples, low degree first
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients `coeffs`, low degree first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class UPoly:
     """Dense univariate polynomial over Q. Immutable."""
 
@@ -89,10 +97,7 @@ class UPoly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -420,7 +425,8 @@ def _factor_of_degree(f: UPoly, m: int):
     (g and -g are one factor), and a choice is dropped at its first
     divided difference that is not an integer.  A full choice's last
     Newton coefficient is lc(g); the Newton interpolant is built by Horner
-    and kept if it divides f."""
+    and kept if g(k) divides f(k) at every node of -(d+m)..d+m and g
+    divides f."""
     d = f.degree
     values = {k: int(f(k)) for k in range(-(d + m), d + m + 1)}
     divisors = {k: _divisors(v) for k, v in values.items() if v}
@@ -450,9 +456,13 @@ def _factor_of_degree(f: UPoly, m: int):
                         # g * (x - node) + a
                         g = [hi - node * lo for hi, lo in zip([0] + g, g + [0])]
                         g[0] += a
-                    g = UPoly(g)
-                    if (f % g).is_zero():
-                        return g
+                    # g(k) | f(k) at every node (g(k) = 0 only where
+                    # f(k) = 0): an integer test before the division over Q
+                    if all(v % gk == 0 if (gk := _horner(g, k)) else not v
+                           for k, v in values.items()):
+                        g = UPoly(g)
+                        if (f % g).is_zero():
+                            return g
         return None
 
     return search([], [])

@@ -55,15 +55,24 @@ def int_kernel(rows, n=None):
 
 def saturate_rows(rows, n=None):
     """HNF basis of the saturation of the row lattice (the integer points of
-    its Q-span).  The canonical echelon rows already are that basis when
-    there is one row (a primitive vector with a positive pivot) or when
-    every pivot entry is 1 (an integer point x of the span is the sum of
-    x[p] times the row with pivot p, and the rows are reduced); otherwise
-    it is the integer kernel of the Q-kernel."""
+    its Q-span): `saturate_echelon` of its canonical echelon rows."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    form, pivots = echelon(rows)
-    if len(form) == 1 or all(row[p] == 1 for row, p in zip(form, pivots)):
+    return saturate_echelon(echelon(rows)[0], n)
+
+
+def saturate_echelon(form, n):
+    """`saturate_rows` of rows given in the canonical form of `echelon`,
+    which is not run again.  Those rows already are the saturation's HNF
+    basis when there is one row (a primitive vector with a positive pivot)
+    or when every pivot entry is 1 (an integer point x of the span is the
+    sum of x[p] times the row with pivot p, and the rows are reduced);
+    otherwise it is the integer kernel of the Q-kernel."""
+    if len(form) <= 1:
+        return form
+    # a row's pivot is its first nonzero entry
+    pivots = [next(i for i, x in enumerate(row) if x) for row in form]
+    if all(row[p] == 1 for row, p in zip(form, pivots)):
         return form
     return hnf(int_kernel(_form_kernel(form, pivots, n), n))
 

@@ -121,8 +121,7 @@ def _m010(target, prune):
                "rank_profile": {str(k): v
                                 for k, v in sorted(by_rank.items())}}
     if prune:
-        results["after_pruning"] = sum(
-            not toruscan.has_singleton_part(polys, s) for s in subs)
+        results["after_pruning"] = len(toruscan.singleton_free(polys, subs))
     return _verdict(target, results)
 
 

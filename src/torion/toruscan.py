@@ -46,10 +46,19 @@ class ExponentSubgroup:
             if len(r) != n:
                 raise ValueError(f"row {' '.join(map(str, r))} has {len(r)} "
                                  f"entries, expected {n}")
-        sat = intlat.saturate_rows(rows, n)
-        self.basis = sat
-        self.rank = len(sat)
+        self.basis = intlat.saturate_rows(rows, n)
+        self.rank = len(self.basis)
         self.n = n
+
+    @classmethod
+    def from_echelon(cls, form, n):
+        """The subgroup of Z^n whose Q-span has the canonical
+        `intlat.echelon` rows `form`; the rows are not checked."""
+        self = cls.__new__(cls)
+        self.basis = intlat.saturate_echelon(form, n)
+        self.rank = len(self.basis)
+        self.n = n
+        return self
 
     @classmethod
     def full(cls, n):
@@ -186,10 +195,14 @@ def enumerate_subspaces_multi(polys, starts):
     by their canonical integer echelon rows) gives the union.  S meet w-perp
     depends only on the line through g = (<row_i, w>)_i, so each S pairs its
     rows with all hyperplanes at once (`_packed_pairing`) and runs one
-    echelon per distinct primitive g.  Polynomials and starts of different
-    arity raise RingMismatch."""
+    echelon per distinct primitive g.  The subgroups returned are saturated
+    straight from those keys (`ExponentSubgroup.from_echelon`).  Polynomials
+    and starts of different arity raise RingMismatch; a start of rank 0
+    raises ValueError."""
     if len({p.n for p in polys} | {M.n for M in starts}) > 1:
         raise RingMismatch("polynomials and start subgroups differ in arity")
+    if any(M.rank == 0 for M in starts):
+        raise ValueError("start subgroup has rank 0; subspaces have rank >= 1")
     hyperplanes = _support_difference_hyperplanes(polys)
     wmax = max((abs(x) for w in hyperplanes for x in w), default=0)
     half = 0  # packed anew only when a subspace needs wider fields
@@ -214,7 +227,7 @@ def enumerate_subspaces_multi(polys, starts):
             if N not in seen:
                 seen.add(N)
                 queue.append(N)
-    out = [ExponentSubgroup(S, starts[0].n) for S in seen]
+    out = [ExponentSubgroup.from_echelon(S, starts[0].n) for S in seen]
     out.sort(key=lambda s: (-s.rank, s.basis))
     return out
 
@@ -232,16 +245,38 @@ def induced_parts(polys, N: ExponentSubgroup):
 def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
     """Whether some part in `induced_parts(polys, N)` has one term: some
     projection E.e of a generator's support element occurs once."""
-    if any(p.n != N.n for p in polys):
-        raise RingMismatch(f"subgroup arity {N.n} != polynomial arity")
-    if not N.basis:  # every polynomial is one part
-        return any(len(p.terms) == 1 for p in polys)
-    for p in polys:
-        values = [[sum(map(operator.mul, row, e)) for e in p.terms]
-                  for row in N.basis]
-        if 1 in Counter(zip(*values)).values():
-            return True
-    return False
+    return not singleton_free(polys, [N])
+
+
+def singleton_free(polys, subgroups):
+    """The subgroups N, in the order given, for which no part of
+    `induced_parts(polys, N)` has one term.  Element e of generator k has
+    the key k*B^r + sum_i B^i <row_i, e> for N's r basis rows, with
+    B = 2 * max|e| * max ||row||_1 + 1 over all the subgroups: each
+    <row_i, e> is a balanced base-B digit, so keys are equal exactly when
+    the elements share a generator and a projection, and a key taken once
+    is a one-term part.  The supports, with k as a first coordinate, are
+    packed once (`_packed_pairing`): one combination per subgroup.
+    Polynomials and subgroups of different arity raise RingMismatch."""
+    if len({p.n for p in polys} | {N.n for N in subgroups}) > 1:
+        raise RingMismatch("polynomials and subgroups differ in arity")
+    points = [(k,) + e for k, p in enumerate(polys) for e in p.terms]
+    B = 2 * max((abs(x) for e in points for x in e[1:]), default=0) * max(
+        (sum(map(abs, row)) for N in subgroups for row in N.basis),
+        default=0) + 1
+    r = max((N.rank for N in subgroups), default=0)
+    pairing = _packed_pairing(points, len(points[0]) if points else 1,
+                              len(polys) * B ** r)[0]
+    out = []
+    for N in subgroups:
+        # sum_i B^i row_i by Horner; with no rows the key is k alone, and
+        # each generator is one part
+        v = []
+        for row in reversed(N.basis):
+            v = [x + B * a for x, a in zip(row, v)] if v else list(row)
+        if 1 not in Counter(pairing([B ** N.rank] + v)).values():
+            out.append(N)
+    return out
 
 
 def coefficient_variety(polys, N: ExponentSubgroup,

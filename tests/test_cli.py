@@ -241,6 +241,10 @@ class TestArgumentErrors:
           InputFile("vertex a\nvertex b\nedge e1 b a\nedge e2 b a\n"
                     "source a 2\nsource b -2\ncurrent e1 1\ncurrent e2 0\n"),
           "--solve-moduli"], "arg2: constraint fails the current law\n"),
+        # a subspace block spans a subspace of rank >= 1
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--subspace", InputFile("1 0 0\n\n0 0 0\n0 0 0\n")],
+         "arg4, line 3: subspace block has rank 0"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:

@@ -230,8 +230,13 @@ def test_subspace_files(tmp_path):
         n = rng.randint(1, 5)
         text = _random_subspaces(rng, n)
         path.write_text(text)
-        got = cli._read_subspaces(path, n)
         want = _ref_read_subspaces(path, n)
+        if any(s.rank == 0 for s in want):
+            # a block of zero rows spans no subspace: an input error
+            with pytest.raises(ValueError, match="subspace block has rank 0"):
+                cli._read_subspaces(path, n)
+            continue
+        got = cli._read_subspaces(path, n)
         assert [(s.n, s.basis) for s in got] == \
             [(s.n, s.basis) for s in want], text
 

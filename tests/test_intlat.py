@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from torion.exactnum import RationalMatrix
 from torion.intlat import echelon, echelon_kernel, hnf, int_kernel, \
-    saturate_rows
+    saturate_echelon, saturate_rows
 
 
 @st.composite
@@ -299,6 +299,14 @@ def test_saturation_matches_the_kernel_of_kernel_route(case):
     assert saturate_rows(rows, n) == reference_saturate_rows(rows, n)
     if rows:
         assert saturate_rows(rows) == reference_saturate_rows(rows, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattices())
+def test_saturate_echelon_takes_the_canonical_form(case):
+    n, rows = case
+    form = echelon(rows)[0]
+    assert saturate_echelon(form, n) == reference_saturate_rows(rows, n)
 
 
 @pytest.mark.parametrize("rows, sat", [

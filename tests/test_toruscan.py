@@ -18,7 +18,8 @@ from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
                              coefficient_variety, coset_lines_for_report,
                              enumerate_subspaces, enumerate_subspaces_multi,
                              has_singleton_part, induced_parts, scan,
-                             tier1_candidates, tier2_friend_filter)
+                             singleton_free, tier1_candidates,
+                             tier2_friend_filter)
 from torion.toruscan import _rational_roots_of_univariate
 
 XYZ = ["x", "y", "z"]
@@ -948,6 +949,148 @@ class TestSingletonDifferential:
         N = ExponentSubgroup([[1, 0, 0]])
         assert not has_singleton_part([MultiPoly(3)], N)
         assert has_singleton_part([MultiPoly(3), parse("x + y", XYZ)], N)
+
+    @staticmethod
+    def _check_singleton_free(polys, subgroups):
+        got = singleton_free(polys, subgroups)
+        want = [N for N in subgroups
+                if not _singleton_tuple_per_term(polys, N)]
+        # the same objects, in the order given
+        assert list(map(id, got)) == list(map(id, want))
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singleton_free_random_lists(self, seed):
+        rng = random.Random(300 + seed)
+        ranks = Counter()
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            polys = _random_laurent_system(rng, n)
+            if rng.random() < 0.3:
+                e = tuple(rng.randint(-3, 3) for _ in range(n))
+                polys.append(MultiPoly(n, {e: F(1)}))
+            if rng.random() < 0.2:
+                polys.insert(rng.randint(0, len(polys)), MultiPoly(n))
+            subgroups = []
+            for _ in range(rng.randint(1, 8)):
+                rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)]
+                        for _ in range(rng.randint(0, n))]
+                subgroups.append(ExponentSubgroup(rows, n))
+            ranks.update(N.rank for N in subgroups)
+            self._check_singleton_free(polys, subgroups)
+        assert set(ranks) >= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("scale", [2 ** 20, 2 ** 40, 2 ** 70])
+    def test_singleton_free_wide_fields(self, scale, monkeypatch):
+        # keys past 64 bits are unpacked by int.from_bytes
+        rng = random.Random(scale)
+        cases = []
+        for n in (2, 3, 4):
+            polys = _random_laurent_system(rng, n, scale)
+            subgroups = _random_starts(rng, n, scale) + [
+                ExponentSubgroup.full(n), ExponentSubgroup([], n)]
+            subgroups += enumerate_subspaces_multi(polys, subgroups[:-1])
+            cases.append((polys, subgroups))
+        halves = []
+        original = toruscan._packed_pairing
+
+        def record(points, n, span):
+            pairing, half = original(points, n, span)
+            halves.append(half)
+            return pairing, half
+        monkeypatch.setattr(toruscan, "_packed_pairing", record)
+        for polys, subgroups in cases:
+            self._check_singleton_free(polys, subgroups)
+        assert len(halves) == 3 and min(halves) > 2 ** 63
+
+    def test_singleton_free_edge_cases(self):
+        two = parse("x*y - z", XYZ)
+        N = ExponentSubgroup([[1, 0, 0]])
+        full, none = ExponentSubgroup.full(3), ExponentSubgroup([], 3)
+        assert singleton_free([two], []) == []
+        assert singleton_free([], [N, none]) == [N, none]
+        assert singleton_free([MultiPoly(3)], [N, full, none]) == \
+            [N, full, none]
+        assert singleton_free([MultiPoly(3), parse("x + y", XYZ)], [N]) == []
+        assert singleton_free([MultiPoly(3), two], [none, full]) == [none]
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_singleton_free_extreme_digits(self, m):
+        # the pairings reach +-max|e| * max||row||_1: the terms x^m and
+        # x^-1*y (or their inverses) share no part under Z^2, though
+        # m = -1 + (m + 1) in base m + 1
+        full = ExponentSubgroup.full(2)
+        for sign in (1, -1):
+            p = MultiPoly(2, {(sign * m, 0): F(1), (-sign, sign): F(1)})
+            self._check_singleton_free([p], [full])
+            assert singleton_free([p], [full]) == []
+
+    def test_singleton_free_arity_mismatch(self):
+        with pytest.raises(RingMismatch):
+            singleton_free([parse("x + y + 1", ["x", "y"])],
+                           [ExponentSubgroup([[1, 0, 1]])])
+        with pytest.raises(RingMismatch):
+            singleton_free([parse("x*y - z", XYZ)],
+                           [ExponentSubgroup.full(3),
+                            ExponentSubgroup.full(2)])
+
+    def test_singleton_free_m010_kept_list(self):
+        polys, subs = _m010_subspaces()
+        kept = self._check_singleton_free(polys, subs)
+        assert len(kept) == 78
+
+
+def _m010_subspaces():
+    from torion.crossratio import (crossratio_m1, crossratio_m2,
+                                   crossratio_m3, m010_system)
+    polys = m010_system()
+    starts = [ExponentSubgroup(m, 9) for m in
+              (crossratio_m1(), crossratio_m2(), crossratio_m3())]
+    return polys, enumerate_subspaces_multi(polys, starts)
+
+
+class TestSubgroupsFromEchelonKeys:
+    """enumerate_subspaces_multi saturates its echelon keys directly; each
+    subgroup equals the one the public constructor builds."""
+
+    @staticmethod
+    def _check(subs, n):
+        differ = 0
+        for S in subs:
+            key = intlat.echelon(S.basis)[0]
+            for ref in (ExponentSubgroup(S.basis, n),
+                        ExponentSubgroup(key, n)):
+                assert (S.basis, S.rank, S.n) == (ref.basis, ref.rank, ref.n)
+                assert S == ref and hash(S) == hash(ref)
+            differ += S.basis != key
+        return differ
+
+    def test_m010(self):
+        # 6 of the 554 saturations differ from their echelon rows
+        _, subs = _m010_subspaces()
+        assert len(subs) == 554
+        assert self._check(subs, 9) == 6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_small_systems(self, seed):
+        rng = random.Random(400 + seed)
+        n = 2 + seed % 4
+        polys = _random_laurent_system(rng, n)
+        starts = _random_starts(rng, n, scale=3) + [ExponentSubgroup.full(n)]
+        self._check(enumerate_subspaces_multi(polys, starts), n)
+
+
+class TestRankZeroStart:
+    def test_enumeration_rejects_a_rank_zero_start(self):
+        polys = [parse("x*y*z + x + y + z", XYZ)]
+        for starts in ([ExponentSubgroup([[0, 0, 0]])],
+                       [ExponentSubgroup.full(3), ExponentSubgroup([], 3)]):
+            with pytest.raises(ValueError, match="rank 0"):
+                enumerate_subspaces_multi(polys, starts)
+        with pytest.raises(ValueError, match="rank 0"):
+            enumerate_subspaces(polys, ExponentSubgroup([[0, 0, 0]]))
+        with pytest.raises(ValueError, match="rank 0"):
+            scan(polys, ExponentSubgroup([[0, 0, 0], [0, 0, 0]]))
 
 
 class TestArityMismatch:
