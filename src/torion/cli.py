@@ -48,6 +48,18 @@ def _read_polys(path):
         raise
 
 
+def _read_polys_over(path, variables, polys_path):
+    """The polynomials of a file whose header must declare `variables`,
+    those of `polys_path`, in the same order: a polynomial is stored by the
+    positions of its variables in its own header, so another header would
+    rename them silently."""
+    declared, polys = _read_polys(path)
+    if declared != variables:
+        raise ValueError(f"{path}: variables {' '.join(declared)} differ "
+                         f"from {' '.join(variables)} in {polys_path}")
+    return polys
+
+
 def _digest(path) -> str:
     with open(path) as fh:
         return hashlib.sha256(fh.read().encode()).hexdigest()[:16]
@@ -275,8 +287,9 @@ def cmd_torus_scan(args, report: Report) -> int:
     variables, polys = _read_polys(args.polys)
     if not polys:
         raise ValueError(f"{args.polys}: no polynomials")
-    peripheral = _read_polys(args.saturate)[1] if args.saturate else []
-    conditions = _read_polys(args.conditions)[1] if args.conditions else []
+    peripheral, conditions = (
+        _read_polys_over(path, variables, args.polys) if path else []
+        for path in (args.saturate, args.conditions))
     starts = None if args.subspace == "identity" else \
         _read_subspaces(args.subspace, len(variables))
     options = toruscan.ScanOptions(
@@ -293,6 +306,7 @@ def cmd_torus_scan(args, report: Report) -> int:
     for k, v in doc.items():
         report.set(k, v)
     report.set("survivor_count", len(rep.survivors), grade="exact")
+    report.set("representatives", rep.representatives)
     for cand in rep.survivors:
         lines = toruscan.coset_lines_for_report(cand)
         print(f"survivor {list(cand.subgroup.basis)}"

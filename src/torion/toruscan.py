@@ -9,6 +9,17 @@ The anchored rank-one pipeline (`scan` with tier_mode) reproduces the
 three-tier count bookkeeping used for hypersurface scans: pairwise linear
 systems through a distinguished support element, the friend filter, and the
 unit-ideal test after clearing coordinate-hyperplane components.
+
+A scan classifies one candidate per orbit of the coordinate permutations
+that fix the generators, the peripheral polynomials and the conditions,
+each up to a nonzero rational factor (`symmetry_generators`, a backtracking
+search pruned by projected terms).  Such a permutation sigma maps a
+coset a*T_N of the variety to the coset sigma(a)*T_sigma(N), and every
+step of the classification commutes with it, so the verdict of sigma(N)
+is sigma of the verdict of N: a unit ideal stays the unit ideal, and a
+survivor's saturated ideal is presented by the reduced grevlex basis of its
+permuted generators, which is unique.  The cosets are solved anew, since
+the lex order is not symmetric.
 """
 
 from __future__ import annotations
@@ -24,9 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intlat
-from .groebner import (BUDGET_PROFILES, Budget, Ideal, ResourceExhausted,
-                       TermOrder, is_trivial, saturate_by_ideal,
-                       saturate_many)
+from .groebner import (BUDGET_PROFILES, GREVLEX, Budget, Ideal,
+                       ResourceExhausted, TermOrder, _presented_by_basis,
+                       is_trivial, saturate_by_ideal, saturate_many)
 from .multipoly import MultiPoly, RingMismatch, substitute_torus
 
 
@@ -108,6 +119,7 @@ class ScanReport:
     undetermined: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     budget_notes: list = field(default_factory=list)
+    representatives: int = 0  # candidates classified, one per orbit
 
     def to_json_dict(self):
         def enc_subgroup(s):
@@ -279,6 +291,17 @@ def singleton_free(polys, subgroups):
     return out
 
 
+def _opened(polys, N: ExponentSubgroup) -> CosetCandidate:
+    """N's candidate with its parts and coefficient ideal, 'open', or
+    'pruned-singleton' when some part has one term."""
+    parts = induced_parts(polys, N)
+    gens = [q for _, q in parts]
+    cand = CosetCandidate(N, Ideal(polys[0].n, gens), "open", parts=parts)
+    if any(len(q.terms) == 1 for q in gens):
+        cand.status = "pruned-singleton"
+    return cand
+
+
 def coefficient_variety(polys, N: ExponentSubgroup,
                         budget: Budget = BUDGET_PROFILES["default"],
                         peripheral=(), conditions=()) -> CosetCandidate:
@@ -295,13 +318,11 @@ def coefficient_variety(polys, N: ExponentSubgroup,
     saturation changes nothing and is skipped).  The first unit ideal
     makes the candidate 'trivial-ideal'; budget exhaustion makes it
     'undetermined', never dropped."""
-    parts = induced_parts(polys, N)
-    n = polys[0].n
-    gens = [q for _, q in parts]
-    cand = CosetCandidate(N, Ideal(n, gens), "open", parts=parts)
-    if any(len(q.terms) == 1 for q in gens):
-        cand.status = "pruned-singleton"
+    cand = _opened(polys, N)
+    if cand.status == "pruned-singleton":
         return cand
+    n = polys[0].n
+    gens = [q for _, q in cand.parts]
     stages = [gens]
     if conditions:
         stages.append([q for _, q in induced_parts(conditions, N)])
@@ -536,6 +557,166 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
 
 
 # ---------------------------------------------------------------------------
+# coordinate symmetries
+# ---------------------------------------------------------------------------
+
+def _inverse(sigma):
+    inverse = [0] * len(sigma)
+    for i, j in enumerate(sigma):
+        inverse[j] = i
+    return inverse
+
+
+def _permuted(p: MultiPoly, sigma) -> MultiPoly:
+    """p with x_i renamed x_sigma[i]: exponent e becomes e' with
+    e'[sigma[i]] = e[i]."""
+    inverse = _inverse(sigma)
+    q = MultiPoly(p.n)
+    q.terms = {tuple(e[i] for i in inverse): c for e, c in p.terms.items()}
+    return q
+
+
+def _permuted_subgroup(N: ExponentSubgroup, sigma) -> ExponentSubgroup:
+    inverse = _inverse(sigma)
+    return ExponentSubgroup([[row[i] for i in inverse] for row in N.basis],
+                            N.n)
+
+
+def symmetry_generators(systems, n):
+    """Generators of the group of coordinate permutations sigma (x_i goes
+    to x_sigma[i]) that map each system onto itself, each polynomial taken
+    up to a nonzero rational factor.
+
+    A polynomial is compared by its terms with coprime integer
+    coefficients, which fix it up to sign.  Backtracking over the images
+    of x_0, x_1, ... prunes a prefix when some polynomial's terms,
+    projected on the assigned coordinates, are not (up to sign) the
+    projected terms of a polynomial of the same system; with every
+    coordinate assigned the test is sigma(p) = +-q.  x_i may only go to a
+    variable whose terms look alike (`profile`).  The levels run from
+    x_{n-1} up; at level k, for each x_j outside the orbit of x_k under
+    the permutations kept so far (all of them fix x_0..x_{k-1}), one
+    permutation fixing x_0..x_{k-1} and sending x_k to x_j is kept.  These
+    generate the group (a strong generating set for the base x_0, x_1, ...).
+    A polynomial in other than n variables raises RingMismatch."""
+    for k, system in enumerate(systems):
+        for p in system:
+            if p.n != n:
+                raise RingMismatch(f"system {k} has a polynomial in {p.n} "
+                                   f"variables, expected {n}")
+    systems = [[(list(p.terms), cs, tuple(-c for c in cs)) for p in system
+                for cs in [intlat.clear_denominators(p.terms.values())]]
+               for system in systems]
+
+    def shadow(sup, cs, coords):
+        """Terms projected on `coords`, as (projection, coefficient)."""
+        return frozenset(zip(map(operator.itemgetter(*coords), sup), cs))
+
+    def profile(i):
+        """The exponents of x_i with their coefficients, per polynomial
+        up to sign: equal for x_i and x_sigma[i]."""
+        return tuple(frozenset(min(tuple(sorted(shadow(sup, c, [i])))
+                                   for c in (cs, neg))
+                               for sup, cs, neg in system)
+                     for system in systems)
+
+    profiles = [profile(i) for i in range(n)]
+    own = {}  # prefix length -> the projections of each polynomial
+
+    def consistent(images):
+        m = len(images)
+        if m not in own:
+            own[m] = [[(shadow(sup, cs, range(m)), shadow(sup, neg, range(m)))
+                       for sup, cs, neg in system] for system in systems]
+        for system, projections in zip(systems, own[m]):
+            targets = {shadow(sup, cs, images) for sup, cs, _ in system}
+            if any(a not in targets and b not in targets
+                   for a, b in projections):
+                return False
+        return True
+
+    def extend(images):
+        if len(images) == n:
+            return images
+        for j in range(n):
+            if j not in images and profiles[j] == profiles[len(images)] \
+                    and consistent(images + [j]):
+                found = extend(images + [j])
+                if found:
+                    return found
+        return None
+
+    generators = []
+    for k in reversed(range(n)):
+        orbit = {k}
+        for j in range(k + 1, n):
+            if j in orbit or profiles[j] != profiles[k]:
+                continue
+            prefix = list(range(k)) + [j]
+            found = extend(prefix) if consistent(prefix) else None
+            if found:
+                generators.append(tuple(found))
+                orbit, frontier = {k}, [k]
+                for x in frontier:  # grows while it is walked
+                    for g in generators:
+                        if g[x] not in orbit:
+                            orbit.add(g[x])
+                            frontier.append(g[x])
+    return generators
+
+
+def _orbits(subgroups, generators, n):
+    """For each listed subgroup, (r, sigma): the index r of its orbit's
+    representative and a permutation with subgroup = sigma(subgroups[r]).
+    Breadth first from each subgroup not yet reached, linking N to g(N) for
+    each generator g when g(N) is listed."""
+    index = {N: i for i, N in enumerate(subgroups)}
+    links = [None] * len(subgroups)
+    for r in range(len(subgroups)):
+        if links[r] is not None:
+            continue
+        links[r] = (r, tuple(range(n)))
+        queue = [r]
+        for a in queue:
+            sigma = links[a][1]
+            for g in generators:
+                b = index.get(_permuted_subgroup(subgroups[a], g))
+                if b is not None and links[b] is None:
+                    links[b] = (r, tuple(g[x] for x in sigma))
+                    queue.append(b)
+    return links
+
+
+def _transported(polys, M: ExponentSubgroup, sigma, rep: CosetCandidate,
+                 budget: Budget):
+    """The candidate of M = sigma(rep.subgroup), given rep classified: the
+    parts and the singleton test from M itself; a unit ideal stays the unit
+    ideal; a survivor's saturated ideal is sigma of rep's, presented by its
+    reduced grevlex basis, with its cosets solved anew.  None when M is to
+    be classified directly: rep undetermined, or the budget runs out."""
+    cand = _opened(polys, M)
+    n = M.n
+    if cand.status == "pruned-singleton":
+        return cand
+    if rep.status == "trivial-ideal":
+        cand.status = "trivial-ideal"
+        cand.saturated_generators = [MultiPoly.constant(n, 1)]
+        return cand
+    if rep.status != "survivor":
+        return None
+    try:
+        J = _presented_by_basis(n, Ideal(n, [
+            _permuted(g, sigma) for g in rep.saturated_generators
+        ]).groebner_basis(GREVLEX, budget))
+    except ResourceExhausted:
+        return None
+    cand.status = "survivor"
+    cand.saturated_generators = J.generators
+    cand.cosets = _solve_coset_points(J, n, budget)
+    return cand
+
+
+# ---------------------------------------------------------------------------
 # scan driver
 # ---------------------------------------------------------------------------
 
@@ -586,11 +767,15 @@ def _classify_all(subgroups, args, threads, notes):
 def scan(polys, starts=None, options: ScanOptions | None = None,
          peripheral=(), conditions=()) -> ScanReport:
     """Full scan: enumerate candidate subgroups (the closure of `starts`, a
-    subgroup or a list of them, by default the whole lattice), classify each
-    with `coefficient_variety`, and report deterministically (candidates
-    ordered by canonical subgroup key).  tier_mode replicates the anchored
+    subgroup or a list of them, by default the whole lattice), classify
+    them, and report deterministically (candidates ordered by canonical
+    subgroup key).  One subgroup per orbit of `symmetry_generators` is
+    classified with `coefficient_variety`; the verdicts of the others are
+    transported to them (`_transported`), or, where that cannot be done,
+    they are classified directly too.  tier_mode replicates the anchored
     rank-one pipeline for a single 3-variable hypersurface and records the
-    tier counters."""
+    tier counters.  A polynomial of another arity than the first raises
+    RingMismatch naming its group."""
     if not polys:
         raise ValueError("scan needs at least one polynomial")
     options = options or ScanOptions()
@@ -599,6 +784,13 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
         raise ValueError("peripheral polynomials must be nonzero")
     t0 = time.perf_counter()
     n = polys[0].n
+    for name, group in (("polynomial", polys),
+                        ("peripheral polynomial", peripheral),
+                        ("condition", conditions)):
+        for i, p in enumerate(group):
+            if p.n != n:
+                raise RingMismatch(f"{name} {i} has {p.n} variables, "
+                                   f"expected {n}")
     tiers = None
     if options.tier_mode:
         if len(polys) != 1:
@@ -618,9 +810,27 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
         subgroups = enumerate_subspaces_multi(polys, starts)
     t_enum = time.perf_counter()
     notes = []
-    results = _classify_all(
-        subgroups, (polys, options.budget, peripheral, conditions),
-        options.threads, notes)
+    results = [None] * len(subgroups)
+
+    def classify(indices, threads):
+        for i, cand in zip(indices, _classify_all(
+                [subgroups[i] for i in indices],
+                (polys, options.budget, peripheral, conditions), threads,
+                notes)):
+            results[i] = cand
+
+    links = _orbits(subgroups, symmetry_generators(
+        [polys, peripheral, conditions], n), n)
+    reps = [i for i, (r, _) in enumerate(links) if r == i]
+    classify(reps, options.threads)
+    for i, (r, sigma) in enumerate(links):
+        if r != i:
+            results[i] = _transported(polys, subgroups[i], sigma, results[r],
+                                      options.budget)
+    direct = [i for i, cand in enumerate(results) if cand is None]
+    if direct:
+        # a pool that failed to start above is not tried again
+        classify(direct, 1 if notes else options.threads)
     t_classify = time.perf_counter()
     by_rank = {}
     for N in subgroups:
@@ -642,6 +852,7 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
         timings={"enumerate_s": round(t_enum - t0, 3),
                  "classify_s": round(t_classify - t_enum, 3)},
         budget_notes=[f"singleton-pruned: {pruned}"] + notes,
+        representatives=len(reps),
     )
 
 

@@ -245,6 +245,12 @@ class TestArgumentErrors:
         (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
           "--subspace", InputFile("1 0 0\n\n0 0 0\n0 0 0\n")],
          "arg4, line 3: subspace block has rank 0"),
+        # a peripheral or condition file declares the variables of --polys
+        # in the same order: `x - 1` over `z y x` is not `x - 1` over
+        # `x y z`
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx*y*z + x\n"),
+          "--saturate", InputFile("# vars: z y x\nx - 1\n")],
+         "arg4: variables z y x differ from x y z in "),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:
@@ -363,6 +369,39 @@ class TestTorusScanCommand:
         doc = json.loads(rep.read_text())
         assert set(doc["timings"]) == {"enumerate_s", "classify_s"}
         assert doc["results"]["budget_notes"] == ["singleton-pruned: 11"]
+        # one candidate classified per orbit of S_3
+        assert doc["results"]["representatives"] == 6
+
+    @pytest.mark.parametrize("flag", ["--saturate", "--conditions"])
+    @pytest.mark.parametrize("header", ["z y x", "x y", "x y z w"])
+    def test_other_header_exit_2(self, flag, header, tmp_path, capsys):
+        polys = tmp_path / "cubic.poly"
+        polys.write_text(data_text("coset_cubic.poly"))
+        other = tmp_path / "other.poly"
+        other.write_text(f"# vars: {header}\nx - 1\n")
+        assert run(["torus-scan", "--polys", str(polys), flag,
+                    str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {other}: variables {header} differ "
+                                f"from x y z in {polys}\n")
+
+    def test_cubic_with_peripheral_x_minus_1(self, tmp_path, capsys):
+        """The swap of y and z is the one symmetry left: ten orbits of
+        the fourteen candidates are classified."""
+        polys = tmp_path / "cubic.poly"
+        polys.write_text(data_text("coset_cubic.poly"))
+        periph = tmp_path / "p.poly"
+        periph.write_text("# vars: x y z\nx - 1\n")
+        rep = tmp_path / "report.json"
+        assert run(["--report", str(rep), "torus-scan", "--polys",
+                    str(polys), "--saturate", str(periph)]) == 0
+        assert capsys.readouterr().out == (
+            "survivor [(0, 0, 1)] cosets ['(-1, 1, t)']\n"
+            "survivor [(0, 1, 0)] cosets ['(-1, t, 1)']\n"
+            "survivor [(1, 0, 0)] cosets ['(t, -1, 1)', '(t, 1, -1)']\n")
+        assert json.loads(rep.read_text())["results"]["representatives"] \
+            == 10
 
     def test_report_determinism(self, tmp_path):
         f = tmp_path / "cubic.poly"
