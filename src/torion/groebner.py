@@ -80,14 +80,19 @@ class GBStats:
     max_coeff_bits: int = 0   # largest coefficient added, in bits
     seconds: float = field(default=0.0, compare=False)  # wall time, to 1 us
 
-    def __str__(self):
+    def counters(self):
+        """str() without the wall time: equal runs give equal text."""
         return ", ".join(f"{f.name}={getattr(self, f.name)}"
-                         for f in fields(self))
+                         for f in fields(self) if f.compare)
+
+    def __str__(self):
+        return f"{self.counters()}, seconds={self.seconds}"
 
 
 class ResourceExhausted(RuntimeError):
     def __init__(self, stage, detail="", stats: GBStats | None = None):
         msg = f"resource budget exhausted: {stage} {detail}".strip()
+        self.untimed = msg if stats is None else f"{msg} ({stats.counters()})"
         if stats is not None:
             msg += f" ({stats})"
         super().__init__(msg)

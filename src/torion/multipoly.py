@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .exactnum import UPoly, rational
 
@@ -481,19 +482,15 @@ def substitute_torus(p: MultiPoly, E):
 
     Returns [(J, p_J)] sorted by J; the parts partition the support of p.
     """
-    r = len(E)
     if any(len(row) != p.n for row in E):
         raise RingMismatch(f"matrix must have {p.n} columns")
-    groups = {}
+    groups = defaultdict(dict)
     for e, c in p.terms.items():
-        J = tuple(sum(E[i][k] * e[k] for k in range(p.n)) for i in range(r))
-        groups.setdefault(J, {})[e] = c
-    out = []
-    for J in sorted(groups):
-        q = MultiPoly(p.n)
+        groups[tuple([sum(map(mul, row, e)) for row in E])][e] = c
+    parts = [(J, MultiPoly(p.n)) for J in sorted(groups)]
+    for J, q in parts:
         q.terms = groups[J]
-        out.append((J, q))
-    return out
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def coefficient_variety(polys, N: ExponentSubgroup,
         cand.cosets = _solve_coset_points(J, n, budget)
     except ResourceExhausted as exc:
         cand.status = "undetermined"
-        cand.note = str(exc)
+        cand.note = exc.untimed
     return cand
 
 
@@ -425,16 +425,20 @@ def _solve_coset_points(ideal: Ideal, n: int, budget: Budget):
 
 
 def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
+    powers = {i: {k: Fraction(v) ** k for k in {e[i] for e in p.terms} if k}
+              for i, v in assignment.items()}
     out = {}
     for e, c in p.terms.items():
         e2 = list(e)
-        for i, v in assignment.items():
+        for i, pw in powers.items():
             if e[i]:
-                c = c * (Fraction(v) ** e[i])
+                c *= pw[e[i]]
                 e2[i] = 0
         key = tuple(e2)
-        out[key] = out.get(key, Fraction(0)) + c
-    return MultiPoly(p.n, out)
+        out[key] = out[key] + c if key in out else c
+    q = MultiPoly(p.n)
+    q.terms = {e: c for e, c in out.items() if c}
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +447,15 @@ def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
 
 def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     """Rank-one candidate vectors from anchored pairwise systems (3 variables
-    only), anchored at the graded-reverse-lex largest support element.  For
-    each potential friend l1' of the anchor, the support elements e on one
-    line parallel to v1 = anchor - l1' share the line key cross(v1, e).  The
-    first element l2 (descending graded-reverse-lex) with a key of its own
-    closes the system; each anomalous direction is E = cross(v1, l2 - l2')
-    = key(l2) - key(l2').  `antipodal` folds E and -E together (primitive,
-    first nonzero entry positive); antipodal=False lists both signs."""
+    only), anchored at the graded-reverse-lex largest support element.  Per
+    line direction v1 = (anchor - l1')/g, l1' another element and g > 0 the
+    gcd (scaling v1 scales the keys, not the primitive E), the elements e
+    on one line parallel to v1 share the key cross(v1, e).  The first
+    element l2 (descending graded-reverse-lex) with a key of its own closes
+    the system; each anomalous direction is E = key(l2) - key(e), made
+    primitive; `antipodal` folds E and -E together (first nonzero entry
+    positive), antipodal=False lists both.  Keys are packed ints in base
+    B = 16m^2 + 1 (m = max |coordinate|), from one `_packed_pairing` sum."""
     if poly.n != 3:
         raise ValueError("anchored tier pipeline needs exactly 3 variables")
     if poly.is_zero():
@@ -458,26 +464,29 @@ def tier1_candidates(poly: MultiPoly, antipodal: bool = True):
     sup = sorted(poly.terms,
                  key=lambda e: (sum(e), tuple(-x for x in reversed(e))),
                  reverse=True)
-    a0, a1, a2 = sup[0]
+    h = 8 * max(abs(x) for e in sup for x in e) ** 2  # |key entry| <= h/2
+    B = 2 * h + 1
+    c = h * (B * B + B + 1)  # bounds every key; shifts digits to [0, B)
+    # key(e) = <(y - zB, zB^2 - x, xB - yB^2), v1> = cross(v1, e) packed
+    pairing = _packed_pairing([(y - z * B, z * B * B - x, x * B - y * B * B)
+                               for x, y, z in sup], 3, c)[0]
+    vs = [[a - b for a, b in zip(sup[0], e)] for e in sup[1:]]
+    lines = dict.fromkeys(tuple(x // math.gcd(*v) for x in v) for v in vs)
     out = set()
-    for b0, b1, b2 in sup[1:]:
-        u0, u1, u2 = a0 - b0, a1 - b1, a2 - b2
-        keys = [(u1 * z - u2 * y, u2 * x - u0 * z, u0 * y - u1 * x)
-                for x, y, z in sup]
+    for v in lines:
+        keys = pairing(v)
         counts = Counter(keys)
         k = next((k for k in keys if counts[k] == 1), None)
         if k is None:
             raise ValueError("no closing support element exists; the "
                              "anchored pipeline does not apply")
-        k0, k1, k2 = k
-        for x, y, z in keys:
-            E = (k0 - x, k1 - y, k2 - z)
+        for d in {k - x for x in keys} - {0}:
+            # d has the sign of E's first nonzero entry
+            q, e2 = divmod((abs(d) if antipodal else d) + c, B)
+            e0, e1 = divmod(q, B)
+            E = (e0 - h, e1 - h, e2 - h)
             g = math.gcd(*E)
-            if g:
-                # E < (0, 0, 0) exactly when its first nonzero entry is < 0
-                if antipodal and E < (0, 0, 0):
-                    g = -g
-                out.add((E[0] // g, E[1] // g, E[2] // g))
+            out.add((E[0] // g, E[1] // g, E[2] // g))
     return sorted(out)
 
 
