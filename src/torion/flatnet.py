@@ -15,10 +15,11 @@ to scale; every linear step is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 from . import intlat
 from .exactnum import BudgetExceeded, RationalMatrix
@@ -206,12 +207,22 @@ def block_decomposition(g: DualGraph) -> BlockDecomposition:
     return BlockDecomposition([list(blk) for blk in blocks], list(arts))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CurrentAssignment:
-    """Vertex divisor c_v (summing to zero) and integer edge currents."""
+    """Vertex divisor c_v (summing to zero) and integer edge currents.
+
+    Immutable: the fields cannot be rebound, and a flow from
+    `enumerate_currents` hands out read-only views of its divisor and
+    currents.  `_lawful_on` is the graph whose current law the assignment
+    is known to satisfy (set only by `enumerate_currents`, which builds
+    every flow lawful, through `_lawful`); it takes no part in comparison
+    or repr, and `solve_moduli` skips the check for it on that graph
+    alone."""
     divisor: dict
     currents: dict
     torsion_bound: int | None = None
+    _lawful_on: DualGraph | None = field(default=None, init=False,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         if sum(self.divisor.values()) != 0:
@@ -220,6 +231,18 @@ class CurrentAssignment:
                 any(abs(w) > self.torsion_bound
                     for w in self.currents.values()):
             raise ValueError("current exceeds the torsion bound")
+
+    @classmethod
+    def _lawful(cls, g, divisor, currents, torsion_bound):
+        """A flow built lawful on g, of degree zero and within the torsion
+        bound; `__post_init__`'s checks hold by construction and are not
+        run."""
+        ca = object.__new__(cls)
+        object.__setattr__(ca, "divisor", divisor)
+        object.__setattr__(ca, "currents", currents)
+        object.__setattr__(ca, "torsion_bound", torsion_bound)
+        object.__setattr__(ca, "_lawful_on", g)
+        return ca
 
 
 def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
@@ -239,6 +262,37 @@ def kirchhoff_check(g: DualGraph, assignment: CurrentAssignment) -> bool:
     return not any(net.values())
 
 
+def _interval_flows(tree_rows, k, N):
+    """The current vectors, tree edges then chords, of `enumerate_currents`
+    with k + 1 chords: the first k chords' currents c run over [-N, N]^k and
+    the last chord's over the interval that keeps every tree current within
+    N (empty when a tree edge off the last circuit leaves it)."""
+    for c in product(range(-N, N + 1), repeat=k):
+        lo, hi = -N, N
+        xs = []
+        for base, terms, s in tree_rows:
+            x = base + sum(c[j] * t for j, t in terms)
+            if s > 0:  # -N - x <= last <= N - x
+                if -N - x > lo:
+                    lo = -N - x
+                if N - x < hi:
+                    hi = N - x
+            elif s < 0:  # x - N <= last <= x + N
+                if x - N > lo:
+                    lo = x - N
+                if x + N < hi:
+                    hi = x + N
+            elif not -N <= x <= N:
+                break
+            xs.append((x, s))
+        else:
+            for last in range(lo, hi + 1):
+                w = [x + s * last for x, s in xs]
+                w.extend(c)
+                w.append(last)
+                yield w
+
+
 def enumerate_currents(g: DualGraph, N: int, source_pair,
                        cap: int = 2_000_000):
     """All integral flows with divisor N(v1 - v2) and |w_e| <= N,
@@ -247,8 +301,18 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
     Such a flow is the particular flow, N units along the tree path from v2
     to v1, plus sum_j c_j circuit_j over the fundamental circuits, where c_j
     is the current on chord j; so the flows are the chord vectors c in
-    [-N, N]^b1 whose tree currents also stay within N.  BudgetExceeded is
-    raised before any work when (2N+1)^b1 exceeds `cap`."""
+    [-N, N]^b1 whose tree currents also stay within N.  Only the first
+    b1 - 1 chords are looped over: a tree edge's current is x + s t with
+    s in {-1, 0, 1} its entry on the last chord's circuit, so the last
+    chord's current t runs over the intersection of the intervals
+    -N <= x + s t <= N with [-N, N].  A graph with no circuit has the
+    particular flow alone.  BudgetExceeded is raised before any work when
+    (2N+1)^b1 exceeds `cap`.
+
+    Every flow is built lawful, so it is tagged with g (`solve_moduli`
+    checks it no further on g), and it is immutable: its currents are a
+    read-only view of a dict of its own, and the flows of one call share
+    one read-only view of the divisor."""
     v1, v2 = source_pair
     if N < 1:
         raise ValueError(f"torsion bound N = {N} is below 1")
@@ -263,29 +327,25 @@ def enumerate_currents(g: DualGraph, N: int, source_pair,
     ids = g.edge_ids()
     tree = g._tree
     path = g.tree_path(v2, v1)
-    # per tree edge: the particular current and its nonzero circuit entries
-    # (a chord's current is its own c_j); w is the tree currents, then c
+    # the chords looped over, and the last one, whose current is an interval
+    head, last_circ = circuits[:-1], (circuits[-1][1] if circuits else {})
+    # per tree edge: the particular current, its nonzero entries on the
+    # looped circuits and its entry on the last circuit; w is the tree
+    # currents, the looped chords' currents c, then the last chord's
     tree_rows = [(N * path.get(e, 0), [(j, circ[e]) for j, (_, circ)
-                                       in enumerate(circuits) if e in circ])
+                                       in enumerate(head) if e in circ],
+                  last_circ.get(e, 0))
                  for e in tree]
     order = tree + [chord for chord, _ in circuits]
     take = [order.index(e) for e in ids]
-    flows = []
-    for c in product(range(-N, N + 1), repeat=len(circuits)):
-        w = []
-        for base, terms in tree_rows:
-            x = base + sum(c[j] * s for j, s in terms)
-            if not -N <= x <= N:
-                break
-            w.append(x)
-        else:
-            w.extend(c)
-            flows.append(tuple(w[i] for i in take))
-    flows.sort()
-    div = {v: 0 for v in g.vertices}
-    div[v1] = N
-    div[v2] = -N
-    return [CurrentAssignment(dict(div), dict(zip(ids, w)), N)
+    if circuits:
+        vectors = _interval_flows(tree_rows, len(head), N)
+    else:  # a tree: the particular flow alone
+        vectors = [[base for base, _, _ in tree_rows]]
+    flows = sorted(tuple([w[i] for i in take]) for w in vectors)
+    div = MappingProxyType({**dict.fromkeys(g.vertices, 0), v1: N, v2: -N})
+    return [CurrentAssignment._lawful(g, div,
+                                      MappingProxyType(dict(zip(ids, w))), N)
             for w in flows]
 
 
@@ -346,9 +406,15 @@ def solve_moduli(g: DualGraph, constraints) -> ModuliOutcome:
     certifies infeasibility exactly and is the witness.  A block with no
     such row goes to elimination and Fourier-Motzkin, and the witness of a
     failure there is its first nonzero row (a copy, as circuits are
-    shared)."""
+    shared).
+
+    Every constraint must satisfy the current law of g (ValueError
+    otherwise).  The check is skipped only for a flow that
+    `enumerate_currents` built on this very g, which is lawful by
+    construction; an assignment built by hand, or enumerated on another
+    graph (even an equal one), is checked on every call."""
     for ca in constraints:
-        if not kirchhoff_check(g, ca):
+        if ca._lawful_on is not g and not kirchhoff_check(g, ca):
             raise ValueError("constraint fails the current law")
     currents = [ca.currents for ca in constraints]
     values = {}

@@ -637,9 +637,8 @@ class Ideal:
         basis = []
         for le, p in raw:
             lc = Fraction(p[le])
-            q = MultiPoly(self.n)
-            q.terms = {e: Fraction(c) / lc for e, c in p.items()}
-            basis.append(q)
+            basis.append(MultiPoly._raw(
+                self.n, {e: Fraction(c) / lc for e, c in p.items()}))
         self._basis_cache[key] = basis
         if stats is not None:
             self._stats_cache[key] = stats
@@ -695,9 +694,8 @@ def normal_form(p: MultiPoly, I: Ideal, order: TermOrder = GREVLEX,
                                 f"{budget.max_degree}, field overflow",
                                 I.stats(order) or GBStats()) from None
     factor = p.content() / scale
-    r = MultiPoly(I.n)
-    r.terms = {pk.decode(m): c * factor for m, c in rem.items()}
-    return r
+    return MultiPoly._raw(I.n, {pk.decode(m): c * factor
+                                for m, c in rem.items()})
 
 
 def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
@@ -723,9 +721,7 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
 
 
 def _append_variable(p: MultiPoly) -> MultiPoly:
-    q = MultiPoly(p.n + 1)
-    q.terms = {(0,) + e: c for e, c in p.terms.items()}
-    return q
+    return MultiPoly._raw(p.n + 1, {(0,) + e: c for e, c in p.terms.items()})
 
 
 def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
@@ -737,9 +733,8 @@ def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
     them as its grevlex basis."""
     out = []
     for g in eliminate(J, range(1, J.n), budget, method="block").generators:
-        q = MultiPoly(J.n - 1)
-        q.terms = {e[1:]: c for e, c in g.terms.items()}
-        out.append(q)
+        out.append(MultiPoly._raw(J.n - 1,
+                                  {e[1:]: c for e, c in g.terms.items()}))
     return _presented_by_basis(J.n - 1, out)
 
 
@@ -760,8 +755,8 @@ def saturate(I: Ideal, f: MultiPoly,
         raise ValueError("saturation by zero")
     gens = I._basis_cache.get(I._cache_key(GREVLEX), I.generators)
     rel = MultiPoly.constant(I.n + 1, 1)
-    yf = MultiPoly(I.n + 1)
-    yf.terms = {(1,) + e: c for e, c in _polynomial(f).terms.items()}
+    yf = MultiPoly._raw(I.n + 1, {(1,) + e: c
+                                  for e, c in _polynomial(f).terms.items()})
     J = Ideal(I.n + 1, [_append_variable(g) for g in gens] + [rel - yf])
     return _eliminate_first(J, budget)
 
@@ -807,9 +802,8 @@ def saturate_by_ideal(I: Ideal, generators,
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) < 2:
         return saturate(I, gens[0], budget) if gens else I
-    h = MultiPoly(I.n + 1)
-    h.terms = {(j,) + e: c for j, g in enumerate(gens)
-               for e, c in _polynomial(g).terms.items()}
+    h = MultiPoly._raw(I.n + 1, {(j,) + e: c for j, g in enumerate(gens)
+                                 for e, c in _polynomial(g).terms.items()})
     lifted = Ideal(I.n + 1, [_append_variable(g) for g in I.generators])
     return _eliminate_first(saturate(lifted, h, budget), budget)
 

@@ -57,6 +57,16 @@ class MultiPoly:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _raw(cls, n, terms):
+        """The polynomial with the dict `terms` itself as its terms, which
+        must already be normal: exponent tuples of length n, no zero
+        coefficient.  The ring operations build their results this way."""
+        p = cls.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, n):
         return cls(n, {})
 
@@ -89,16 +99,12 @@ class MultiPoly:
                 out[e] = nc
             elif e in out:
                 del out[e]
-        r = MultiPoly(self.n)
-        r.terms = out
-        return r
+        return MultiPoly._raw(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = MultiPoly(self.n)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return MultiPoly._raw(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -112,9 +118,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MultiPoly.zero(self.n)
-            r = MultiPoly(self.n)
-            r.terms = {e: c * other for e, c in self.terms.items()}
-            return r
+            return MultiPoly._raw(self.n, {e: c * other
+                                           for e, c in self.terms.items()})
         other = self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -125,9 +130,7 @@ class MultiPoly:
                     out[e] = nc
                 elif e in out:
                     del out[e]
-        r = MultiPoly(self.n)
-        r.terms = out
-        return r
+        return MultiPoly._raw(self.n, out)
 
     __rmul__ = __mul__
 
@@ -135,9 +138,7 @@ class MultiPoly:
         if len(self.terms) == 1:
             # a single term's power is one term: no repeated products
             (e, c), = self.terms.items()
-            r = MultiPoly(self.n)
-            r.terms = {tuple(x * k for x in e): c ** k}
-            return r
+            return MultiPoly._raw(self.n, {tuple(x * k for x in e): c ** k})
         if k < 0:
             raise ValueError("negative power of a non-unit")
         out = MultiPoly.constant(self.n, 1)
@@ -219,10 +220,8 @@ class MultiPoly:
         m = self.monomial_content()
         if not any(m):
             return self
-        r = MultiPoly(self.n)
-        r.terms = {tuple(a - b for a, b in zip(e, m)): c
-                   for e, c in self.terms.items()}
-        return r
+        return MultiPoly._raw(self.n, {tuple(a - b for a, b in zip(e, m)): c
+                                       for e, c in self.terms.items()})
 
     def derivative(self, i: int) -> "MultiPoly":
         out = {}
@@ -231,9 +230,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        r = MultiPoly(self.n)
-        r.terms = out
-        return r
+        return MultiPoly._raw(self.n, out)
 
     def evaluate(self, values):
         """Evaluate at a full point; coordinates may be Fraction, float,
@@ -382,9 +379,8 @@ class _Parser:
         terms = self.expr()
         if self.kinds[self.i] != "$":
             self.fail("trailing input")
-        p = MultiPoly(self.n)
-        p.terms = {e: Fraction(c) for e, c in terms.items()}
-        return p
+        return MultiPoly._raw(self.n, {e: Fraction(c)
+                                       for e, c in terms.items()})
 
     def expr(self):
         kinds = self.kinds
@@ -426,8 +422,7 @@ class _Parser:
                     self.fail("nesting too deep")
                 self.depth += 1
                 self.i += 1
-                q = MultiPoly(self.n)
-                q.terms = self.expr()
+                q = MultiPoly._raw(self.n, self.expr())
                 if kinds[self.i] != ")":
                     self.fail("missing closing parenthesis")
                 self.depth -= 1
@@ -487,10 +482,7 @@ def substitute_torus(p: MultiPoly, E):
     groups = defaultdict(dict)
     for e, c in p.terms.items():
         groups[tuple([sum(map(mul, row, e)) for row in E])][e] = c
-    parts = [(J, MultiPoly(p.n)) for J in sorted(groups)]
-    for J, q in parts:
-        q.terms = groups[J]
-    return parts
+    return [(J, MultiPoly._raw(p.n, groups[J])) for J in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -436,9 +436,7 @@ def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
                 e2[i] = 0
         key = tuple(e2)
         out[key] = out[key] + c if key in out else c
-    q = MultiPoly(p.n)
-    q.terms = {e: c for e, c in out.items() if c}
-    return q
+    return MultiPoly._raw(p.n, {e: c for e, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +578,8 @@ def _permuted(p: MultiPoly, sigma) -> MultiPoly:
     """p with x_i renamed x_sigma[i]: exponent e becomes e' with
     e'[sigma[i]] = e[i]."""
     inverse = _inverse(sigma)
-    q = MultiPoly(p.n)
-    q.terms = {tuple(e[i] for i in inverse): c for e, c in p.terms.items()}
-    return q
+    return MultiPoly._raw(p.n, {tuple(e[i] for i in inverse): c
+                                for e, c in p.terms.items()})
 
 
 def _permuted_subgroup(N: ExponentSubgroup, sigma) -> ExponentSubgroup:

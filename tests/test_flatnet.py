@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
@@ -39,6 +40,12 @@ def bananas_with_loop():
     return DualGraph(["a", "b", "c"],
                      [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"),
                       ("e4", "b", "c"), ("e5", "a", "a")])
+
+
+def trees():
+    """Graphs with no circuit (b1 = 0): one edge, and the path a-b-c."""
+    return [DualGraph(["a", "b"], [("e1", "a", "b")]),
+            DualGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "c", "b")])]
 
 
 def audit_catalog():
@@ -284,7 +291,7 @@ class TestEnumerate:
             DualGraph(["a", "b", "c", "d"],
                       [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"),
                        ("e4", "d", "a"), ("e5", "a", "c")]),
-        ]
+        ] + trees()
         for g in graphs:
             ids = g.edge_ids()
             for v1, v2 in permutations(g.vertices, 2):
@@ -300,6 +307,8 @@ class TestEnumerate:
                             for f in flows] == expect, (g, v1, v2, N)
                     assert all(f.divisor == div and list(f.currents) == ids
                                for f in flows)
+                    if not g._circuits:  # no circuit: the particular flow
+                        assert len(flows) == 1, (g, v1, v2, N)
 
     def test_budget_exceeded_before_any_work(self, monkeypatch):
         """(2N+1)^b1 above `cap` raises before a single chord vector is
@@ -322,6 +331,104 @@ class TestEnumerate:
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
             enumerate_currents(theta(), 1, ("a", "a"))
+
+
+class TestLawfulFlows:
+    """Flows from enumerate_currents are immutable and carry the graph they
+    were built lawful on; solve_moduli skips the current-law check for
+    them on that graph alone."""
+
+    def test_flows_are_immutable(self):
+        g = theta()
+        flows = enumerate_currents(g, 2, ("a", "b"))
+        f = flows[0]
+        with pytest.raises(TypeError):
+            f.currents["e1"] = 0
+        with pytest.raises(TypeError):
+            f.divisor["a"] = 0
+        for name in ("divisor", "currents", "torsion_bound", "_lawful_on"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, None)
+        assert all(h.divisor is f.divisor for h in flows)
+        hand = CurrentAssignment({"a": 2, "b": -2}, {"e1": 1, "e2": 1,
+                                                     "e3": 0})
+        with pytest.raises(FrozenInstanceError):
+            hand.currents = {}
+
+    def test_flows_compare_as_plain_dicts(self):
+        """The tag takes no part in comparison or repr, and each flow
+        passes the checks of the public constructor, which enumerated
+        flows skip."""
+        for g in audit_catalog():
+            v1, v2 = g.vertices[:2]
+            for f in enumerate_currents(g, 2, (v1, v2)):
+                plain = CurrentAssignment(dict(f.divisor), dict(f.currents),
+                                          2)
+                assert f.currents == dict(f.currents)
+                assert f.divisor == {v: 2 if v == v1 else -2 if v == v2
+                                     else 0 for v in g.vertices}
+                assert f == plain and plain == f
+                assert "_lawful_on" not in repr(f)
+                assert "DualGraph" not in repr(f)
+                assert plain._lawful_on is None
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        check = flatnet.kirchhoff_check
+
+        def counted(g, ca):
+            calls.append(ca)
+            return check(g, ca)
+
+        monkeypatch.setattr(flatnet, "kirchhoff_check", counted)
+        return calls
+
+    def test_check_skipped_on_own_graph_only(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for g in audit_catalog():
+            flows = enumerate_currents(g, 2, tuple(g.vertices[:2]))
+            out = solve_moduli(g, flows)
+            assert calls == []
+            # an equal but distinct graph checks every flow, same outcome
+            twin = DualGraph(g.vertices, [(e, t, h)
+                                          for e, (t, h) in g.edges.items()])
+            assert_same_outcome(solve_moduli(twin, flows), out, g)
+            assert calls == flows
+            calls.clear()
+
+    def test_hand_built_checked_on_every_call(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = theta()
+        good = CurrentAssignment({"a": 3, "b": -3},
+                                 {"e1": 1, "e2": 1, "e3": 1})
+        for n in (1, 2, 3):
+            solve_moduli(g, [good])
+            assert len(calls) == n
+        bad = CurrentAssignment({"a": 3, "b": -3},
+                                {"e1": 1, "e2": 1, "e3": 2})
+        with pytest.raises(ValueError, match="constraint fails the current "
+                                             "law"):
+            solve_moduli(g, [bad])
+        assert len(calls) == 4
+
+    def test_other_graph_still_raises(self):
+        """A flow of one graph handed to a graph without its edges or
+        vertices raises as a hand-built one does."""
+        flows = enumerate_currents(theta(), 1, ("a", "b"))
+        with pytest.raises(UnknownEdge):
+            solve_moduli(banana2(), flows)
+        g = DualGraph(["a", "c"], [("e1", "c", "a"), ("e2", "c", "a"),
+                                   ("e3", "c", "a")])
+        with pytest.raises(UnknownVertex):
+            solve_moduli(g, flows)
+        # a lawless assignment among the flows of the same graph
+        g = theta()
+        bad = CurrentAssignment({"a": 1, "b": -1}, {"e1": 1, "e2": 1,
+                                                    "e3": 1})
+        with pytest.raises(ValueError, match="constraint fails the current "
+                                             "law"):
+            solve_moduli(g, enumerate_currents(g, 1, ("b", "a")) + [bad])
 
 
 class TestSolveModuli:
