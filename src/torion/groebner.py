@@ -21,8 +21,8 @@ it was checked against); a basis only grows, so the memo picks the reducer
 a linear scan would.  Pair selection uses the sugar strategy with both
 Buchberger criteria: each S-pair's queue entry carries its packed lcm,
 computed once when it is pushed, and the chain criterion looks for a
-divisor of the lcm only among the members whose pairs with both ends have
-already popped.  The inputs are queue entries too (Giovini, Mora,
+divisor of the lcm only among the members whose pairs with both ends are
+already treated.  The inputs are queue entries too (Giovini, Mora,
 Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): each
 waits with its degree as sugar, ahead of the S-pairs with the same sugar and
 lcm degree.  A popped input whose lead no member's lead divides joins the
@@ -35,6 +35,15 @@ another lead divides comes after it), and any other is reduced against the
 members kept before it: a tail term t of g lies below lead(g), so only
 leads <= t can divide it.
 
+The first inputs of a run may be marked as a Groebner basis in its order
+(Gebauer and Moeller, JSC 6, 1988: a pair with a standard representation
+needs no reduction).  When two of them join unchanged, their pair is
+treated at once, never pushed or reduced, and the chain criterion can use
+it.  A marked input that an earlier member reduces joins as any other, and
+its pairs are reduced as usual.  saturate(I, f) marks I's reduced grevlex
+basis: free of y, it is a Groebner basis in the block order [y | x], which
+restricts to grevlex on x.
+
 A lex basis (any permutation) is converted from the grevlex basis, cached
 or computed under the same budget and cached, by FGLM (Faugere, Gianni,
 Lazard and Mora, JSC 16, 1993) when every variable has a pure power among
@@ -42,8 +51,11 @@ the grevlex leads and the quotient has dimension D <= budget.max_degree:
 normal forms come from the one reduction loop, and each candidate's
 dependency test is one pass against an incremental fraction-free echelon
 form of the standard monomials' normal forms.  Every proper divisor of a
-lex lead is a standard monomial, so no lead exceeds degree D and the result
-fits the budget and the fields.  Otherwise lex runs Buchberger.
+lead in the new order is a standard monomial, so no lead exceeds degree D
+and the result fits the budget and the fields.  Otherwise lex runs
+Buchberger.  A block basis converts the same way, but only when the
+grevlex basis is already cached (eliminate by method 'block' computes it
+first); the saturation's own block run never computes it.
 
 All resource limits are explicit: exceeding one raises ResourceExhausted,
 which carries the GBStats counters reached and which pipelines treat as
@@ -78,6 +90,8 @@ class GBStats:
                               # drops the dominated ones
     max_degree: int = 0       # largest lead degree added
     max_coeff_bits: int = 0   # largest coefficient added, in bits
+    seed_skips: int = 0       # pairs of two seeded inputs that joined
+                              # unchanged: treated, never pushed or reduced
     seconds: float = field(default=0.0, compare=False)  # wall time, to 1 us
 
     def counters(self):
@@ -367,11 +381,14 @@ def _reduce_int(p, basis: _Basis, packing: _Packing):
     return r, Fraction(num * r[e], den * out[e])
 
 
-def _buchberger(n, gens, order: TermOrder, budget: Budget):
+def _buchberger(n, gens, order: TermOrder, budget: Budget, seeded=0):
     """Reduced basis of the integer dicts gens (exponent tuples, n
     variables) and the counters of the computation.  The basis is a list of
     (lead, poly) pairs in ascending lead order, each poly content-free with
-    a positive lead coefficient."""
+    a positive lead coefficient.  The first `seeded` gens must form a
+    Groebner basis in `order`: the S-pair of two of them that both join
+    unchanged reduces to zero by them, so it is marked treated when the
+    second joins and never pushed."""
     start = time.perf_counter()
     stats = GBStats()
 
@@ -417,21 +434,24 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
         # packed lcm) with the same first two keys; (i, j) is unique, so the
         # last field is never compared
         inputs, pq = [], []
-        for g in gens:
+        for k, g in enumerate(gens):
             p = _normalize(pk.packed(g))
             if p:
                 pq.append((max(map(sum, g)), sum(pk.decode(max(p))), -1,
                            len(inputs), None))
-                inputs.append(p)
+                inputs.append((p, k < seeded))
         heapq.heapify(pq)
         leads, guard = G.leads, pk.guard
-        done = []  # done[k]: the members whose pair with k has popped
+        done = []  # done[k]: the members whose pair with k is treated
+        seeds = set()  # the seeded inputs that joined unchanged
         while pq:
             sug, _, i, j, l = heapq.heappop(pq)
+            seed = False
             if i < 0:
-                nf = inputs[j]
+                nf, seed = inputs[j]
                 le = max(nf)
                 if any(not (le - lk) & guard for lk in leads):
+                    seed = False
                     nf = _reduce_int(nf, G, pk)[0]
                     if not nf:
                         continue
@@ -445,8 +465,8 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
                 if l == li + lj:
                     stats.coprime_skips += 1
                     continue
-                # chain criterion: some k whose pairs with i and j have
-                # both popped has a lead dividing the lcm
+                # chain criterion: some k whose pairs with i and j are
+                # both treated has a lead dividing the lcm
                 if any(not (l - leads[k]) & guard
                        for k in done[i] & done[j]):
                     stats.chain_skips += 1
@@ -469,9 +489,16 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget):
                 return [(zero, {zero: 1})], stop()  # unit ideal
             idx = len(leads)
             push(nf, sug)
-            done.append(set())
+            treated = set(seeds) if seed else set()
+            for k in treated:
+                done[k].add(idx)
+            stats.seed_skips += len(treated)
+            done.append(treated)
+            if seed:
+                seeds.add(idx)
             for k in range(idx):
-                heapq.heappush(pq, pair_entry(idx, k))
+                if k not in treated:
+                    heapq.heappush(pq, pair_entry(idx, k))
         # minimalize and interreduce in one ascending pass; of equal leads
         # the stable sort keeps the first (every member of G is
         # content-free with positive lead)
@@ -514,7 +541,7 @@ def _staircase(basis: _Basis, pk: _Packing, n, cap):
 
 
 def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
-    """Reduced basis in the lex order `order` of the zero-dimensional ideal
+    """Reduced basis in the order `order` of the zero-dimensional ideal
     with reduced basis `basis` (packed by pk, any order) and standard
     monomials `staircase`, in _buchberger's format.  The candidates
     x_i * s, s a standard monomial of the new order, are taken smallest
@@ -621,24 +648,24 @@ class Ideal:
     def groebner_basis(self, order: TermOrder = GREVLEX,
                        budget: Budget = BUDGET_PROFILES["default"]):
         """Reduced basis in the given order, monic, cached per order.  A lex
-        basis is converted from the grevlex basis by FGLM where the module
-        docstring says; otherwise, and when the grevlex basis runs out of
-        budget, lex runs Buchberger."""
+        basis, and a block basis when the grevlex basis is cached, is
+        converted from the grevlex basis by FGLM where the module docstring
+        says; otherwise, and when the grevlex basis runs out of budget, the
+        order runs Buchberger."""
         key = self._cache_key(order)
         if key in self._basis_cache:
             return self._basis_cache[key]
         raw = None
-        if order.kind == "lex":
+        cached = self._cache_key(GREVLEX) in self._basis_cache
+        if order.kind == "lex" or (order.kind == "block" and cached):
             raw, stats = self._convert_from_grevlex(order, budget)
         if raw is None:
             raw, stats = _buchberger(self.n, [_to_int_poly(g)
                                               for g in self.generators],
                                      order, budget)
-        basis = []
-        for le, p in raw:
-            lc = Fraction(p[le])
-            basis.append(MultiPoly._raw(
-                self.n, {e: Fraction(c) / lc for e, c in p.items()}))
+        basis = [MultiPoly._raw(self.n, {e: Fraction(c, p[le])
+                                         for e, c in p.items()})
+                 for le, p in raw]
         self._basis_cache[key] = basis
         if stats is not None:
             self._stats_cache[key] = stats
@@ -703,15 +730,24 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     """Generators of I intersected with the subring in the kept variables,
     via a lex basis with the eliminated variables largest (method 'block'
     swaps in a grevlex-block elimination order: same elimination ideal,
-    usually far cheaper on large inputs)."""
+    usually far cheaper on large inputs).  Either way the grevlex basis
+    comes first, so a zero-dimensional I converts by FGLM."""
     if method not in ("lex", "block"):
         raise ValueError(f"unknown elimination method {method!r}: "
                          "expected 'lex' or 'block'")
     keep = set(keep)
+    for i in sorted(keep):
+        if not 0 <= i < I.n:
+            raise ValueError(f"variable index {i} out of range for "
+                             f"{I.n} variables")
     eliminated = [i for i in range(I.n) if i not in keep]
     if method == "block":
         perm = eliminated + [i for i in range(I.n) if i in keep]
         order = TermOrder("block", perm=perm, nblock=len(eliminated))
+        try:
+            I.groebner_basis(GREVLEX, budget)
+        except ResourceExhausted:
+            pass
     else:
         order = elimination_order(I.n, eliminated)
     basis = I.groebner_basis(order, budget)
@@ -724,17 +760,21 @@ def _append_variable(p: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(p.n + 1, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def _eliminate_first(J: Ideal, budget: Budget) -> Ideal:
+def _eliminate_first(J: Ideal, budget: Budget, seeded=0) -> Ideal:
     """J intersected with the subring without the first variable, read off
     the reduced basis in the block order with the first variable alone in
-    its block (`eliminate` by method 'block').  Its members free of the
-    first variable are the reduced basis of that intersection in the order
-    the block order induces there, which is grevlex, so the result carries
-    them as its grevlex basis."""
-    out = []
-    for g in eliminate(J, range(1, J.n), budget, method="block").generators:
-        out.append(MultiPoly._raw(J.n - 1,
-                                  {e[1:]: c for e, c in g.terms.items()}))
+    its block, from one Buchberger run on J's generators, the first
+    `seeded` of them a Groebner basis in that order (never by FGLM: a
+    grevlex run on J costs more than the conversion saves).  Its members
+    with a lead free of the first variable are free of it, and they are the
+    reduced basis of that intersection in the order the block order induces
+    there, which is grevlex, so the result carries them as its grevlex
+    basis."""
+    raw, _ = _buchberger(J.n, [_to_int_poly(g) for g in J.generators],
+                         TermOrder("block", nblock=1), budget, seeded=seeded)
+    out = [MultiPoly._raw(J.n - 1, {e[1:]: Fraction(c, p[le])
+                                    for e, c in p.items()})
+           for le, p in raw if not le[0]]
     return _presented_by_basis(J.n - 1, out)
 
 
@@ -746,19 +786,32 @@ def _presented_by_basis(n: int, basis) -> Ideal:
     return result
 
 
+def _check_arity(I: Ideal, polys):
+    if any(p.n != I.n for p in polys):
+        raise RingMismatch("arity mismatch")
+
+
 def saturate(I: Ideal, f: MultiPoly,
              budget: Budget = BUDGET_PROFILES["default"]) -> Ideal:
     """I : f^infinity by the extra-variable method: adjoin y, add 1 - y*f,
     and eliminate y (single-block elimination order).  I enters by its
-    cached reduced grevlex basis when it has one, else by its generators."""
+    reduced grevlex basis, computed and cached here if need be, which stays
+    a Groebner basis in the block order (the order restricts to grevlex on
+    polynomials free of y), so the block run never reduces its pairs; when
+    that basis runs out of budget, I enters by its generators."""
+    _check_arity(I, [f])
     if f.is_zero():
         raise ValueError("saturation by zero")
-    gens = I._basis_cache.get(I._cache_key(GREVLEX), I.generators)
+    try:
+        gens = I.groebner_basis(GREVLEX, budget)
+        seeded = len(gens)
+    except ResourceExhausted:
+        gens, seeded = I.generators, 0
     rel = MultiPoly.constant(I.n + 1, 1)
     yf = MultiPoly._raw(I.n + 1, {(1,) + e: c
                                   for e, c in _polynomial(f).terms.items()})
     J = Ideal(I.n + 1, [_append_variable(g) for g in gens] + [rel - yf])
-    return _eliminate_first(J, budget)
+    return _eliminate_first(J, budget, seeded)
 
 
 def saturate_many(I: Ideal, polys,
@@ -767,6 +820,8 @@ def saturate_many(I: Ideal, polys,
     each factor in turn.  The unit test runs before each saturation, so a
     unit ideal is never saturated; the result is presented by its reduced
     grevlex basis (the unit ideal by 1)."""
+    polys = list(polys)
+    _check_arity(I, polys)
     J = I
     for f in polys:
         if is_trivial(J, budget):
@@ -798,13 +853,22 @@ def saturate_by_ideal(I: Ideal, generators,
     Proof: take a primary decomposition of I; h lies in p[t] exactly when
     every g_j lies in p, so saturating I[t] by h drops the same primary
     components as saturating I by J (Cox, Little and O'Shea, Ideals,
-    Varieties, and Algorithms, sec. 4.4)."""
+    Varieties, and Algorithms, sec. 4.4).  A cached grevlex basis of I,
+    with t appended, is the reduced grevlex basis of I[t] (t is compared
+    last), so I[t] is presented by it."""
+    generators = list(generators)
+    _check_arity(I, generators)
     gens = [g for g in generators if not g.is_zero()]
     if len(gens) < 2:
         return saturate(I, gens[0], budget) if gens else I
     h = MultiPoly._raw(I.n + 1, {(j,) + e: c for j, g in enumerate(gens)
                                  for e, c in _polynomial(g).terms.items()})
-    lifted = Ideal(I.n + 1, [_append_variable(g) for g in I.generators])
+    basis = I._basis_cache.get(I._cache_key(GREVLEX))
+    if basis is None:
+        lifted = Ideal(I.n + 1, [_append_variable(g) for g in I.generators])
+    else:
+        lifted = _presented_by_basis(I.n + 1,
+                                     [_append_variable(g) for g in basis])
     return _eliminate_first(saturate(lifted, h, budget), budget)
 
 

@@ -10,8 +10,8 @@ def buchberger_orders(monkeypatch):
     kinds = []
     run = groebner._buchberger
 
-    def spy(n, gens, order, budget):
+    def spy(n, gens, order, budget, seeded=0):
         kinds.append(order.kind)
-        return run(n, gens, order, budget)
+        return run(n, gens, order, budget, seeded=seeded)
     monkeypatch.setattr(groebner, "_buchberger", spy)
     return kinds

@@ -14,9 +14,12 @@ from torion.groebner import (BUDGET_PROFILES, GREVLEX, Budget, GBStats,
                              intersect, is_trivial, normal_form, saturate,
                              saturate_by_ideal, saturate_many)
 from torion.intlat import clear_denominators, echelon_kernel
-from torion.multipoly import MultiPoly, parse
+from torion.multipoly import MultiPoly, RingMismatch, parse
 
 XY = ["x", "y"]
+
+# the kernel itself, kept before a test replaces it by a spy
+BUCHBERGER = groebner._buchberger
 
 
 def mk(n, *texts):
@@ -163,6 +166,16 @@ class TestEliminate:
         with pytest.raises(ValueError, match="'lex' or 'block'"):
             eliminate(I, [0], method="blok")
 
+    @pytest.mark.parametrize("method", ["lex", "block"])
+    @pytest.mark.parametrize("keep, bad", [([5], 5), ([-1], -1),
+                                           ([0, 2], 2)])
+    def test_variable_index_out_of_range_raises(self, method, keep, bad):
+        I = mk(2, "x - y^2", "y - 2")
+        with pytest.raises(ValueError) as info:
+            eliminate(I, keep, method=method)
+        assert str(info.value) == \
+            f"variable index {bad} out of range for 2 variables"
+
     def test_identity_permutation_shares_the_lex_cache(self,
                                                         buchberger_orders):
         """eliminate(I, [1]) in two variables asks for lex with the
@@ -239,10 +252,61 @@ class TestSaturate:
         sizes = []
         run = groebner._buchberger
         monkeypatch.setattr(groebner, "_buchberger",
-                            lambda n, gens, *a: sizes.append(len(gens))
-                            or run(n, gens, *a))
+                            lambda n, gens, *a, **kw: sizes.append(len(gens))
+                            or run(n, gens, *a, **kw))
         assert saturate(I, parse("y", XY)).groebner_basis() == raw
         assert sizes == [3]
+
+    def test_polynomial_of_another_arity_raises(self):
+        """x^2 - y saturated by a variable of a 3-variable ring is an
+        error, not a 4-variable computation inside a 3-variable ideal."""
+        I = mk(2, "x^2 - y")
+        z = MultiPoly.variable(3, 0)
+        with pytest.raises(RingMismatch, match="arity mismatch"):
+            saturate(I, z)
+        with pytest.raises(RingMismatch, match="arity mismatch"):
+            saturate(I, MultiPoly.zero(3))
+        with pytest.raises(RingMismatch, match="arity mismatch"):
+            saturate_many(I, [parse("x", XY), z])
+        for gens in ([z], [parse("x", XY), z], [parse("x", XY),
+                                                MultiPoly.zero(3)]):
+            with pytest.raises(RingMismatch, match="arity mismatch"):
+                saturate_by_ideal(I, gens)
+
+    def test_saturate_many_checks_every_arity_first(self):
+        """A unit ideal stops the loop before the second polynomial, which
+        is still checked."""
+        with pytest.raises(RingMismatch):
+            saturate_many(mk(2, "x - 1", "x - 2"),
+                          [parse("x", XY), MultiPoly.variable(1, 0)])
+
+    def test_saturate_computes_and_caches_the_grevlex_basis(
+            self, buchberger_orders):
+        expect = mk(2, "x^2*y - x", "y^2 - 1").groebner_basis()
+        buchberger_orders.clear()
+        I = mk(2, "x^2*y - x", "y^2 - 1", "x^2*y^3 - x*y^2")
+        S = saturate(I, parse("y", XY))
+        assert buchberger_orders == ["grevlex", "block"]
+        assert I._basis_cache[I._cache_key(GREVLEX)] == expect
+        assert saturate(I, parse("y", XY)).generators == S.generators
+        assert buchberger_orders == ["grevlex", "block", "block"]
+
+    def test_saturate_falls_back_to_the_generators(self, monkeypatch):
+        """When the grevlex basis runs out of budget, the block run enters
+        by the generators, unseeded."""
+        runs = []
+
+        def run(n, gens, order, budget, seeded=0):
+            runs.append((order.kind, len(gens), seeded))
+            if order.kind == "grevlex":
+                raise ResourceExhausted("max_pairs")
+            return BUCHBERGER(n, gens, order, budget, seeded=seeded)
+        monkeypatch.setattr(groebner, "_buchberger", run)
+        I = mk(2, "x^2*y - x", "y^2 - 1", "x^2*y^3 - x*y^2")
+        S = saturate(I, parse("y", XY))
+        assert runs == [("grevlex", 3, 0), ("block", 4, 0)]
+        assert not I._basis_cache
+        assert S.generators == _saturate_reference(I, parse("y", XY))
 
     def test_saturate_many_out_of_budget_raises(self):
         I = mk(3, "x1^2*x2 - x3", "x2^2*x3 - x1", "x3^2*x1 - x2")
@@ -296,6 +360,17 @@ class TestSaturateByIdeal:
         zero = MultiPoly.zero(2)
         assert saturate_by_ideal(self.I, []) is self.I
         assert saturate_by_ideal(self.I, [zero, zero]) is self.I
+
+    def test_lifted_ideal_is_presented_by_the_cached_basis(
+            self, buchberger_orders):
+        """With I's grevlex basis cached, I[t] needs no grevlex run: one
+        seeded block run saturates it and one eliminates t."""
+        I = Ideal(2, self.I.generators)
+        I.groebner_basis()
+        buchberger_orders.clear()
+        S = saturate_by_ideal(I, [parse("x - 2", XY), parse("y", XY)])
+        assert buchberger_orders == ["block", "block"]
+        assert S.groebner_basis() == [parse("x + y - 2", XY)]
 
     def test_one_saturation_and_no_intersection(self, monkeypatch):
         calls = []
@@ -421,6 +496,19 @@ class TestBudgets:
         assert [g.to_string(XY) for g in basis] == ["y^3 - 1", "-y^2 + x"]
         assert buchberger_orders == ["grevlex", "lex"]
         assert I.stats() is None
+
+    def test_seeded_exhaustion_notes_the_seed_skips(self):
+        """A seeded block run that runs out of pairs reports the seeded
+        pairs it treated without reducing them."""
+        I = Ideal(5, cyclic(5))
+        I.groebner_basis()
+        with pytest.raises(ResourceExhausted) as info:
+            saturate(I, MultiPoly.variable(5, 0) + MultiPoly.variable(5, 1),
+                     Budget(max_pairs=10))
+        skips = info.value.stats.seed_skips
+        assert skips > 0 and info.value.stats.pairs == 10
+        assert f"seed_skips={skips}, seconds=" in str(info.value)
+        assert info.value.untimed.endswith(f"seed_skips={skips})")
 
     def test_profiles_exist(self):
         assert set(BUDGET_PROFILES) == {"default", "extended", "stretch"}
@@ -614,17 +702,17 @@ def test_basis_ignores_order_repeats_and_scale(case, data):
     assert Ideal(n, gens).groebner_basis(order) == expect
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(small_ideals(), st.data())
 def test_saturate_from_the_cached_basis_is_from_the_generators(case, data):
+    """The block run seeded by the grevlex basis gives the saturation that
+    the unseeded block run from the generators gives."""
     n, gens = case
     f = data.draw(st.sampled_from([MultiPoly.variable(n, i)
                                    for i in range(n)]) |
                   small_polys(n).filter(lambda p: not p.is_zero()))
-    raw = saturate(Ideal(n, gens), f)
     I = Ideal(n, gens)
-    I.groebner_basis()
-    assert saturate(I, f).groebner_basis() == raw.groebner_basis()
+    assert saturate(I, f).generators == _saturate_reference(I, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -707,41 +795,80 @@ def _counters(stats):
                     if f.name != "seconds")
 
 
+def _spy_runs(monkeypatch):
+    """The (n, order kind, seeded, counters) of each kernel run during the
+    test, in call order."""
+    runs = []
+
+    def spy(n, gens, order, budget, seeded=0):
+        basis, stats = BUCHBERGER(n, gens, order, budget, seeded=seeded)
+        runs.append((n, order.kind, seeded, _counters(stats)))
+        return basis, stats
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    return runs
+
+
+def _saturation_inputs(gens, f=None):
+    """The integer inputs of the saturation of (gens) by f (default
+    x0 + x1) from the generators: each with y prepended, then 1 - y*f."""
+    n = (f or gens[0]).n
+    f = f or MultiPoly.variable(n, 0) + MultiPoly.variable(n, 1)
+    lifted = [groebner._append_variable(g) for g in gens]
+    rel = MultiPoly.constant(n + 1, 1) - MultiPoly(
+        n + 1, {(1,) + e: c for e, c in f.terms.items()})
+    return [groebner._to_int_poly(g) for g in lifted + [rel]]
+
+
 class TestPinnedPairOrder:
-    """The counters of four benchmark computations.  Each is fixed by the
+    """The counters of the benchmark computations.  Each is fixed by the
     order in which pairs pop, so a change to the queue or the criteria
     that reorders pairs shows here (a reordered queue can blow up the
-    coefficients: see ROADMAP item 1)."""
+    coefficients: see ROADMAP item 1).  The block runs from the generators
+    are pinned through direct kernel calls, since eliminate and saturate
+    no longer make them."""
 
     def test_katsura5_grevlex(self):
         I = Ideal(6, katsura(5))
         I.groebner_basis()
-        assert _counters(I.stats()) == "231/94/73/64/48/22/6/76"
+        assert _counters(I.stats()) == "231/94/73/64/48/22/6/76/0"
 
     def test_cyclic5_grevlex(self):
         I = Ideal(5, cyclic(5))
         I.groebner_basis()
-        assert _counters(I.stats()) == "703/106/489/108/75/38/8/10"
+        assert _counters(I.stats()) == "703/106/489/108/75/38/8/10/0"
 
-    def test_katsura4_block_elimination(self):
+    def test_katsura4_block_run(self):
+        _, stats = BUCHBERGER(5, [groebner._to_int_poly(g)
+                                  for g in katsura(4)],
+                              TermOrder("block", nblock=3),
+                              BUDGET_PROFILES["default"])
+        assert _counters(stats) == "210/81/87/42/26/21/6/277/0"
+
+    def test_cyclic5_saturation_block_run(self):
+        """Saturating by x0 + x1 from the generators, unseeded."""
+        _, stats = BUCHBERGER(6, _saturation_inputs(cyclic(5)),
+                              TermOrder("block", nblock=1),
+                              BUDGET_PROFILES["default"])
+        assert _counters(stats) == "1378/272/915/191/144/53/8/10/0"
+
+    def test_katsura4_block_elimination(self, monkeypatch):
+        """eliminate by method 'block' runs grevlex only and converts; the
+        block basis carries the grevlex counters."""
+        runs = _spy_runs(monkeypatch)
         I = Ideal(5, katsura(4))
         eliminate(I, [3, 4], method="block")
-        assert _counters(I.stats(TermOrder("block", nblock=3))) == \
-            "210/81/87/42/26/21/6/277"
+        assert runs == [(5, "grevlex", 0, "78/37/15/26/18/13/5/34/0")]
+        assert I.stats(TermOrder("block", nblock=3)) == I.stats()
 
     def test_cyclic5_saturation(self, monkeypatch):
-        """Saturating by x0 + x1 is one block run in six variables."""
-        runs = []
-        run = groebner._buchberger
-
-        def spy(n, gens, order, budget):
-            basis, stats = run(n, gens, order, budget)
-            runs.append((n, order.kind, _counters(stats)))
-            return basis, stats
-        monkeypatch.setattr(groebner, "_buchberger", spy)
+        """Saturating by x0 + x1 is the grevlex run and one block run in six
+        variables seeded by the twenty grevlex members: their 190 pairs are
+        never reduced."""
+        runs = _spy_runs(monkeypatch)
         saturate(Ideal(5, cyclic(5)),
                  MultiPoly.variable(5, 0) + MultiPoly.variable(5, 1))
-        assert runs == [(6, "block", "1378/272/915/191/144/53/8/10")]
+        assert runs == [(5, "grevlex", 0, "703/106/489/108/75/38/8/10/0"),
+                        (6, "block", 20, "216/67/104/45/37/29/8/8/190")]
 
 
 def _fglm_reference(basis, pk, staircase, n, order):
@@ -799,6 +926,30 @@ def _both_fglms(gens, order, budget=BUDGET_PROFILES["default"]):
         for fglm in (groebner._fglm, _fglm_reference)]
 
 
+def _random_zero_dimensional(rng):
+    """2-4 variables, x_i^d_i plus lower-degree terms for each variable:
+    grevlex has a pure power of each variable and the quotient has
+    dimension d_1 * ... * d_n (Bezout, no zero at infinity)."""
+    n = rng.randint(2, 4)
+
+    def lower(degree):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * n
+            for _ in range(rng.randint(0, degree)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = F(rng.randint(-5, 5), rng.randint(1, 3))
+        return MultiPoly(n, terms)
+    gens = []
+    for i in range(n):
+        d = rng.randint(1, 3 if n < 4 else 2)
+        power = MultiPoly.variable(n, i)
+        for _ in range(d - 1):
+            power = power * MultiPoly.variable(n, i)
+        gens.append(power + lower(d - 1))
+    return gens, lower
+
+
 class TestIncrementalFglm:
     @pytest.mark.parametrize("name, gens, budget", [
         ("katsura-4", katsura(4), "default"),
@@ -818,26 +969,158 @@ class TestIncrementalFglm:
         infinity).  Every sixth ideal gets one more random generator,
         which mostly makes it the unit ideal."""
         rng = random.Random(seed)
-        n = rng.randint(2, 4)
-
-        def lower(degree):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = [0] * n
-                for _ in range(rng.randint(0, degree)):
-                    e[rng.randrange(n)] += 1
-                terms[tuple(e)] = F(rng.randint(-5, 5), rng.randint(1, 3))
-            return MultiPoly(n, terms)
-        gens = []
-        for i in range(n):
-            d = rng.randint(1, 3 if n < 4 else 2)
-            power = MultiPoly.variable(n, i)
-            for _ in range(d - 1):
-                power = power * MultiPoly.variable(n, i)
-            gens.append(power + lower(d - 1))
+        gens, lower = _random_zero_dimensional(rng)
+        n = len(gens)
         if seed % 6 == 0:
             gens.append(lower(2))
         perm = list(range(n))
         rng.shuffle(perm)
         new, old = _both_fglms(gens, TermOrder("lex", perm=perm))
         assert new == old
+
+
+# ---------------------------------------------------------------------------
+# the seeded saturation and block bases by FGLM against the block runs
+# they replace
+# ---------------------------------------------------------------------------
+
+def _saturate_reference(I, f):
+    """I : f^infinity as saturate computed it before it entered by the
+    grevlex basis: the members free of y of one unseeded block run on I's
+    generators and 1 - y*f, monic."""
+    raw, _ = BUCHBERGER(I.n + 1, _saturation_inputs(I.generators, f),
+                        TermOrder("block", nblock=1),
+                        BUDGET_PROFILES["default"])
+    return [MultiPoly(I.n, {e[1:]: F(c, p[le]) for e, c in p.items()})
+            for le, p in raw if not le[0]]
+
+
+def _block_reference(I, order, budget=BUDGET_PROFILES["default"]):
+    """The reduced basis in the block order `order` as Ideal.groebner_basis
+    computed it before FGLM: one Buchberger run on the generators."""
+    raw, _ = BUCHBERGER(I.n, [groebner._to_int_poly(g)
+                              for g in I.generators], order, budget)
+    return [MultiPoly(I.n, {e: F(c, p[le]) for e, c in p.items()})
+            for le, p in raw]
+
+
+def _random_block_order(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return TermOrder("block", perm=perm, nblock=rng.randint(1, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.data())
+def test_block_basis_after_grevlex_is_the_block_run(case, data):
+    """With the grevlex basis cached, a block basis (random split and
+    permutation) is converted by FGLM when the ideal is zero-dimensional
+    and run by Buchberger otherwise; either way it is the block run's."""
+    n, gens = case
+    order = TermOrder("block", perm=data.draw(st.permutations(range(n))),
+                      nblock=data.draw(st.integers(1, n - 1)))
+    I = Ideal(n, gens)
+    I.groebner_basis()
+    assert I.groebner_basis(order) == _block_reference(I, order)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_zero_dimensional_block_bases_by_fglm(seed, buchberger_orders):
+    """Random zero-dimensional ideals (every sixth one mostly the unit
+    ideal), random block splits and permutations: the block basis, and
+    eliminate by method 'block', take only the grevlex run and equal the
+    block run's basis and its members free of the eliminated variables."""
+    rng = random.Random(seed)
+    gens, lower = _random_zero_dimensional(rng)
+    n = len(gens)
+    if seed % 6 == 0:
+        gens.append(lower(2))
+    order = _random_block_order(rng, n)
+    I = Ideal(n, gens)
+    I.groebner_basis()
+    assert I.groebner_basis(order) == _block_reference(I, order)
+    eliminated = order.perm[:order.nblock]
+    J = eliminate(Ideal(n, gens), order.perm[order.nblock:],
+                  method="block")
+    assert buchberger_orders == ["grevlex", "grevlex"]
+    elimination = TermOrder("block", perm=sorted(eliminated) + sorted(
+        order.perm[order.nblock:]), nblock=order.nblock)
+    assert J.generators == [
+        g for g in _block_reference(I, elimination)
+        if not any(e[i] for e in g.terms for i in eliminated)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_saturation_of_zero_dimensional_ideals(seed):
+    rng = random.Random(100 + seed)
+    gens, lower = _random_zero_dimensional(rng)
+    f = lower(2)
+    if f.is_zero():
+        f = MultiPoly.variable(len(gens), 0)
+    I = Ideal(len(gens), gens)
+    assert saturate(I, f).generators == _saturate_reference(I, f)
+
+
+def test_a_seeded_input_reduced_before_it_joins_pairs_as_usual():
+    """y^2 and 2*x^3 - y - 1 form a grevlex basis, but x pops first and
+    reduces 2*x^3 - y - 1 to y + 1: its pair with y^2 must then be reduced,
+    and it gives the unit ideal.  Only the pairs of seeded inputs that
+    joined unchanged are skipped, here none."""
+    seeds = [parse("y^2", XY), parse("2*x^3 - y - 1", XY)]
+    assert Ideal(2, seeds).groebner_basis() == [parse("y^2", XY),
+                                                 parse("x^3 - 1/2*y - 1/2",
+                                                       XY)]
+    ints = [groebner._to_int_poly(g) for g in seeds + [parse("x", XY)]]
+    default = BUDGET_PROFILES["default"]
+    basis, stats = BUCHBERGER(2, ints, GREVLEX, default, seeded=2)
+    assert basis == [((0, 0), {(0, 0): 1})]
+    assert stats.seed_skips == 0
+    unseeded, plain = BUCHBERGER(2, ints, GREVLEX, default)
+    assert (basis, _counters(stats)) == (unseeded, _counters(plain))
+
+
+def test_seeded_inputs_that_join_unchanged_skip_their_pairs():
+    """Three grevlex members and one more input: the three pairs of the
+    members are treated when they join, and the basis is the unseeded
+    run's."""
+    seeds = mk(2, "x^2 - y", "x*y - 1").groebner_basis()
+    assert len(seeds) == 3
+    ints = [groebner._to_int_poly(g) for g in seeds + [parse("y^3 + x",
+                                                             XY)]]
+    default = BUDGET_PROFILES["default"]
+    seeded, stats = BUCHBERGER(2, ints, GREVLEX, default, seeded=3)
+    assert stats.seed_skips == 3
+    assert seeded == BUCHBERGER(2, ints, GREVLEX, default)[0]
+
+
+class TestClassicSystemsAgainstTheBlockRuns:
+    @pytest.mark.parametrize("name, gens, f", [
+        ("cyclic-5", cyclic(5), "x1 + x2"),
+        ("cyclic-5", cyclic(5), "x3"),
+        ("katsura-4", katsura(4), "x1"),
+        ("katsura-4", katsura(4), "x2 + x3 - 1"),
+    ])
+    def test_saturation(self, name, gens, f):
+        n = gens[0].n
+        f = parse(f, [f"x{i + 1}" for i in range(n)])
+        I = Ideal(n, gens)
+        assert saturate(I, f).generators == _saturate_reference(I, f)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_katsura4_block_bases(self, seed, buchberger_orders):
+        order = _random_block_order(random.Random(seed), 5)
+        I = Ideal(5, katsura(4))
+        I.groebner_basis()
+        assert I.groebner_basis(order) == _block_reference(I, order)
+        assert buchberger_orders == ["grevlex"]
+
+    def test_cyclic5_block_basis(self, buchberger_orders):
+        """The quotient has dimension 70, past the default max_degree, so
+        FGLM needs the extended budget."""
+        extended = BUDGET_PROFILES["extended"]
+        order = TermOrder("block", perm=(4, 0, 1, 2, 3), nblock=1)
+        I = Ideal(5, cyclic(5))
+        I.groebner_basis()
+        assert I.groebner_basis(order, extended) == \
+            _block_reference(I, order, extended)
+        assert buchberger_orders == ["grevlex"]

@@ -1,7 +1,7 @@
 """Differential test of the Buchberger engine against sympy's Gröbner bases
-on random small ideals from fixed seeds: reduced bases, block elimination,
-normal forms and lex bases converted from grevlex by FGLM (skipped when
-sympy is absent)."""
+on random small ideals from fixed seeds: reduced bases, block elimination
+(by Buchberger and by FGLM), saturation, normal forms and lex bases
+converted from grevlex by FGLM (skipped when sympy is absent)."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,8 @@ import pytest
 
 from torion import groebner
 from torion.groebner import (BUDGET_PROFILES, GREVLEX, Ideal, TermOrder,
-                             elimination_order, eliminate, normal_form)
+                             elimination_order, eliminate, normal_form,
+                             saturate)
 from torion.multipoly import MultiPoly
 
 sympy = pytest.importorskip("sympy")
@@ -78,6 +79,27 @@ def test_block_elimination_matches_sympy_lex(seed):
     kept = [g for g in lex if all(e[0] == 0 for e in g.terms)]
     assert _as_set(Ideal(n, ours).groebner_basis(GREVLEX)) == \
         _as_set(Ideal(n, kept).groebner_basis(GREVLEX))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_saturation_matches_sympy_lex(seed):
+    """saturate, seeded by the grevlex basis, against the members free of y
+    of sympy's lex basis of I[y] + (1 - y*f), y compared first, through
+    their reduced grevlex bases; f is a variable or the sum of two."""
+    n, gens = random_ideal(seed)
+    rng = random.Random(500 + seed)
+    f = MultiPoly.variable(n, rng.randrange(n))
+    if seed % 2:
+        f = f + MultiPoly.variable(n, rng.randrange(n))
+    ours = saturate(Ideal(n, gens), f).generators
+    lifted = [MultiPoly(n + 1, {(0,) + e: c for e, c in g.terms.items()})
+              for g in gens]
+    rel = MultiPoly.constant(n + 1, 1) - MultiPoly(
+        n + 1, {(1,) + e: c for e, c in f.terms.items()})
+    kept = [MultiPoly(n, {e[1:]: c for e, c in g.terms.items()})
+            for g in sympy_basis(n + 1, lifted + [rel], "lex")
+            if all(e[0] == 0 for e in g.terms)]
+    assert _as_set(ours) == _as_set(Ideal(n, kept).groebner_basis(GREVLEX))
 
 
 def random_poly(rng, n, size=5, degree=4):
@@ -199,3 +221,23 @@ def test_fglm_unit_ideal(buchberger_orders):
             [{e: Fraction(c, p[le]) for e, c in p.items()} for le, p in raw]
         assert _as_set(ours) == _as_set(sympy_lex(3, gens, perm))
     assert buchberger_orders == ["grevlex"]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_block_elimination_by_fglm_matches_sympy_lex(seed,
+                                                     buchberger_orders):
+    """eliminate(..., method='block') of a zero-dimensional ideal converts
+    the grevlex basis by FGLM (no block run); a random nonempty set of
+    variables is eliminated, and the result is compared with the members
+    of sympy's lex basis, eliminated variables first, free of them."""
+    n, gens = random_zero_dim_ideal(seed)
+    rng = random.Random(700 + seed)
+    eliminated = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+    keep = [i for i in range(n) if i not in eliminated]
+    buchberger_orders.clear()
+    ours = eliminate(Ideal(n, gens), keep, method="block").generators
+    assert buchberger_orders == ["grevlex"]
+    kept = [g for g in sympy_lex(n, gens, eliminated + keep)
+            if not any(e[i] for e in g.terms for i in eliminated)]
+    assert _as_set(Ideal(n, ours).groebner_basis(GREVLEX)) == \
+        _as_set(Ideal(n, kept).groebner_basis(GREVLEX))
