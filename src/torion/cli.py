@@ -20,18 +20,18 @@ import traceback
 from itertools import groupby
 
 from . import __version__
-from .exactnum import rational
+from .exactnum import BudgetExceeded, rational
 from .groebner import BUDGET_PROFILES, GREVLEX, Ideal, ResourceExhausted, \
     TermOrder, eliminate, is_trivial, normal_form, saturate_many
-from .heights import height_algebraic, height_point
 from .multipoly import UnknownVariable, parse, read_poly_file
-from . import crossratio
-from . import flatnet
 from . import reproduce
 from . import toruscan
-# not used here: perfbench's workloads import them from torion.cli
-from .crossratio import crossratio_m1, crossratio_m2, crossratio_m3
+# not used here: perfbench's workloads import it from torion.cli
 from .multipoly import data_text
+
+# crossratio, flatnet and heights are imported by the commands that use
+# them, so `import torion.cli` and a run of `torion reproduce lem-so-odd`
+# never compile them.
 
 REPORT_SCHEMA = 1
 
@@ -110,9 +110,6 @@ def _integer(text):
         raise ValueError(f"{text!r} is not an integer") from None
 
 
-_point = crossratio.ProjPoint.of  # 'inf', 'oo' or a rational
-
-
 def _tagged(tag, fn, *args):
     """fn(*args); its ValueError is re-raised with the tag in front."""
     try:
@@ -173,15 +170,18 @@ def _read_subspaces(path, n):
     return blocks
 
 
-def _read_config(path) -> crossratio.StableFormConfig:
+def _read_config(path):
     """'zero <point> <order>', 'pole <point>' and 'part <pole index>...'
-    lines."""
+    lines, a point being 'inf', 'oo' or a rational: returns the
+    crossratio.StableFormConfig."""
+    from .crossratio import ProjPoint, StableFormConfig
+    point = ProjPoint.of
     found = {"zero": [], "pole": [], "part": []}
-    for _, kind, values in _directives(path, {"zero": [_point, _integer],
-                                              "pole": [_point],
+    for _, kind, values in _directives(path, {"zero": [point, _integer],
+                                              "pole": [point],
                                               "part": [_integer, ...]}):
         found[kind].append(values)
-    return _tagged(path, crossratio.StableFormConfig, found["zero"],
+    return _tagged(path, StableFormConfig, found["zero"],
                    [p for p, in found["pole"]], found["part"])
 
 
@@ -196,6 +196,7 @@ def _read_network(path):
     'source <vertex> <int>' and 'modulus <edge> <rational>' lines, in any
     order, one per kind and id, naming only declared vertices and edges:
     returns (DualGraph, currents, sources, moduli), the last three dicts."""
+    from .flatnet import DualGraph
     records = list(_directives(path, {
         "vertex": [str], "edge": [str, str, str],
         "current": [str, _integer], "source": [str, _integer],
@@ -216,7 +217,7 @@ def _read_network(path):
             edges.append(tuple(fields))
         else:
             values[kind][fields[0]] = fields[1]
-    return (flatnet.DualGraph(vertices, edges), values["current"],
+    return (DualGraph(vertices, edges), values["current"],
             values["source"], values["modulus"])
 
 
@@ -225,6 +226,7 @@ def _read_network(path):
 # ---------------------------------------------------------------------------
 
 def cmd_height(args, report: Report) -> int:
+    from .heights import height_algebraic, height_point
     if args.minpoly is not None:
         hv = height_algebraic(parse(args.minpoly, ["x"]).as_upoly(0))
         report.set("height", {"value": hv.value, "exactness": hv.exactness,
@@ -321,6 +323,7 @@ def cmd_torus_scan(args, report: Report) -> int:
 
 
 def cmd_cross_ratio(args, report: Report) -> int:
+    from . import crossratio
     cfg = _read_config(args.config)
     if args.check == "torsion":
         verdict, detail = crossratio.torsion_config_check(
@@ -356,6 +359,7 @@ def cmd_cross_ratio(args, report: Report) -> int:
 
 
 def cmd_network(args, report: Report) -> int:
+    from . import flatnet
     g, currents, sources, moduli = _read_network(args.graph)
     report.set_input("graph", _digest(args.graph))
     if args.trace_matrix:
@@ -549,7 +553,7 @@ def build_parser():
 # exceptions that end a run with exit 2 (bad input; the library raises
 # ValueError for every input error) and 3 (out of budget)
 INPUT_ERRORS = (FileNotFoundError, ValueError)
-BUDGET_ERRORS = (flatnet.BudgetExceeded, ResourceExhausted)
+BUDGET_ERRORS = (BudgetExceeded, ResourceExhausted)
 
 
 def main(argv=None) -> int:
@@ -575,6 +579,15 @@ def main(argv=None) -> int:
     if args.report:
         report.emit(args.report)
     return code
+
+
+def __getattr__(name):
+    """crossratio_m1/2/3, which perfbench's enum-m010 workload reads from
+    here, are crossratio's own; crossratio loads on first use."""
+    if name in ("crossratio_m1", "crossratio_m2", "crossratio_m3"):
+        from . import crossratio
+        return getattr(crossratio, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

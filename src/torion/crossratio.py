@@ -17,7 +17,6 @@ from itertools import combinations
 
 from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
     UPoly, cyclotomic_order, min_poly_of, rational, trace_dual_basis
-from .flatnet import DualGraph
 from .multipoly import MultiPoly
 from . import intlat
 
@@ -682,6 +681,7 @@ class DecoratedTree:
                               self.vertex_labels.items()}
         if len(self.edges) != len(self.vertex_labels) - 1:
             raise InvalidTree("edge count must be vertex count - 1")
+        from .flatnet import DualGraph
         try:
             self.graph = DualGraph(self.vertex_labels, self.edges)
         except ValueError as exc:
@@ -742,22 +742,25 @@ def standard_degeneration_trees():
 
 
 def crossratio_m1():
-    """Unit-twist exponent matrix of the first standard tree (rows as
-    `degeneration_matrix` returns them)."""
-    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
-            (0, 0, 1, 0, 0, 1, 0, 0, 0)]
+    """Unit-twist exponent matrix M1 of the first standard tree (rows as
+    `degeneration_matrix` returns them), as the paper prints it: the golden
+    value `reproduce.DEGENERATION_MATRICES[0]`."""
+    return _printed_matrix(0)
 
 
 def crossratio_m2():
-    """Unit-twist exponent matrix of the second standard tree."""
-    return [(1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
-            (0, 0, 0, 0, 0, 1, 0, 0, 1)]
+    """Unit-twist exponent matrix M2 of the second standard tree."""
+    return _printed_matrix(1)
 
 
 def crossratio_m3():
-    """Unit-twist exponent matrix of the third standard tree."""
-    return [(1, 0, 0, -1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0, 1, 0),
-            (0, 0, 0, 0, 0, 1, 0, 0, -1)]
+    """Unit-twist exponent matrix M3 of the third standard tree."""
+    return _printed_matrix(2)
+
+
+def _printed_matrix(k):
+    from .reproduce import DEGENERATION_MATRICES
+    return list(DEGENERATION_MATRICES[k])
 
 
 def degeneration_matrix(tree: DecoratedTree):

@@ -55,7 +55,11 @@ lead in the new order is a standard monomial, so no lead exceeds degree D
 and the result fits the budget and the fields.  Otherwise lex runs
 Buchberger.  A block basis converts the same way, but only when the
 grevlex basis is already cached (eliminate by method 'block' computes it
-first); the saturation's own block run never computes it.
+first); the saturation's own block run never computes it.  An ideal with
+fewer nonzero generators than variables is the unit ideal or
+positive-dimensional (Krull's height theorem), so no grevlex basis is
+computed for a conversion there: without a cached one, lex and
+eliminate's block order run Buchberger straight away.
 
 All resource limits are explicit: exceeding one raises ResourceExhausted,
 which carries the GBStats counters reached and which pipelines treat as
@@ -671,11 +675,21 @@ class Ideal:
             self._stats_cache[key] = stats
         return basis
 
+    def _too_few_generators(self) -> bool:
+        """Fewer nonzero generators than variables: the ideal is the unit
+        ideal or positive-dimensional, so a grevlex basis computed only for
+        FGLM would be wasted."""
+        return len(self.generators) < self.n
+
     def _convert_from_grevlex(self, order: TermOrder, budget: Budget):
         """(basis, stats) by FGLM from the grevlex basis, in _buchberger's
         format, with the grevlex run's counters and its seconds plus the
         conversion's (None without a grevlex run here); (None, None) when
-        the conversion does not apply."""
+        the conversion does not apply, or cannot and no grevlex basis is
+        cached."""
+        if self._too_few_generators() and \
+                self._cache_key(GREVLEX) not in self._basis_cache:
+            return None, None
         try:
             grevlex = self.groebner_basis(GREVLEX, budget)
         except ResourceExhausted:
@@ -731,7 +745,8 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     via a lex basis with the eliminated variables largest (method 'block'
     swaps in a grevlex-block elimination order: same elimination ideal,
     usually far cheaper on large inputs).  Either way the grevlex basis
-    comes first, so a zero-dimensional I converts by FGLM."""
+    comes first, so a zero-dimensional I converts by FGLM, unless I has
+    fewer generators than variables."""
     if method not in ("lex", "block"):
         raise ValueError(f"unknown elimination method {method!r}: "
                          "expected 'lex' or 'block'")
@@ -744,10 +759,11 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     if method == "block":
         perm = eliminated + [i for i in range(I.n) if i in keep]
         order = TermOrder("block", perm=perm, nblock=len(eliminated))
-        try:
-            I.groebner_basis(GREVLEX, budget)
-        except ResourceExhausted:
-            pass
+        if not I._too_few_generators():
+            try:
+                I.groebner_basis(GREVLEX, budget)
+            except ResourceExhausted:
+                pass
     else:
         order = elimination_order(I.n, eliminated)
     basis = I.groebner_basis(order, budget)

@@ -27,11 +27,24 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from . import crossratio
-from . import flatnet
 from . import toruscan
 from .exactnum import RationalMatrix, UPoly, char_poly, quartic_galois_class
 from .multipoly import data_text, read_poly_file
+
+# crossratio and flatnet are imported by the targets that use them, so
+# lem-so, lem-so-odd and charpoly-d4 never compile them.
+
+# the unit-twist degeneration matrices M1-M3 of the three standard trees as
+# the paper prints them, in the column order (R21, R31, R41, R22, R32, R42,
+# R23, R33, R43); crossratio.crossratio_m1/2/3 return them
+DEGENERATION_MATRICES = (
+    ((1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
+     (0, 0, 1, 0, 0, 1, 0, 0, 0)),
+    ((1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 1, 0, 1, 1),
+     (0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    ((1, 0, 0, -1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0, 1, 0),
+     (0, 0, 0, 0, 0, 1, 0, 0, -1)),
+)
 
 M010_COUNTS = {"total": 554, "rank_profile": {"1": 454, "2": 97, "3": 3}}
 
@@ -46,10 +59,8 @@ GOLDEN = {
     },
     "m010-subspaces": M010_COUNTS,
     "m010-prune": {**M010_COUNTS, "after_pruning": 78},
-    "matrices-m123": {"matrices": [
-        [list(row) for row in m()] for m in (crossratio.crossratio_m1,
-                                             crossratio.crossratio_m2,
-                                             crossratio.crossratio_m3)]},
+    "matrices-m123": {"matrices": [[list(row) for row in m]
+                                   for m in DEGENERATION_MATRICES]},
     "charpoly-d4": {"char_poly": repr(UPoly([1, -25, 144, -25, 1])),
                     "galois_class": "D4"},
     "moduli-audit": {"failures": []},
@@ -109,10 +120,9 @@ def lem_so_odd(budget, threads):
 
 
 def _m010(target, prune):
-    polys = crossratio.m010_system()
-    M = [toruscan.ExponentSubgroup(rows, 9)
-         for rows in (crossratio.crossratio_m1(), crossratio.crossratio_m2(),
-                      crossratio.crossratio_m3())]
+    from .crossratio import m010_system
+    polys = m010_system()
+    M = [toruscan.ExponentSubgroup(rows, 9) for rows in DEGENERATION_MATRICES]
     subs = toruscan.enumerate_subspaces_multi(polys, M)
     by_rank = {}
     for s in subs:
@@ -134,6 +144,7 @@ def m010_prune(budget, threads):
 
 
 def matrices_m123(budget, threads):
+    from . import crossratio
     return _verdict("matrices-m123", {
         "matrices": [crossratio.degeneration_matrix(t)
                      for t in crossratio.standard_degeneration_trees()]})
@@ -147,6 +158,7 @@ def charpoly_d4(budget, threads):
 
 
 def moduli_audit(budget, threads):
+    from . import flatnet
     failures = []
     checked = 0
     for g in flatnet.small_graph_catalog(max_edges=4):

@@ -311,11 +311,12 @@ def coefficient_variety(polys, N: ExponentSubgroup,
     is impossible on the torus: status 'pruned-singleton'.  Otherwise the
     ideal goes through one stage, or two when `conditions` are given (the
     second adds the conditions' parts).  Each stage removes the components
-    inside the coordinate hyperplanes (successive saturation by each used
-    variable), then those inside each peripheral locus: a coset lies in V(f)
-    iff all parts of f vanish, so it saturates by the ideal of f's parts,
-    unless that ideal and the stage's ideal together generate 1 (then the
-    saturation changes nothing and is skipped).  The first unit ideal
+    inside the coordinate hyperplanes (successive saturation by each
+    variable that a generator, freed of its monomial content, uses), then
+    those inside each peripheral locus: a coset lies in V(f) iff all parts
+    of f vanish, so it saturates by the ideal of f's parts, unless that
+    ideal and the stage's ideal together generate 1 (then the saturation
+    changes nothing and is skipped).  The first unit ideal
     makes the candidate 'trivial-ideal'; budget exhaustion makes it
     'undetermined', never dropped."""
     cand = _opened(polys, N)
@@ -333,9 +334,11 @@ def coefficient_variety(polys, N: ExponentSubgroup,
         J = Ideal(n, [])
         used = set()
         for added in stages:
+            added = [g.strip_monomial_content() for g in added]
+            # a variable no generator contains is a nonzerodivisor modulo
+            # J, so saturating by it would change nothing
             used.update(*[g.variables_used() for g in added])
-            J = Ideal(n, J.generators +
-                      [g.strip_monomial_content() for g in added])
+            J = Ideal(n, J.generators + added)
             J = saturate_many(J, [MultiPoly.variable(n, i)
                                   for i in sorted(used)], budget)
             for part_gens in peripheral_parts:

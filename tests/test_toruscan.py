@@ -250,6 +250,22 @@ class TestTierPipeline:
         from torion.intlat import primitive_vector
         assert {primitive_vector(v) for v in signed} == set(folded)
 
+    def test_saturates_only_by_variables_of_the_stripped_parts(
+            self, monkeypatch):
+        """The survivor (0, 0, 1): x3 enters its parts only as a monomial
+        factor, so the coordinate saturations are by x1 and x2 alone."""
+        seen = []
+        run = groebner.saturate
+
+        def spy(I, f, budget):
+            seen.append(f)
+            return run(I, f, budget)
+        monkeypatch.setattr(groebner, "saturate", spy)
+        cand = coefficient_variety([self.h], ExponentSubgroup([[0, 0, 1]]))
+        assert cand.status == "survivor"
+        assert any(2 in q.variables_used() for _, q in cand.parts)
+        assert seen == [MultiPoly.variable(3, 0), MultiPoly.variable(3, 1)]
+
 
 
 # Brute-force references for the tier kernels.  Tier 1 searches all of the
