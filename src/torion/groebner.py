@@ -46,8 +46,10 @@ restricts to grevlex on x.
 
 A lex basis (any permutation) is converted from the grevlex basis, cached
 or computed under the same budget and cached, by FGLM (Faugere, Gianni,
-Lazard and Mora, JSC 16, 1993) when every variable has a pure power among
-the grevlex leads and the quotient has dimension D <= budget.max_degree:
+Lazard and Mora, JSC 16, 1993) when every variable the generators use has
+a pure power among the grevlex leads and the quotient by the ideal in those
+variables has dimension D <= budget.max_degree (the other variables stay
+free, and the reduced basis in any order uses none of them):
 normal forms come from the one reduction loop, and each candidate's
 dependency test is one pass against an incremental fraction-free echelon
 form of the standard monomials' normal forms.  Every proper divisor of a
@@ -56,7 +58,7 @@ and the result fits the budget and the fields.  Otherwise lex runs
 Buchberger.  A block basis converts the same way, but only when the
 grevlex basis is already cached (eliminate by method 'block' computes it
 first); the saturation's own block run never computes it.  An ideal with
-fewer nonzero generators than variables is the unit ideal or
+fewer nonzero generators than the variables they use is the unit ideal or
 positive-dimensional (Krull's height theorem), so no grevlex basis is
 computed for a conversion there: without a cached one, lex and
 eliminate's block order run Buchberger straight away.
@@ -524,13 +526,15 @@ def _buchberger(n, gens, order: TermOrder, budget: Budget, seeded=0):
 # change of order (FGLM)
 # ---------------------------------------------------------------------------
 
-def _staircase(basis: _Basis, pk: _Packing, n, cap):
-    """The standard monomials (no lead divides them) of the reduced basis,
-    packed, or None when some variable has no pure power among the leads
-    (the ideal is not zero-dimensional) or there are more than cap."""
+def _staircase(basis: _Basis, pk: _Packing, used, cap):
+    """The standard monomials (no lead divides them) of the reduced basis
+    in the variables `used`, packed, or None when one of them has no pure
+    power among the leads (the ideal is not zero-dimensional in them) or
+    there are more than cap.  Variables that no basis member uses stay
+    free and have no part in the staircase."""
     exps = [pk.decode(le) for le in basis.leads]
     if not all(any(not any(e[:i] + e[i + 1:]) for e in exps)
-               for i in range(n)):
+               for i in used):
         return None
     guard, out = pk.guard, []
     stack = [(0, 0)]  # a monomial and the least variable it may still gain
@@ -540,26 +544,29 @@ def _staircase(basis: _Basis, pk: _Packing, n, cap):
             out.append(m)
             if len(out) > cap:
                 return None
-            stack.extend((m + pk.units[j], j) for j in range(i, n))
+            stack.extend((m + pk.units[used[j]], j)
+                         for j in range(i, len(used)))
     return out
 
 
-def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
-    """Reduced basis in the order `order` of the zero-dimensional ideal
-    with reduced basis `basis` (packed by pk, any order) and standard
-    monomials `staircase`, in _buchberger's format.  The candidates
-    x_i * s, s a standard monomial of the new order, are taken smallest
-    first.  A candidate divisible by a new lead is skipped.  Otherwise its
-    normal form, the normal form of x_i times that of s, either depends on
-    those of the standard monomials already found, and the relation is a
-    new basis member with lead the candidate, or the candidate is standard
-    too.  Each normal form is kept as (r, scale), r = scale * NF as
-    _reduce_int gives it, so a relation sum k_j r_j = 0 is the member
-    sum k_j scale_j m_j.  The r's of the standard monomials are kept in
-    fraction-free echelon rows (pivot, vector, combination k): vector =
-    sum k_j r_j, both divided by their common content, zero at the pivots
-    of earlier rows.  So one pass over the rows in order leaves a
-    candidate's r zero at every pivot: a zero remainder's combination is
+def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder,
+          used):
+    """Reduced basis in the order `order` of the ideal with reduced basis
+    `basis` (packed by pk, any order), zero-dimensional in the variables
+    `used` that its members use, with standard monomials `staircase` in
+    them, in _buchberger's format.  The candidates x_i * s, x_i a used
+    variable and s a standard monomial of the new order, are taken
+    smallest first.  A candidate divisible by a new lead is skipped.
+    Otherwise its normal form, the normal form of x_i times that of s,
+    either depends on those of the standard monomials already found, and
+    the relation is a new basis member with lead the candidate, or the
+    candidate is standard too.  Each normal form is kept as (r, scale),
+    r = scale * NF as _reduce_int gives it, so a relation sum k_j r_j = 0
+    is the member sum k_j scale_j m_j.  The r's of the standard monomials
+    are kept in fraction-free echelon rows (pivot, vector, combination k):
+    vector = sum k_j r_j, both divided by their common content, zero at
+    the pivots of earlier rows.  So one pass over the rows in order leaves
+    a candidate's r zero at every pivot: a zero remainder's combination is
     the relation (unique up to scale), a nonzero one a new row."""
     target = _Packing(n, order, len(staircase))
     words, vecs, scales = [], [], []  # the new standard monomials
@@ -599,7 +606,7 @@ def _fglm(basis: _Basis, pk: _Packing, staircase, n, order: TermOrder):
             words.append(t)
             vecs.append(r)
             scales.append(scale)
-            for i in range(n):
+            for i in used:
                 heapq.heappush(heap, (t + target.units[i], len(vecs) - 1, i))
             continue
         ws, coeffs = zip(*[(w, comb[k] * s) for k, (w, s) in enumerate(
@@ -675,11 +682,15 @@ class Ideal:
             self._stats_cache[key] = stats
         return basis
 
+    def _used_variables(self):
+        return sorted(set().union(*[g.variables_used()
+                                    for g in self.generators]))
+
     def _too_few_generators(self) -> bool:
-        """Fewer nonzero generators than variables: the ideal is the unit
-        ideal or positive-dimensional, so a grevlex basis computed only for
-        FGLM would be wasted."""
-        return len(self.generators) < self.n
+        """Fewer nonzero generators than the variables they use: the ideal
+        is the unit ideal or positive-dimensional, so a grevlex basis
+        computed only for FGLM would be wasted."""
+        return len(self.generators) < len(self._used_variables())
 
     def _convert_from_grevlex(self, order: TermOrder, budget: Budget):
         """(basis, stats) by FGLM from the grevlex basis, in _buchberger's
@@ -696,10 +707,12 @@ class Ideal:
             return None, None
         start = time.perf_counter()
         pk, basis = _packed_basis(grevlex, self.n, GREVLEX, budget)
-        staircase = _staircase(basis, pk, self.n, budget.max_degree)
+        # the basis uses no variable the generators do not
+        used = self._used_variables()
+        staircase = _staircase(basis, pk, used, budget.max_degree)
         if staircase is None:
             return None, None
-        raw = _fglm(basis, pk, staircase, self.n, order)
+        raw = _fglm(basis, pk, staircase, self.n, order, used)
         stats = self.stats(GREVLEX)
         if stats is not None:
             stats = replace(stats, seconds=round(
@@ -746,7 +759,7 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     swaps in a grevlex-block elimination order: same elimination ideal,
     usually far cheaper on large inputs).  Either way the grevlex basis
     comes first, so a zero-dimensional I converts by FGLM, unless I has
-    fewer generators than variables."""
+    fewer generators than the variables they use."""
     if method not in ("lex", "block"):
         raise ValueError(f"unknown elimination method {method!r}: "
                          "expected 'lex' or 'block'")

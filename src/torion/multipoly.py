@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 from .exactnum import UPoly, rational
 
@@ -467,22 +466,6 @@ def parse(text: str, variables) -> MultiPoly:
     """Parse polynomial text over the given ordered variable names;
     exponents are nonnegative integer literals."""
     return _Parser(text, variables).parse()
-
-
-def substitute_torus(p: MultiPoly, E):
-    """Group the terms of p by the image of their exponent vectors under the
-    integer matrix E (rows index torus coordinates): substituting
-    z_i = a_i * t^(E column i) turns p into  sum_J p_J(a) * t^J  with
-    p_J(a) = sum over E.I = J of b_I a^I.
-
-    Returns [(J, p_J)] sorted by J; the parts partition the support of p.
-    """
-    if any(len(row) != p.n for row in E):
-        raise RingMismatch(f"matrix must have {p.n} columns")
-    groups = defaultdict(dict)
-    for e, c in p.terms.items():
-        groups[tuple([sum(map(mul, row, e)) for row in E])][e] = c
-    return [(J, MultiPoly._raw(p.n, groups[J])) for J in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ coset a*T_N of the variety to the coset sigma(a)*T_sigma(N), and every
 step of the classification commutes with it, so the verdict of sigma(N)
 is sigma of the verdict of N: a unit ideal stays the unit ideal, and a
 survivor's saturated ideal is presented by the reduced grevlex basis of its
-permuted generators, which is unique.  The cosets are solved anew, since
-the lex order is not symmetric.
+permuted generators, which is unique.  That is the representative's basis
+renamed when sigma keeps the order of the variables it uses, and a resolved
+nonempty list of cosets is renamed too; otherwise the basis is computed and
+the cosets are solved anew, since the lex order is not symmetric.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import intlat
 from .groebner import (BUDGET_PROFILES, GREVLEX, Budget, Ideal,
                        ResourceExhausted, TermOrder, _presented_by_basis,
                        is_trivial, saturate_by_ideal, saturate_many)
-from .multipoly import MultiPoly, RingMismatch, substitute_torus
+from .multipoly import MultiPoly, RingMismatch
 
 
 class ExponentSubgroup:
@@ -122,21 +124,15 @@ class ScanReport:
     representatives: int = 0  # candidates classified, one per orbit
 
     def to_json_dict(self):
-        def enc_subgroup(s):
-            return [list(r) for r in s.basis]
-
         def enc_candidate(c):
-            if c.subgroup.rank == 1:
-                cosets = coset_lines_for_report(c)
-            else:
-                cosets = [str(sol) for sol in c.cosets]
             return {
-                "subgroup": enc_subgroup(c.subgroup),
+                "subgroup": [list(r) for r in c.subgroup.basis],
                 "status": c.status,
                 "ideal": sorted(g.to_string() for g in
                                 (c.coefficient_ideal.generators
                                  if c.coefficient_ideal else [])),
-                "cosets": cosets,
+                "cosets": coset_lines_for_report(c) if c.subgroup.rank == 1
+                else [str(sol) for sol in c.cosets],
                 "note": c.note,
             }
         return {
@@ -169,16 +165,10 @@ def _digest_polys(polys, peripheral=(), conditions=()):
 # ---------------------------------------------------------------------------
 
 def _support_difference_hyperplanes(polys):
-    out = set()
-    for p in polys:
-        sup = p.support()
-        for i in range(len(sup)):
-            for j in range(i + 1, len(sup)):
-                w = intlat.primitive_vector(
-                    tuple(a - b for a, b in zip(sup[i], sup[j])))
-                if w:
-                    out.add(w)
-    return sorted(out)
+    return sorted({w for p in polys
+                   for u, v in itertools.combinations(p.support(), 2)
+                   if (w := intlat.primitive_vector(tuple(map(operator.sub,
+                                                              u, v))))})
 
 
 def _intersect_hyperplane(rows, g):
@@ -248,10 +238,48 @@ def enumerate_subspaces_multi(polys, starts):
 # coefficient ideals
 # ---------------------------------------------------------------------------
 
+class _Projection:
+    """The parts of the polynomials `polys` under projection by integer
+    rows E: called with E, per polynomial p the list [(J, p_J)] by J
+    ascending, where p_J holds p's terms b_e x^e with E.e = J, in p's term
+    order.  Substituting z_i = a_i * t^(E column i) turns p into the sum of
+    p_J(a) * t^J.  The supports are packed once (`_packed_pairing`), and
+    again wider only when rows need wider fields; one combination per row
+    gives its value on every term.  Pickled as its polynomials, so a worker
+    process packs its own."""
+
+    def __init__(self, polys):
+        self.polys = tuple(polys)
+        self.points = [e for p in self.polys for e in p.terms]
+        self.top = max((abs(x) for e in self.points for x in e), default=0)
+        self.pairing, self.half = None, 0
+
+    def __reduce__(self):
+        return _Projection, (self.polys,)
+
+    def __call__(self, E):
+        keys = itertools.repeat(())  # with no rows each polynomial is one part
+        if E:
+            span = self.top * max(sum(map(abs, row)) for row in E)
+            if span >= self.half:
+                self.pairing, self.half = _packed_pairing(self.points,
+                                                          len(E[0]), span)
+            keys = zip(*map(self.pairing, E))
+        half, out = self.half, []
+        for p in self.polys:
+            groups = {}
+            # zip takes p's terms first, so it stops before p's last key
+            for (e, c), J in zip(p.terms.items(), keys):
+                groups.setdefault(J, {})[e] = c
+            out.append([(tuple(x - half for x in J),
+                         MultiPoly._raw(p.n, groups[J]))
+                        for J in sorted(groups)])
+        return out
+
+
 def induced_parts(polys, N: ExponentSubgroup):
     """All support parts of all generators under projection by N's basis."""
-    E = [list(r) for r in N.basis]
-    return [part for p in polys for part in substitute_torus(p, E)]
+    return [part for parts in _Projection(polys)(N.basis) for part in parts]
 
 
 def has_singleton_part(polys, N: ExponentSubgroup) -> bool:
@@ -291,12 +319,12 @@ def singleton_free(polys, subgroups):
     return out
 
 
-def _opened(polys, N: ExponentSubgroup) -> CosetCandidate:
+def _opened(polys: _Projection, N: ExponentSubgroup) -> CosetCandidate:
     """N's candidate with its parts and coefficient ideal, 'open', or
     'pruned-singleton' when some part has one term."""
-    parts = induced_parts(polys, N)
+    parts = [part for parts in polys(N.basis) for part in parts]
     gens = [q for _, q in parts]
-    cand = CosetCandidate(N, Ideal(polys[0].n, gens), "open", parts=parts)
+    cand = CosetCandidate(N, Ideal(N.n, gens), "open", parts=parts)
     if any(len(q.terms) == 1 for q in gens):
         cand.status = "pruned-singleton"
     return cand
@@ -318,19 +346,22 @@ def coefficient_variety(polys, N: ExponentSubgroup,
     ideal and the stage's ideal together generate 1 (then the saturation
     changes nothing and is skipped).  The first unit ideal
     makes the candidate 'trivial-ideal'; budget exhaustion makes it
-    'undetermined', never dropped."""
+    'undetermined', never dropped.  Each of `polys`, `peripheral` and
+    `conditions` may be given as its _Projection, as a scan does, which
+    packs them once for all its candidates."""
+    polys, peripheral, conditions = (
+        g if isinstance(g, _Projection) else _Projection(g)
+        for g in (polys, peripheral, conditions))
     cand = _opened(polys, N)
     if cand.status == "pruned-singleton":
         return cand
-    n = polys[0].n
-    gens = [q for _, q in cand.parts]
-    stages = [gens]
-    if conditions:
-        stages.append([q for _, q in induced_parts(conditions, N)])
+    n = N.n
+    stages = [[q for _, q in cand.parts]]
+    if conditions.polys:
+        stages.append([q for parts in conditions(N.basis) for _, q in parts])
+    peripheral_parts = [[q.strip_monomial_content() for _, q in parts]
+                        for parts in peripheral(N.basis)]
     try:
-        peripheral_parts = [[q.strip_monomial_content()
-                             for _, q in induced_parts([p], N)]
-                            for p in peripheral]
         J = Ideal(n, [])
         used = set()
         for added in stages:
@@ -384,47 +415,30 @@ def _solve_coset_points(ideal: Ideal, n: int, budget: Budget):
         basis = ideal.groebner_basis(TermOrder("lex"), budget)
     except ResourceExhausted:
         return ["unresolved"]
-    sols = [dict()]
-    for var in reversed(range(n)):
-        if var not in used:
-            continue
+    sols = [{}]
+    for var in reversed(used):
         new_sols = []
         for partial in sols:
-            cands = None
-            exhausted_any = False
-            inconsistent = False
-            for g in basis:
-                sub = _partial_substitute(g, partial)
-                if sub.is_zero():
-                    continue
-                vars_left = sub.variables_used()
-                if not vars_left:
-                    inconsistent = True
-                    break
-                if vars_left == {var}:
-                    roots, exhausted = _rational_roots_of_univariate(sub, var)
-                    exhausted_any = exhausted_any or exhausted
-                    rs = set(roots)
-                    cands = rs if cands is None else (cands & rs)
-            if inconsistent:
-                continue
-            if cands is None or not exhausted_any:
+            subs = [_partial_substitute(g, partial) for g in basis]
+            if any(sub.terms and not sub.variables_used() for sub in subs):
+                continue  # a nonzero constant: no point extends partial
+            roots = [_rational_roots_of_univariate(sub, var) for sub in subs
+                     if sub.variables_used() == {var}]
+            if not any(splits for _, splits in roots):
                 # no univariate constraint pins this variable down over Q:
                 # there may be irrational solutions; do not guess
                 return ["unresolved"]
-            for r in sorted(cands):
-                if r == 0:
-                    continue  # torus coordinates are nonzero
-                d2 = dict(partial)
-                d2[var] = r
-                new_sols.append(d2)
+            # torus coordinates are nonzero
+            new_sols += [{**partial, var: r} for r in sorted(
+                set.intersection(*[set(rs) for rs, _ in roots])) if r]
         sols = new_sols
-    out = []
-    for s in sols:
-        if all(_partial_substitute(g, s).is_zero() for g in gens):
-            out.append(tuple(s.get(i) for i in range(n)))
-    out.sort(key=lambda t: tuple((x is not None, x) for x in t))
-    return out
+    return sorted((tuple(map(s.get, range(n))) for s in sols
+                   if all(_partial_substitute(g, s).is_zero() for g in gens)),
+                  key=_coset_key)
+
+
+def _coset_key(point):
+    return tuple((x is not None, x) for x in point)
 
 
 def _partial_substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
@@ -571,10 +585,7 @@ def tier2_friend_filter(poly: MultiPoly, candidates):
 # ---------------------------------------------------------------------------
 
 def _inverse(sigma):
-    inverse = [0] * len(sigma)
-    for i, j in enumerate(sigma):
-        inverse[j] = i
-    return inverse
+    return sorted(range(len(sigma)), key=sigma.__getitem__)
 
 
 def _permuted(p: MultiPoly, sigma) -> MultiPoly:
@@ -696,13 +707,18 @@ def _orbits(subgroups, generators, n):
     return links
 
 
-def _transported(polys, M: ExponentSubgroup, sigma, rep: CosetCandidate,
-                 budget: Budget):
+def _transported(polys: _Projection, M: ExponentSubgroup, sigma,
+                 rep: CosetCandidate, budget: Budget):
     """The candidate of M = sigma(rep.subgroup), given rep classified: the
     parts and the singleton test from M itself; a unit ideal stays the unit
     ideal; a survivor's saturated ideal is sigma of rep's, presented by its
-    reduced grevlex basis, with its cosets solved anew.  None when M is to
-    be classified directly: rep undetermined, or the budget runs out."""
+    reduced grevlex basis.  That is rep's basis renamed when sigma keeps the
+    order of the variables it uses (grevlex on them is then the same order),
+    else a grevlex run.  The cosets are rep's renamed when those are a
+    resolved nonempty list: all the rational points of the saturated ideal,
+    which sigma maps onto M's, and a direct solve finds the same set
+    (Gianni-Kalkbrener); else they are solved anew.  None when M is to be
+    classified directly: rep undetermined, or the budget runs out."""
     cand = _opened(polys, M)
     n = M.n
     if cand.status == "pruned-singleton":
@@ -713,15 +729,23 @@ def _transported(polys, M: ExponentSubgroup, sigma, rep: CosetCandidate,
         return cand
     if rep.status != "survivor":
         return None
-    try:
-        J = _presented_by_basis(n, Ideal(n, [
-            _permuted(g, sigma) for g in rep.saturated_generators
-        ]).groebner_basis(GREVLEX, budget))
-    except ResourceExhausted:
-        return None
+    basis = [_permuted(g, sigma) for g in rep.saturated_generators]
+    images = [sigma[i] for i in sorted(set().union(
+        *[g.variables_used() for g in rep.saturated_generators]))]
+    if images != sorted(images):
+        try:
+            basis = Ideal(n, basis).groebner_basis(GREVLEX, budget)
+        except ResourceExhausted:
+            return None
+    J = _presented_by_basis(n, basis)
     cand.status = "survivor"
     cand.saturated_generators = J.generators
-    cand.cosets = _solve_coset_points(J, n, budget)
+    if rep.cosets and "unresolved" not in rep.cosets:
+        inverse = _inverse(sigma)
+        cand.cosets = sorted((tuple(point[i] for i in inverse)
+                              for point in rep.cosets), key=_coset_key)
+    else:
+        cand.cosets = _solve_coset_points(J, n, budget)
     return cand
 
 
@@ -752,9 +776,10 @@ def _classify_in_worker(N):
 
 def _classify_all(subgroups, args, threads, notes):
     """coefficient_variety on every subgroup; `args` = (polys, budget,
-    peripheral, conditions) reach each worker process once, through the
-    pool initializer.  A pool that cannot start falls back to serial and
-    says so in `notes`."""
+    peripheral, conditions), the three groups as their _Projection, reach
+    each worker process once, through the pool initializer, which unpickles
+    the projections as their polynomials and packs them anew there.  A pool
+    that cannot start falls back to serial and says so in `notes`."""
     if threads > 1 and len(subgroups) >= 4:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -779,7 +804,8 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     subgroup or a list of them, by default the whole lattice), classify
     them, and report deterministically (candidates ordered by canonical
     subgroup key).  One subgroup per orbit of `symmetry_generators` is
-    classified with `coefficient_variety`; the verdicts of the others are
+    classified with `coefficient_variety`, from supports packed once per
+    scan (`_Projection`); the verdicts of the others are
     transported to them (`_transported`), or, where that cannot be done,
     they are classified directly too.  tier_mode replicates the anchored
     rank-one pipeline for a single 3-variable hypersurface and records the
@@ -820,12 +846,12 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     t_enum = time.perf_counter()
     notes = []
     results = [None] * len(subgroups)
+    args = (_Projection(polys), options.budget, _Projection(peripheral),
+            _Projection(conditions))
 
     def classify(indices, threads):
         for i, cand in zip(indices, _classify_all(
-                [subgroups[i] for i in indices],
-                (polys, options.budget, peripheral, conditions), threads,
-                notes)):
+                [subgroups[i] for i in indices], args, threads, notes)):
             results[i] = cand
 
     links = _orbits(subgroups, symmetry_generators(
@@ -834,8 +860,8 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     classify(reps, options.threads)
     for i, (r, sigma) in enumerate(links):
         if r != i:
-            results[i] = _transported(polys, subgroups[i], sigma, results[r],
-                                      options.budget)
+            results[i] = _transported(args[0], subgroups[i], sigma,
+                                      results[r], options.budget)
     direct = [i for i, cand in enumerate(results) if cand is None]
     if direct:
         # a pool that failed to start above is not tried again
@@ -871,16 +897,6 @@ def coset_lines_for_report(candidate: CosetCandidate):
     if candidate.subgroup.rank != 1:
         return []
     v = candidate.subgroup.vector()
-    out = []
-    for sol in candidate.cosets:
-        if sol == "unresolved":
-            out.append("unresolved")
-            continue
-        coords = []
-        for i, x in enumerate(sol):
-            if x is None:
-                coords.append("t" if v[i] != 0 else "*")
-            else:
-                coords.append(str(x))
-        out.append("(" + ", ".join(coords) + ")")
-    return out
+    return [sol if sol == "unresolved" else "(" + ", ".join(
+        ("t" if v[i] else "*") if x is None else str(x)
+        for i, x in enumerate(sol)) + ")" for sol in candidate.cosets]

@@ -17,8 +17,7 @@ from torion.exactnum import RationalMatrix, UPoly, char_poly, number_field, \
 from torion.groebner import Ideal, normal_form
 from torion.heights import dirichlet_approx, enumerate_bounded, height_point, \
     mult_relation
-from torion.multipoly import MultiPoly, data_text, parse, read_poly_file, \
-    substitute_torus
+from torion.multipoly import MultiPoly, data_text, parse, read_poly_file
 from torion import crossratio, flatnet, toruscan
 
 

@@ -933,11 +933,11 @@ def _both_fglms(gens, order, budget=BUDGET_PROFILES["default"]):
     n = gens[0].n
     pk, basis = groebner._packed_basis(
         Ideal(n, gens).groebner_basis(GREVLEX, budget), n, GREVLEX, budget)
-    staircase = groebner._staircase(basis, pk, n, budget.max_degree)
+    staircase = groebner._staircase(basis, pk, range(n), budget.max_degree)
     assert staircase is not None
-    return [[(le, list(p.items())) for le, p in fglm(
-        basis, pk, staircase, n, order)]
-        for fglm in (groebner._fglm, _fglm_reference)]
+    return [[(le, list(p.items())) for le, p in raw] for raw in (
+        groebner._fglm(basis, pk, staircase, n, order, range(n)),
+        _fglm_reference(basis, pk, staircase, n, order))]
 
 
 def _random_zero_dimensional(rng):
@@ -991,6 +991,62 @@ class TestIncrementalFglm:
         rng.shuffle(perm)
         new, old = _both_fglms(gens, TermOrder("lex", perm=perm))
         assert new == old
+
+
+class TestFglmInUsedVariables:
+    """An ideal zero-dimensional in the variables its generators use: the
+    others stay free, and the lex basis comes by FGLM over the used ones.
+    Each basis must equal lex Buchberger's, member for member."""
+
+    @staticmethod
+    def _check(n, gens, perm, orders):
+        I = Ideal(n, gens)
+        orders.clear()
+        order = TermOrder("lex", perm=perm)
+        ours = I.groebner_basis(order)
+        assert orders == ["grevlex"]
+        raw, _ = BUCHBERGER(n, [groebner._to_int_poly(g) for g in gens],
+                            order, BUDGET_PROFILES["default"])
+        assert [g.terms for g in ours] == \
+            [{e: F(c, p[le]) for e, c in p.items()} for le, p in raw]
+        return ours
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_ideals_with_free_variables(self, seed,
+                                               buchberger_orders):
+        """A random zero-dimensional ideal in 2-4 variables placed among
+        one to three free ones, under a random lex permutation."""
+        rng = random.Random(seed)
+        gens, _ = _random_zero_dimensional(rng)
+        m = len(gens)
+        n = m + rng.randint(1, 3)
+        places = sorted(rng.sample(range(n), m))
+        moved = [MultiPoly(n, {tuple(e[places.index(i)] if i in places
+                                     else 0 for i in range(n)): c
+                               for e, c in g.terms.items()}) for g in gens]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        self._check(n, moved, perm, buchberger_orders)
+
+    def test_fewer_generators_than_variables(self, buchberger_orders):
+        """Two generators in three variables, zero-dimensional in x and z:
+        by FGLM, although they are fewer than the three variables."""
+        gens = [parse("x^2 - 3*x*z + 2", ["x", "y", "z"]),
+                parse("z^3 - x", ["x", "y", "z"])]
+        ours = self._check(3, gens, None, buchberger_orders)
+        assert all(not e[1] for g in ours for e in g.terms)
+
+    def test_positive_dimensional_in_the_used_variables(
+            self, buchberger_orders):
+        """x*z - 1 and x*z^2 - z use x and z and cut out the curve
+        x*z = 1: no pure power of x leads the grevlex basis, so lex runs
+        Buchberger after the grevlex run."""
+        gens = [parse("x*z - 1", ["x", "y", "z"]),
+                parse("x*z^2 - z", ["x", "y", "z"])]
+        I = Ideal(3, gens)
+        buchberger_orders.clear()
+        I.groebner_basis(TermOrder("lex"))
+        assert buchberger_orders == ["grevlex", "lex"]
 
 
 # ---------------------------------------------------------------------------

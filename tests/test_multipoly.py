@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from torion.exactnum import rational
 from torion.multipoly import (MultiPoly, PolySyntaxError, RingMismatch,
                               UnknownVariable, data_text, parse,
-                              read_poly_file, substitute_torus)
+                              read_poly_file)
+from torion.toruscan import _Projection
 
 XYZ = ["x", "y", "z"]
 NAMES = ["x", "y", "z", "w"]
@@ -190,6 +191,12 @@ class TestSupport:
         for p in (parse("x*y + 1", XYZ), MultiPoly(3, {(0, -1, 0): F(1)})):
             with pytest.raises(ValueError, match="not univariate"):
                 p.as_upoly(1)
+
+
+def substitute_torus(p, E):
+    """The parts of p under the integer matrix E, as a scan projects it:
+    substituting z_i = a_i * t^(E column i) turns p into sum_J p_J t^J."""
+    return _Projection([p])(E)[0]
 
 
 class TestSubstituteTorus:

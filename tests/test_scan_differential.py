@@ -3,9 +3,10 @@ against reference transcriptions of their earlier loops.
 
 `tier1_candidates` runs one pass per primitive line direction over packed
 keys; `_tier1_loop` below keeps the pass per anchor difference with one
-key tuple per element.  `substitute_torus` sums each projection with one
-dot product per matrix row; `_substitute_torus_loop` keeps the nested
-generator.  `_partial_substitute` raises each power of a value once;
+key tuple per element.  `toruscan._Projection` reads every projection of
+a system's supports off one packed integer combination per matrix row;
+`_substitute_torus_loop` keeps the nested generator of the torus
+substitution.  `_partial_substitute` raises each power of a value once;
 `_partial_substitute_loop` raises it once per term.  Each pair must give
 the same values in the same order, errors included.
 """
@@ -19,10 +20,11 @@ import pytest
 
 from torion import toruscan
 from torion.groebner import Budget, Ideal
-from torion.multipoly import MultiPoly, data_text, parse, read_poly_file, \
-    substitute_torus
-from torion.toruscan import (ScanOptions, _partial_substitute,
-                             _solve_coset_points, scan, tier1_candidates)
+from torion.multipoly import MultiPoly, data_text, parse, read_poly_file
+from torion.toruscan import (ExponentSubgroup, ScanOptions, _Projection,
+                             _partial_substitute, _solve_coset_points,
+                             coefficient_variety, induced_parts, scan,
+                             tier1_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,38 @@ def _random_laurent(rng, n):
                          for _ in range(rng.randint(1, 25))})
 
 
+def substitute_torus(p, E):
+    return _Projection([p])(E)[0]
+
+
+def _as_items(parts):
+    return [(J, list(q.terms.items())) for J, q in parts]
+
+
+def _random_system(rng, n):
+    """One to three random Laurent polynomials, now and then a zero one."""
+    return [_random_laurent(rng, n) if rng.random() < 0.9 else MultiPoly(n)
+            for _ in range(rng.randint(1, 3))]
+
+
+def _random_subgroup(rng, n, rank, scale=3):
+    """A subgroup of rank `rank` from random rows (rank 0: no rows)."""
+    while True:
+        N = ExponentSubgroup([[rng.randint(-scale, scale) for _ in range(n)]
+                              for _ in range(rank)], n)
+        if N.rank == rank:
+            return N
+
+
+def _check_projection(projection, polys, N):
+    """The projection of every generator by N's basis: the loop's parts, in
+    its order of J and of terms, generator by generator."""
+    got = projection(N.basis)
+    assert [_as_items(parts) for parts in got] == \
+        [_as_items(_substitute_torus_loop(p, N.basis)) for p in polys]
+    return got
+
+
 class TestSubstituteTorusAgainstLoop:
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_random_matrices(self, rank):
@@ -285,6 +319,75 @@ class TestSubstituteTorusAgainstLoop:
         assert [(J, q.terms) for J, q in substitute_torus(p, E)] == \
             [(J, q.terms) for J, q in _substitute_torus_loop(p, E)]
         assert substitute_torus(MultiPoly.zero(3), E) == []
+
+
+class TestPackedProjectionAgainstLoop:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_systems_and_subgroups(self, seed):
+        """One projection per system serves subgroups of every rank from 0
+        to n, in a random order, as the scan uses it."""
+        rng = random.Random(3230 + seed)
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            polys = _random_system(rng, n)
+            subgroups = [_random_subgroup(rng, n, rank)
+                         for rank in range(n + 1) for _ in range(3)]
+            rng.shuffle(subgroups)
+            projection = _Projection(polys)
+            for N in subgroups:
+                _check_projection(projection, polys, N)
+                assert _as_items(induced_parts(polys, N)) == [
+                    item for p in polys
+                    for item in _as_items(_substitute_torus_loop(p, N.basis))]
+
+    def test_rank_zero_gives_one_part_per_generator(self):
+        polys = [parse("x*y - 3*z + 1/2", ["x", "y", "z"]),
+                 parse("x^2 - y^3", ["x", "y", "z"]), MultiPoly(3)]
+        projection = _Projection(polys)
+        # before and after a packing for rank-one rows
+        for N in (ExponentSubgroup([], 3), ExponentSubgroup([[1, 0, 0]]),
+                  ExponentSubgroup([], 3)):
+            got = _check_projection(projection, polys, N)
+        assert [[J for J, _ in parts] for parts in got] == [[()], [()], []]
+        assert [q for parts in got for _, q in parts] == polys[:2]
+
+    def test_narrow_to_wide_subgroups_repack(self, monkeypatch):
+        """Subgroups whose projections need 16, 32, 64 and 128-bit fields,
+        in that order: the supports are packed four times, each time
+        wider, and narrower subgroups after them reuse the widest."""
+        halves = []
+        packed = toruscan._packed_pairing
+
+        def spy(points, n, span):
+            pairing, half = packed(points, n, span)
+            halves.append(half)
+            return pairing, half
+        monkeypatch.setattr(toruscan, "_packed_pairing", spy)
+        rng = random.Random(3240)
+        polys = _random_system(rng, 3) + [
+            MultiPoly(3, {(6, -2, 1): F(1), (0, 3, -4): F(-2)})]
+        projection = _Projection(polys)
+        widths = [1, 2 ** 13, 2 ** 29, 2 ** 61]  # 6 * width crosses 2^(w-1)
+        for k in widths + widths[::-1]:
+            for rank in (1, 2, 3):
+                rows = [[k if i == j else rng.randint(-2, 2) for j in range(3)]
+                        for i in range(rank)]
+                _check_projection(projection, polys, ExponentSubgroup(rows, 3))
+        assert halves == [2 ** 15, 2 ** 31, 2 ** 63, 2 ** 127]
+
+    def test_candidate_parts_are_the_loops(self):
+        """coefficient_variety and the scan read each candidate's parts off
+        the packed projection: the loop's parts, generators in order."""
+        polys = [parse("x*y*z + x + y + z", ["x", "y", "z"]),
+                 parse("x^2*z - y + 2", ["x", "y", "z"])]
+        rep = scan(polys)
+        assert rep.candidates
+        for cand in rep.candidates:
+            expected = [item for p in polys for item in _as_items(
+                _substitute_torus_loop(p, cand.subgroup.basis))]
+            assert _as_items(cand.parts) == expected
+            assert _as_items(coefficient_variety(
+                polys, cand.subgroup).parts) == expected
 
 
 # ---------------------------------------------------------------------------

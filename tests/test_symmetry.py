@@ -336,6 +336,86 @@ class TestOrbitScan:
             assert renamed.groebner_basis() == cand.saturated_generators
 
 
+class TestTransport:
+    """_transported against coefficient_variety on the transported
+    candidate: a survivor's basis and cosets are renamed where that is
+    sound and computed where it is not."""
+
+    @pytest.mark.parametrize("cubic, resolved", [
+        ("x*y*z + x + y + z", True),
+        # the lines (t, k, -k) with k^2 = 2 are not rational
+        ("x*y*z + 2*x + 2*y + 2*z", False)])
+    def test_resolved_and_unresolved_representatives(self, cubic, resolved):
+        rep = assert_as_direct([parse(cubic, XYZ)])
+        assert len(rep.survivors) == 3 and rep.representatives < 14
+        assert all(("unresolved" not in c.cosets) == resolved
+                   for c in rep.survivors)
+
+    @staticmethod
+    def _transport(polys, rep, sigma, monkeypatch, orders=()):
+        """_transported of rep by sigma, the number of coset solves it ran
+        and the Buchberger runs it added to `orders`."""
+        before = len(orders)
+        solves = []
+        solve = toruscan._solve_coset_points
+
+        def spy(*args):
+            solves.append(args)
+            return solve(*args)
+        monkeypatch.setattr(toruscan, "_solve_coset_points", spy)
+        M = toruscan._permuted_subgroup(rep.subgroup, sigma)
+        cand = toruscan._transported(toruscan._Projection(polys), M, sigma,
+                                     rep, ScanOptions().budget)
+        runs = list(orders[before:])
+        monkeypatch.setattr(toruscan, "_solve_coset_points", solve)
+        assert fields(cand) == fields(coefficient_variety(polys, M))
+        return cand, len(solves), runs
+
+    @pytest.mark.parametrize("sigma, runs", [
+        ((1, 2, 0), []),             # keeps x < y: the basis is renamed
+        ((2, 1, 0), ["grevlex"]),    # sends x, y to z, y: a grevlex run
+        ((1, 0, 2), ["grevlex"]),    # swaps x and y, fixes the subgroup
+    ])
+    def test_basis_renamed_only_when_the_order_is_kept(
+            self, sigma, runs, buchberger_orders, monkeypatch):
+        polys = _file("coset_cubic.poly")
+        rep = coefficient_variety(polys, ExponentSubgroup([[0, 0, 1]]))
+        assert rep.status == "survivor" and rep.cosets
+        assert set().union(*[g.variables_used()
+                             for g in rep.saturated_generators]) == {0, 1}
+        cand, solves, transport_runs = self._transport(
+            polys, rep, sigma, monkeypatch, buchberger_orders)
+        assert cand.status == "survivor" and solves == 0
+        assert transport_runs == runs
+
+    @pytest.mark.parametrize("cosets", [[], ["unresolved"]])
+    def test_cosets_solved_anew_unless_resolved_and_nonempty(
+            self, cosets, monkeypatch):
+        """A representative whose list is empty or unresolved hands over no
+        cosets: the transported candidate solves its own."""
+        polys = _file("coset_cubic.poly")
+        rep = coefficient_variety(polys, ExponentSubgroup([[0, 0, 1]]))
+        rep.cosets = cosets
+        cand, solves, _ = self._transport(polys, rep, (1, 2, 0), monkeypatch)
+        assert solves == 1 and cand.cosets not in ([], ["unresolved"])
+
+    def test_deg14_transported_survivors_run_no_buchberger(
+            self, buchberger_orders, monkeypatch):
+        runs = []
+        transport = toruscan._transported
+
+        def spy(*args):
+            before = len(buchberger_orders)
+            cand = transport(*args)
+            runs.append((cand.status, buchberger_orders[before:]))
+            return cand
+        monkeypatch.setattr(toruscan, "_transported", spy)
+        rep = scan(_file("surface_deg14.poly"),
+                   options=ScanOptions(tier_mode=True))
+        assert len(rep.survivors) == 3
+        assert [r for status, r in runs if status == "survivor"] == [[], []]
+
+
 class TestScanArity:
     @pytest.mark.parametrize("group, message", [
         ("peripheral", "peripheral polynomial 1 has 2 variables, "

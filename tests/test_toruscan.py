@@ -13,7 +13,7 @@ from torion import groebner
 from torion.groebner import Budget, Ideal, is_trivial, saturate_by_ideal, \
     saturate_many
 from torion.multipoly import MultiPoly, RingMismatch, data_text, parse, \
-    read_poly_file, substitute_torus
+    read_poly_file
 from torion.toruscan import (CosetCandidate, ExponentSubgroup, ScanOptions,
                              coefficient_variety, coset_lines_for_report,
                              enumerate_subspaces, enumerate_subspaces_multi,
@@ -176,7 +176,7 @@ class TestScan:
                     if v:
                         vectors.add(v)
             for v in sorted(vectors):
-                parts = substitute_torus(p, [list(v)])
+                parts = induced_parts([p], ExponentSubgroup.from_vector(v))
                 for a in product(grid, repeat=2):
                     if all(q.evaluate(list(a)) == 0 for _, q in parts):
                         # genuine coset: the scanner must report it
