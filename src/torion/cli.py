@@ -248,7 +248,7 @@ def cmd_ideal(args, report: Report) -> int:
     n = len(variables)
     I = Ideal(n, polys)
     budget = _budget(args)
-    order = TermOrder(args.order) if args.order != "grevlex" else GREVLEX
+    order = TermOrder("lex") if args.order == "lex" else GREVLEX
     if args.op == "gb":
         basis = I.groebner_basis(order, budget)
         report.set("basis", [g.to_string(variables) for g in basis],
@@ -467,17 +467,24 @@ def _rational_list(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# the ideal operations that read an extra argument, and its flag
-IDEAL_OP_NEEDS = {"member": "poly", "saturate": "poly", "eliminate": "keep"}
+# each optional ideal flag: the operations it applies to, and whether they
+# need it
+IDEAL_FLAGS = {"poly": (("member", "saturate"), True),
+               "keep": (("eliminate",), True),
+               "order": (("gb", "member"), False)}
 
 
 def _check_args(ap, args):
     """Arguments argparse cannot check or convert; each failure exits 2
-    with a message naming the missing or malformed argument."""
+    with a message naming the missing, misplaced or malformed argument."""
     if args.command == "ideal":
-        need = IDEAL_OP_NEEDS.get(args.op)
-        if need and getattr(args, need) is None:
-            ap.error(f"ideal --op {args.op} needs --{need}")
+        for flag, (ops, needed) in IDEAL_FLAGS.items():
+            given = getattr(args, flag) is not None
+            if given and args.op not in ops:
+                ap.error(f"ideal --{flag} applies to --op {' or '.join(ops)}"
+                         f", not {args.op}")
+            if needed and not given and args.op in ops:
+                ap.error(f"ideal --op {args.op} needs --{flag}")
     elif args.command == "height":
         if args.coords is None and args.minpoly is None:
             ap.error("height needs --affine COORDS or --minpoly POLY")
@@ -509,7 +516,7 @@ def build_parser():
     p.add_argument("--polys", required=True)
     p.add_argument("--poly", default=None)
     p.add_argument("--keep", default=None)
-    p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+    p.add_argument("--order", choices=["grevlex", "lex"], default=None)
     p.set_defaults(fn=cmd_ideal)
 
     p = sub.add_parser("torus-scan", help="coset scans in G_m^n")

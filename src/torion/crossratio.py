@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .exactnum import Cyclotomic, FieldElement, NumberField, RationalMatrix, \
-    UPoly, cyclotomic_order, min_poly_of, rational, trace_dual_basis
+from .exactnum import Cyclotomic, NumberField, RationalMatrix, UPoly, \
+    rational, root_of_unity_order, trace_dual_basis
 from .multipoly import MultiPoly
 from . import intlat
 
@@ -164,18 +164,10 @@ def _z_product(one, roots):
     return coeffs
 
 
-def _at(coeffs, x):
-    """Horner evaluation of coefficients (lowest first) at x."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _pole_denominator(one, poles, i):
-    """prod_{l != i} (x_i - x_l): Res_{x_i} of N(z) dz / prod (z - x_l) is
-    N(x_i) over it."""
-    return _at(_z_product(one, poles[:i] + poles[i + 1:]), poles[i])
+def _diff_product(x, roots, one):
+    """prod (x - r) over the roots, in the ring of `one`: N(x) for the
+    finite zeros, prod_{l != i} (x_i - x_l) for the other poles."""
+    return math.prod((x - r for r in roots), start=one)
 
 
 def residues(cfg: StableFormConfig):
@@ -189,9 +181,10 @@ def residues(cfg: StableFormConfig):
                 "move poles away from infinity first")
     one = Fraction(1)
     xs = [x.affine() for x in cfg.poles]
-    N = _z_product(one, [z.affine() for z, m in cfg.zeros
-                         if not z.is_infinity() for _ in range(m)])
-    return [_at(N, a) / _pole_denominator(one, xs, i)
+    zs = [z.affine() for z, m in cfg.zeros if not z.is_infinity()
+          for _ in range(m)]
+    return [_diff_product(a, zs, one) /
+            _diff_product(a, xs[:i] + xs[i + 1:], one)
             for i, a in enumerate(xs)]
 
 
@@ -223,11 +216,6 @@ def zero_order_consistent(cfg: StableFormConfig) -> bool:
     return numerator.degree <= n - 2 - inf_order
 
 
-def partition_residue_sums(cfg: StableFormConfig):
-    rs = residues(cfg)
-    return [sum(rs[i] for i in part) for part in cfg.pair_partition]
-
-
 # ---------------------------------------------------------------------------
 # symbolic condition generators
 # ---------------------------------------------------------------------------
@@ -236,23 +224,18 @@ def partition_residue_sums(cfg: StableFormConfig):
 # (position, order) and the position 'inf' marks a zero at infinity, which
 # only lowers the degree of the numerator N(z) = prod (z - z_k)^{m_k}.
 
-def _numerator(one, zeros):
-    return _z_product(one, [z for z, m in zeros if not isinstance(z, str)
-                            for _ in range(m)])
-
-
 def opposite_residue_conditions(n, poles, zeros, pairs):
     """For each pole pair (i, j), the numerator of Res_i + Res_j of
     N(z) dz / prod (z - x_l), cleared of numeric content: with
     P_k = prod_{l != i,j} (x_k - x_l) it is N(x_i) P_j - N(x_j) P_i."""
     one = MultiPoly.constant(n, 1)
-    N = _numerator(one, zeros)
+    roots = [z for z, m in zeros if not isinstance(z, str) for _ in range(m)]
+    N = [_diff_product(x, roots, one) for x in poles]
     conds = []
     for i, j in pairs:
-        rest = _z_product(one, [x for l, x in enumerate(poles)
-                                if l not in (i, j)])
-        cond = _at(N, poles[i]) * _at(rest, poles[j]) - \
-            _at(N, poles[j]) * _at(rest, poles[i])
+        rest = [x for l, x in enumerate(poles) if l not in (i, j)]
+        cond = N[i] * _diff_product(poles[j], rest, one) - \
+            N[j] * _diff_product(poles[i], rest, one)
         conds.append(cond.primitive_part())
     return conds
 
@@ -298,11 +281,12 @@ def partition_residue_conditions(n, poles, zeros, parts):
     (x_i - x_l)  over the common denominator, the product of the part's
     pole denominators."""
     one = MultiPoly.constant(n, 1)
-    N = _numerator(one, zeros)
-    dens = [_pole_denominator(one, poles, i) for i in range(len(poles))]
-    return [sum((math.prod((dens[k] for k in part if k != i),
-                           start=_at(N, poles[i])) for i in part),
-                MultiPoly.zero(n)).primitive_part()
+    roots = [z for z, m in zeros if not isinstance(z, str) for _ in range(m)]
+    N = [_diff_product(x, roots, one) for x in poles]
+    dens = [_diff_product(x, poles[:i] + poles[i + 1:], one)
+            for i, x in enumerate(poles)]
+    return [sum((math.prod((dens[k] for k in part if k != i), start=N[i])
+                 for i in part), MultiPoly.zero(n)).primitive_part()
             for part in parts]
 
 
@@ -421,14 +405,9 @@ def check_cre(pairs, exponents):
         i, j = [t for t in range(3) if t != k]
         (xi, yi), (xj, yj) = pairs[i], pairs[j]
         Rs.append(cross_ratio(xi, yi, xj, yj))
-    value = None
-    for R, a in zip(Rs, exponents):
-        if a == 0:
-            continue
-        f = R ** a
-        value = f if value is None else value * f
-    verdict = _root_of_unity_verdict(value)
-    return value, verdict
+    value = math.prod(R ** a for R, a in zip(Rs, exponents) if a)
+    order = root_of_unity_order(value)
+    return value, ("exact", order) if order else (None, None)
 
 
 def check_config_cre(cfg: StableFormConfig, exponents):
@@ -439,18 +418,6 @@ def check_config_cre(cfg: StableFormConfig, exponents):
         raise ValueError("cre check needs three pole pairs")
     pairs = [(cfg.poles[i], cfg.poles[j]) for i, j in cfg.pair_partition]
     return check_cre(pairs, exponents)
-
-
-def _root_of_unity_verdict(value):
-    """('exact', order) when the value is a root of unity, else (None, None),
-    by Kronecker's test: the value is a root of unity of order m exactly
-    when its minimal polynomial is Phi_m."""
-    if isinstance(value, (Cyclotomic, FieldElement)):
-        poly = min_poly_of(value)
-    else:
-        poly = UPoly([-Fraction(value), 1])
-    order = cyclotomic_order(poly)
-    return ("exact", order) if order else (None, None)
 
 
 def torsion_config_check(cfg: StableFormConfig, N: int):
@@ -465,9 +432,8 @@ def torsion_config_check(cfg: StableFormConfig, N: int):
         raise ValueError(f"torsion bound N = {N} is below 1")
     rs = residues(cfg)
     n = len(cfg.poles)
-    for part, s in zip(cfg.pair_partition, partition_residue_sums(cfg)):
-        if s != 0:
-            return ("violates", "i")
+    if any(sum(rs[i] for i in part) != 0 for part in cfg.pair_partition):
+        return ("violates", "i")
     ratios = [r / rs[0] for r in rs]
     dim = _q_span_dimension(ratios)
     if dim != n - len(cfg.pair_partition):
@@ -481,7 +447,7 @@ def torsion_config_check(cfg: StableFormConfig, N: int):
         for (za, _), (zb, _) in combinations(cfg.zeros, 2):
             for i1, i2 in combinations(part, 2):
                 val = cross_ratio(za, zb, cfg.poles[i1], cfg.poles[i2])
-                order = _root_of_unity_verdict(val)[1]
+                order = root_of_unity_order(val)
                 if order is None or N % order != 0:
                     return ("violates", "iii")
     return ("satisfies", None)
@@ -521,8 +487,6 @@ def crmin_forward(xy_pairs, extra_zeros):
             raise DomainViolation("marked points collide")
         out[(2, j)] = x / y
         out[(3, j)] = (1 - x) / (1 - y)
-        if out[(2, j)] == out[(3, j)]:
-            raise DomainViolation("R_2j = R_3j collapses the pair")
     x1, y1 = (Fraction(v) for v in xy_pairs[0])
     for i, z in enumerate(extra_zeros, start=4):
         z = Fraction(z)

@@ -397,10 +397,14 @@ def _divisors(n):
 # ---------------------------------------------------------------------------
 
 def rational_roots(p: UPoly):
-    """All rational roots, via the rational root theorem on the primitive part."""
+    """Each rational root once, by the rational root theorem on the
+    primitive part."""
+    if p.is_zero():
+        raise ValueError("every rational is a root of the zero polynomial")
     ints = p.primitive_int_coeffs()
-    while ints and ints[0] == 0:
-        return [Fraction(0)] + rational_roots(UPoly(ints[1:]))
+    low = next(i for i, c in enumerate(ints) if c)
+    if low:
+        return [Fraction(0)] + rational_roots(UPoly(ints[low:]))
     if len(ints) <= 1:
         return []
     roots = []
@@ -749,6 +753,15 @@ def cyclotomic_order(p: UPoly) -> int | None:
     return None
 
 
+def root_of_unity_order(value) -> int | None:
+    """The order of a root of unity (a Fraction, `FieldElement` or
+    `Cyclotomic`), else None, by Kronecker's test on its minimal
+    polynomial."""
+    if isinstance(value, _Residue):
+        return cyclotomic_order(min_poly_of(value))
+    return cyclotomic_order(UPoly([-Fraction(value), 1]))
+
+
 class Cyclotomic(_Residue):
     """Element of Q(zeta_N) in the power basis modulo Phi_N; N <= 24.  Two
     operands of different orders are both lifted to the lcm order, or,
@@ -834,20 +847,10 @@ class Cyclotomic(_Residue):
 
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(N-1)."""
-        z = Cyclotomic.root_of_unity(self.order, self.order - 1)
-        acc = Cyclotomic.from_rational(0, self.order)
-        for i in reversed(range(len(self.coords))):
-            acc = acc * z + Cyclotomic.from_rational(self.coords[i], self.order)
-        return acc
+        return _horner(self.coords, Cyclotomic.root_of_unity(self.order, -1))
 
     def is_real(self):
         return self == self.conjugate()
-
-    def is_root_of_unity(self):
-        """(True, order) when the value is a root of unity, else (False,
-        None), by Kronecker's test on its minimal polynomial."""
-        order = cyclotomic_order(min_poly_of(self))
-        return order is not None, order
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coords)})"

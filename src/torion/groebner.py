@@ -44,24 +44,13 @@ its pairs are reduced as usual.  saturate(I, f) marks I's reduced grevlex
 basis: free of y, it is a Groebner basis in the block order [y | x], which
 restricts to grevlex on x.
 
-A lex basis (any permutation) is converted from the grevlex basis, cached
-or computed under the same budget and cached, by FGLM (Faugere, Gianni,
-Lazard and Mora, JSC 16, 1993) when every variable the generators use has
-a pure power among the grevlex leads and the quotient by the ideal in those
-variables has dimension D <= budget.max_degree (the other variables stay
-free, and the reduced basis in any order uses none of them):
-normal forms come from the one reduction loop, and each candidate's
-dependency test is one pass against an incremental fraction-free echelon
-form of the standard monomials' normal forms.  Every proper divisor of a
-lead in the new order is a standard monomial, so no lead exceeds degree D
-and the result fits the budget and the fields.  Otherwise lex runs
-Buchberger.  A block basis converts the same way, but only when the
-grevlex basis is already cached (eliminate by method 'block' computes it
-first); the saturation's own block run never computes it.  An ideal with
-fewer nonzero generators than the variables they use is the unit ideal or
-positive-dimensional (Krull's height theorem), so no grevlex basis is
-computed for a conversion there: without a cached one, lex and
-eliminate's block order run Buchberger straight away.
+A basis in any order but grevlex is converted from the grevlex basis by
+FGLM (Faugere, Gianni, Lazard and Mora, JSC 16, 1993) where
+Ideal._convert_from_grevlex says, and otherwise runs Buchberger: normal
+forms come from the one reduction loop, and each candidate's dependency
+test is one pass against an incremental fraction-free echelon form of the
+standard monomials' normal forms.  The saturation's own block run calls
+the kernel directly.
 
 All resource limits are explicit: exceeding one raises ResourceExhausted,
 which carries the GBStats counters reached and which pipelines treat as
@@ -658,17 +647,14 @@ class Ideal:
 
     def groebner_basis(self, order: TermOrder = GREVLEX,
                        budget: Budget = BUDGET_PROFILES["default"]):
-        """Reduced basis in the given order, monic, cached per order.  A lex
-        basis, and a block basis when the grevlex basis is cached, is
-        converted from the grevlex basis by FGLM where the module docstring
-        says; otherwise, and when the grevlex basis runs out of budget, the
-        order runs Buchberger."""
+        """Reduced basis in the given order, monic, cached per order; by
+        FGLM from the grevlex basis where `_convert_from_grevlex` applies,
+        else by Buchberger."""
         key = self._cache_key(order)
         if key in self._basis_cache:
             return self._basis_cache[key]
         raw = None
-        cached = self._cache_key(GREVLEX) in self._basis_cache
-        if order.kind == "lex" or (order.kind == "block" and cached):
+        if order.kind != "grevlex":
             raw, stats = self._convert_from_grevlex(order, budget)
         if raw is None:
             raw, stats = _buchberger(self.n, [_to_int_poly(g)
@@ -682,23 +668,25 @@ class Ideal:
             self._stats_cache[key] = stats
         return basis
 
-    def _used_variables(self):
-        return sorted(set().union(*[g.variables_used()
-                                    for g in self.generators]))
-
-    def _too_few_generators(self) -> bool:
-        """Fewer nonzero generators than the variables they use: the ideal
-        is the unit ideal or positive-dimensional, so a grevlex basis
-        computed only for FGLM would be wasted."""
-        return len(self.generators) < len(self._used_variables())
-
     def _convert_from_grevlex(self, order: TermOrder, budget: Budget):
         """(basis, stats) by FGLM from the grevlex basis, in _buchberger's
         format, with the grevlex run's counters and its seconds plus the
         conversion's (None without a grevlex run here); (None, None) when
-        the conversion does not apply, or cannot and no grevlex basis is
-        cached."""
-        if self._too_few_generators() and \
+        the conversion does not apply.  It applies when every variable the
+        generators use has a pure power among the grevlex leads and the
+        quotient by the ideal in those variables has dimension
+        D <= budget.max_degree (the other variables stay free, and the
+        reduced basis in any order uses none of them).  Every proper
+        divisor of a lead in the new order is a standard monomial, so no
+        lead exceeds degree D and the result fits the budget and the
+        fields.  The grevlex basis is the cached one, or computed here
+        under the same budget and cached; it is not computed when there
+        are fewer nonzero generators than the variables they use (by
+        Krull's height theorem the unit ideal or positive-dimensional),
+        and running out of budget for it means no conversion."""
+        used = sorted(set().union(*[g.variables_used()
+                                    for g in self.generators]))
+        if len(self.generators) < len(used) and \
                 self._cache_key(GREVLEX) not in self._basis_cache:
             return None, None
         try:
@@ -708,7 +696,6 @@ class Ideal:
         start = time.perf_counter()
         pk, basis = _packed_basis(grevlex, self.n, GREVLEX, budget)
         # the basis uses no variable the generators do not
-        used = self._used_variables()
         staircase = _staircase(basis, pk, used, budget.max_degree)
         if staircase is None:
             return None, None
@@ -723,7 +710,7 @@ class Ideal:
         """Counters of the Buchberger run behind the cached basis in this
         order; None when no run here produced it (not computed yet, or
         handed over by the saturation or intersection that made this
-        ideal).  A lex basis converted from the grevlex basis by FGLM
+        ideal).  A basis converted from the grevlex basis by FGLM
         carries the grevlex run's counters, with seconds covering that run
         and the conversion; None when the grevlex basis was handed over."""
         return self._stats_cache.get(self._cache_key(order))
@@ -757,9 +744,7 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     """Generators of I intersected with the subring in the kept variables,
     via a lex basis with the eliminated variables largest (method 'block'
     swaps in a grevlex-block elimination order: same elimination ideal,
-    usually far cheaper on large inputs).  Either way the grevlex basis
-    comes first, so a zero-dimensional I converts by FGLM, unless I has
-    fewer generators than the variables they use."""
+    usually far cheaper on large inputs)."""
     if method not in ("lex", "block"):
         raise ValueError(f"unknown elimination method {method!r}: "
                          "expected 'lex' or 'block'")
@@ -772,11 +757,6 @@ def eliminate(I: Ideal, keep, budget: Budget = BUDGET_PROFILES["default"],
     if method == "block":
         perm = eliminated + [i for i in range(I.n) if i in keep]
         order = TermOrder("block", perm=perm, nblock=len(eliminated))
-        if not I._too_few_generators():
-            try:
-                I.groebner_basis(GREVLEX, budget)
-            except ResourceExhausted:
-                pass
     else:
         order = elimination_order(I.n, eliminated)
     basis = I.groebner_basis(order, budget)

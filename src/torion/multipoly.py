@@ -475,7 +475,9 @@ def parse(text: str, variables) -> MultiPoly:
 def read_poly_file(text):
     """Parse the text of a polynomial file: returns (variables,
     [MultiPoly]).  A text that never declares its variables is an error,
-    also when it holds no polynomial."""
+    also when it holds no polynomial, and so is a second header that
+    declares other variables: a polynomial is stored by the positions of
+    its variables, so it would rename them silently."""
     variables = None
     polys = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -485,7 +487,13 @@ def read_poly_file(text):
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("vars:"):
-                variables = body[len("vars:"):].split()
+                declared = body[len("vars:"):].split()
+                if variables not in (None, declared):
+                    raise ValueError(
+                        f"line {lineno}: variables {' '.join(declared)} "
+                        f"differ from {' '.join(variables)} in the first "
+                        f"'# vars:' header")
+                variables = declared
             continue
         if variables is None:
             raise ValueError(f"line {lineno}: missing '# vars:' header")

@@ -809,8 +809,9 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     transported to them (`_transported`), or, where that cannot be done,
     they are classified directly too.  tier_mode replicates the anchored
     rank-one pipeline for a single 3-variable hypersurface and records the
-    tier counters.  A polynomial of another arity than the first raises
-    RingMismatch naming its group."""
+    tier counters; it takes no `starts`, and only it takes
+    antipodal=False (ValueError otherwise).  A polynomial of another arity
+    than the first raises RingMismatch naming its group."""
     if not polys:
         raise ValueError("scan needs at least one polynomial")
     options = options or ScanOptions()
@@ -830,6 +831,8 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
     if options.tier_mode:
         if len(polys) != 1:
             raise ValueError("tier mode expects a single hypersurface")
+        if starts is not None:
+            raise ValueError("tier mode takes no start subgroups")
         h = polys[0]
         t1 = tier1_candidates(h, options.antipodal)
         t2 = tier2_friend_filter(h, t1)
@@ -838,6 +841,9 @@ def scan(polys, starts=None, options: ScanOptions | None = None,
                                        for E in t2))
         tiers = [len(t1), len(t2)]
     else:
+        if not options.antipodal:
+            raise ValueError("signed vectors (antipodal=False) apply to "
+                             "tier mode only")
         if starts is None:
             starts = ExponentSubgroup.full(n)
         if isinstance(starts, ExponentSubgroup):

@@ -251,6 +251,26 @@ class TestArgumentErrors:
         (["torus-scan", "--polys", InputFile("# vars: x y z\nx*y*z + x\n"),
           "--saturate", InputFile("# vars: z y x\nx - 1\n")],
          "arg4: variables z y x differ from x y z in "),
+        # a second header that renames the variables
+        (["ideal", "--op", "gb", "--polys",
+          InputFile("# vars: x y\nx - 1\n# vars: y x\nx - 2\n")],
+         "arg4, line 3: variables y x differ from x y in the first "
+         "'# vars:' header\n"),
+        # flags that the chosen mode would ignore
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--tier-mode", "--subspace", InputFile("1 0 0\n")],
+         "error: tier mode takes no start subgroups\n"),
+        (["torus-scan", "--polys", InputFile("# vars: x y z\nx + y + z\n"),
+          "--signed-vectors"],
+         "error: signed vectors (antipodal=False) apply to tier mode only\n"),
+        (["ideal", "--op", "trivial", "--order", "lex"],
+         "ideal --order applies to --op gb or member, not trivial"),
+        (["ideal", "--op", "saturate", "--poly", "x", "--order", "lex"],
+         "ideal --order applies to --op gb or member, not saturate"),
+        (["ideal", "--op", "gb", "--keep", "x"],
+         "ideal --keep applies to --op eliminate, not gb"),
+        (["ideal", "--op", "eliminate", "--keep", "x", "--poly", "x"],
+         "ideal --poly applies to --op member or saturate, not eliminate"),
     ])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         if argv[0] == "ideal" and "--polys" not in argv:

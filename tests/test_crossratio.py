@@ -23,8 +23,8 @@ from torion.crossratio import (CoincidentMarkings, DegenerateQuadruple,
                                standard_degeneration_trees,
                                torsion_config_check, torsion_fiber_equations,
                                zero_order_consistent)
-from torion.crossratio import _root_of_unity_verdict
-from torion.exactnum import Cyclotomic, UPoly, number_field
+from torion.exactnum import Cyclotomic, UPoly, number_field, \
+    root_of_unity_order
 from torion.multipoly import MultiPoly, parse
 
 
@@ -389,21 +389,21 @@ class TestTorsionConfigCheck:
 class TestRootOfUnityVerdict:
     def test_zeta8_in_number_field(self):
         zeta8 = number_field(UPoly([1, 0, 0, 0, 1])).generator()
-        assert _root_of_unity_verdict(zeta8) == ("exact", 8)
-        assert _root_of_unity_verdict(zeta8 ** 2) == ("exact", 4)
-        assert _root_of_unity_verdict(zeta8 + 1) == (None, None)
+        assert root_of_unity_order(zeta8) == 8
+        assert root_of_unity_order(zeta8 ** 2) == 4
+        assert root_of_unity_order(zeta8 + 1) is None
 
     def test_unit_circle_non_root_rejected(self):
         # (3 + 4i)/5 has absolute value 1 but minimal polynomial
         # x^2 - 6/5 x + 1, which is not cyclotomic
         i = number_field(UPoly([1, 0, 1])).generator()
-        assert _root_of_unity_verdict((i * 4 + 3) / 5) == (None, None)
+        assert root_of_unity_order((i * 4 + 3) / 5) is None
 
     def test_rationals(self):
-        assert _root_of_unity_verdict(F(1)) == ("exact", 1)
-        assert _root_of_unity_verdict(F(-1)) == ("exact", 2)
-        assert _root_of_unity_verdict(F(0)) == (None, None)
-        assert _root_of_unity_verdict(F(2)) == (None, None)
+        assert root_of_unity_order(F(1)) == 1
+        assert root_of_unity_order(F(-1)) == 2
+        assert root_of_unity_order(F(0)) is None
+        assert root_of_unity_order(F(2)) is None
 
     def test_check_cre_over_number_field(self):
         i = number_field(UPoly([1, 0, 1])).generator()

@@ -13,7 +13,7 @@ from torion.exactnum import (AlgebraicReal, Cyclotomic, DegreeOutOfRange,
                              identity_matrix, is_irreducible,
                              isolate_real_roots, min_poly_of, number_field,
                              quartic_galois_class, rational, rational_roots,
-                             squarefree_part, trace_dual_basis, upoly_gcd)
+                             root_of_unity_order, squarefree_part, trace_dual_basis, upoly_gcd)
 
 
 def test_rational_canonicality_random_ops():
@@ -90,6 +90,12 @@ class TestUPoly:
         p = UPoly([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
         assert rational_roots(p) == [1, 2, 3]
         assert rational_roots(UPoly([1, 0, 1])) == []
+
+    def test_rational_roots_lists_zero_once(self):
+        assert rational_roots(UPoly([0, 0, 1])) == [0]  # x^2
+        assert rational_roots(UPoly([0, 0, 0, -1, 1])) == [0, 1]  # x^3 (x-1)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            rational_roots(UPoly([]))
 
 
 class TestSturm:
@@ -384,8 +390,7 @@ class TestCyclotomic:
         a = Cyclotomic.root_of_unity(3)
         b = Cyclotomic.root_of_unity(8)
         prod = a * b
-        ok, order = prod.is_root_of_unity()
-        assert ok and order == 24
+        assert root_of_unity_order(prod) == 24
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -398,8 +403,7 @@ class TestCyclotomic:
 
     def test_not_root_of_unity(self):
         z = Cyclotomic.root_of_unity(8)
-        ok, _ = (z + 1).is_root_of_unity()
-        assert not ok
+        assert root_of_unity_order(z + 1) is None
 
     @staticmethod
     def _order_by_powering(z):
@@ -425,7 +429,7 @@ class TestCyclotomic:
                           -Cyclotomic.root_of_unity(n, k)):
                     order = self._order_by_powering(z)
                     assert order is not None
-                    assert z.is_root_of_unity() == (True, order), (n, k)
+                    assert root_of_unity_order(z) == order, (n, k)
                     if n <= 8:
                         small.append(z)
         pairs = [(a, b) for a in small for b in small
@@ -433,7 +437,7 @@ class TestCyclotomic:
         for a, b in random.Random(5).sample(pairs, 150):
             s = a + b
             order = self._order_by_powering(s)
-            assert s.is_root_of_unity() == (order is not None, order), s
+            assert root_of_unity_order(s) == order, s
 
     def test_hash_agrees_with_equality_across_orders(self):
         """Every +-zeta_n^k with n <= 24, lifted by change_order to each

@@ -1120,6 +1120,23 @@ def test_zero_dimensional_block_bases_by_fglm(seed, buchberger_orders):
         if not any(e[i] for e in g.terms for i in eliminated)]
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_direct_block_request_converts_by_fglm(seed, buchberger_orders):
+    """A block basis asked for first, with no grevlex basis cached, of a
+    zero-dimensional ideal (every sixth one mostly the unit ideal) takes
+    only the grevlex run and equals the block run's basis."""
+    rng = random.Random(200 + seed)
+    gens, lower = _random_zero_dimensional(rng)
+    n = len(gens)
+    if seed % 6 == 0:
+        gens.append(lower(2))
+    order = _random_block_order(rng, n)
+    I = Ideal(n, gens)
+    assert I.groebner_basis(order) == _block_reference(I, order)
+    assert buchberger_orders == ["grevlex"]
+    assert I.stats(order) == I.stats()
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_saturation_of_zero_dimensional_ideals(seed):
     rng = random.Random(100 + seed)

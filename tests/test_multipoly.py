@@ -276,6 +276,17 @@ class TestGoldenFiles:
         with pytest.raises(ValueError, match="missing '# vars:' header"):
             read_poly_file("# only a comment\n")
 
+    def test_second_header(self):
+        """A repeated header must declare the same variables: over `y x`,
+        `x - 2` would be stored as y - 2 of the first header."""
+        text = "# vars: x y\nx - 1\n# vars: y x\nx - 2\n"
+        with pytest.raises(ValueError, match="line 3: variables y x differ "
+                                             "from x y"):
+            read_poly_file(text)
+        variables, polys = read_poly_file(text.replace("y x", "x y"))
+        assert variables == ["x", "y"]
+        assert polys == [parse("x - 1", ["x", "y"]), parse("x - 2", ["x", "y"])]
+
     def test_write_read_round_trip(self, tmp_path):
         from torion.multipoly import write_poly_file
         p = parse("x^2*y - 3*z + 1/2", XYZ)

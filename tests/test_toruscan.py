@@ -105,6 +105,8 @@ class TestCoefficientVariety:
         ("(y-1)^2*(y^2-2)", [1], False),
         ("(y-1)^3", [1], True),
         ("(y+3)^3*(y-1)^2*(y^2+1)", [-3, 1], False),
+        # 0 is one root however often y divides
+        ("y^3 - y^2", [0, 1], True),
     ])
     def test_univariate_splitting(self, text, roots, splits):
         p = parse(text, ["x", "y"])
